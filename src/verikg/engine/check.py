@@ -52,25 +52,18 @@ class CexTrace:
 
 
 class _InputSpace:
+    """Input vectors in exploration order (names sorted, values ascending),
+    each paired with the same values in the net's input order."""
+
     def __init__(self, net: NetModel):
         self.sorted_names = sorted(n for n, _ in net.inputs)
         widths = dict(net.inputs)
+        order = [self.sorted_names.index(n) for n, _ in net.inputs]
         self.vectors = [
-            tuple(vec)
+            (vec, tuple(vec[i] for i in order))
             for vec in itertools.product(
                 *[range(1 << widths[n]) for n in self.sorted_names])
         ]
-        order = [n for n, _ in net.inputs]
-        self.net_order_index = [self.sorted_names.index(n) for n in order]
-
-    def values(self, net: NetModel, state: tuple, vec: tuple) -> dict[str, int]:
-        v = {name: state[i] for i, (name, _) in enumerate(net.state_bits)}
-        for name, x in zip(self.sorted_names, vec):
-            v[name] = x
-        return v
-
-    def net_inputs(self, vec: tuple) -> tuple:
-        return tuple(vec[i] for i in self.net_order_index)
 
     def as_dict(self, vec: tuple) -> dict[str, int]:
         return dict(zip(self.sorted_names, vec))
@@ -82,8 +75,7 @@ class _Exploration:
     proof_depth: int | None
     explored: int
     ante_matched: bool
-    trace: CexTrace | None
-    witness: CexTrace | None
+    trace: CexTrace | None  # where the search stopped (violation or completion)
 
 
 def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
@@ -111,20 +103,20 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
             chain.append((parent, pvec))
             cur = parent
         chain.reverse()
-        cycles = [(space.as_dict(pv), _state_dict(net, pn[0])) for pn, pv in chain]
-        cycles.append((space.as_dict(vec), _state_dict(net, node[0])))
+        cycles = [(space.as_dict(pv), net.values(pn[0], ())) for pn, pv in chain]
+        cycles.append((space.as_dict(vec), net.values(node[0], ())))
         return CexTrace(prop_id, cycles, cycle, line)
 
     while frontier:
         if depth >= cfg.max_depth:
             return _Exploration(ResultStatus.BOUNDED, depth - 1, len(visited),
-                                ante_matched, None, None)
+                                ante_matched, None)
         next_frontier = []
         for node in frontier:
             design_state, monitor_states = node
             n_target = 1 if target else 0
-            for vec in space.vectors:
-                values = space.values(net, design_state, vec)
+            for vec, net_vec in space.vectors:
+                values = net.values(design_state, net_vec)
                 # assumptions prune the branch before the target sees it
                 new_assume = []
                 pruned = False
@@ -147,13 +139,13 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                     if stop_on == "violation" and ev.violated:
                         return _Exploration(
                             ResultStatus.CEX, depth, len(visited), ante_matched,
-                            reconstruct(node, vec, depth), None)
+                            reconstruct(node, vec, depth))
                     if stop_on == "completion" and ev.completed:
                         return _Exploration(
                             ResultStatus.PROVEN, depth, len(visited), True,
-                            None, reconstruct(node, vec, depth))
+                            reconstruct(node, vec, depth))
                     new_target = (tstate,)
-                succ = (net.step(design_state, space.net_inputs(vec)),
+                succ = (net.step(design_state, net_vec),
                         new_target + tuple(new_assume))
                 if succ not in visited:
                     visited.add(succ)
@@ -166,13 +158,9 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
         # visited count past the budget
         if frontier and len(visited) > cfg.max_states:
             return _Exploration(ResultStatus.BOUNDED, deepest, len(visited),
-                                ante_matched, None, None)
+                                ante_matched, None)
     return _Exploration(ResultStatus.PROVEN, deepest, len(visited),
-                        ante_matched, None, None)
-
-
-def _state_dict(net: NetModel, state: tuple) -> dict[str, int]:
-    return {name: state[i] for i, (name, _) in enumerate(net.state_bits)}
+                        ante_matched, None)
 
 
 def _bound_assumption_monitors(net: NetModel, cfg: CheckConfig) -> list[Monitor]:
@@ -184,23 +172,30 @@ def _bound_assumption_monitors(net: NetModel, cfg: CheckConfig) -> list[Monitor]
 
 def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
           ) -> tuple[FormalResult, CexTrace | None]:
-    """Check one assertion (or assumption treated as an obligation).
+    """Check one property of any kind; the kind picks the stop condition.
 
-    Verdicts: cex with the minimal, lexicographically least trace; proven
-    when the reachable product closed; vacuous when proven and the top-level
-    implication's antecedent never matched; bounded when a budget ran out
-    first. runtime_ms is the deterministic explored-state count.
+    An assertion (or an assumption treated as an obligation) stops at its
+    first violation: cex with the minimal, lexicographically least trace;
+    proven when the reachable product closed; vacuous when proven and the
+    top-level implication's antecedent never matched.
+
+    A cover stops at its first completion: proven with that witness trace;
+    vacuous when the fully explored reachable product contains no witness
+    (an unsatisfiable cover).
+
+    Either kind is bounded when a budget ran out first. runtime_ms is the
+    deterministic explored-state count.
     """
     cfg = cfg or CheckConfig()
     cfg.validate()
-    if bp.kind == "cover":
-        raise EngineError(f"{bp.prop_id}: use check_cover for cover properties")
     monitors = _bound_assumption_monitors(net, cfg)
     target = Monitor(bp, net)
-    ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line, "violation")
+    cover = bp.kind == "cover"
+    ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line,
+                  "completion" if cover else "violation")
     status = ex.status
-    if status is ResultStatus.PROVEN and bp.impl is not S.ImplKind.NONE \
-            and not ex.ante_matched:
+    if status is ResultStatus.PROVEN and ex.trace is None and (
+            cover or (bp.impl is not S.ImplKind.NONE and not ex.ante_matched)):
         status = ResultStatus.VACUOUS
     result = FormalResult(
         result_id="",
@@ -212,38 +207,8 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     return result, ex.trace
 
 
-def check_cover(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
-                ) -> tuple[FormalResult, CexTrace | None]:
-    """Reachability of a cover sequence.
-
-    proven with a witness trace when some reachable path satisfies it;
-    vacuous when the fully explored reachable product contains no witness
-    (an unsatisfiable cover); bounded when budgets ran out first.
-    """
-    cfg = cfg or CheckConfig()
-    cfg.validate()
-    if bp.kind != "cover":
-        raise EngineError(f"{bp.prop_id}: check_cover requires a cover property")
-    monitors = _bound_assumption_monitors(net, cfg)
-    target = Monitor(bp, net)
-    ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line, "completion")
-    if ex.witness is not None:
-        status = ResultStatus.PROVEN
-        depth = ex.witness.failure_cycle
-    elif ex.status is ResultStatus.PROVEN:
-        status = ResultStatus.VACUOUS  # no reachable path satisfies the sequence
-        depth = ex.proof_depth
-    else:
-        status = ResultStatus.BOUNDED
-        depth = ex.proof_depth
-    result = FormalResult(
-        result_id="",
-        prop_id=bp.prop_id,
-        status=status,
-        proof_depth=depth,
-        runtime_ms=ex.explored,
-    )
-    return result, ex.witness
+# Alias of `check`, for callers that look cover checks up by this name.
+check_cover = check
 
 
 def check_many(net: NetModel, props: list[S.BoundProperty],
@@ -251,12 +216,5 @@ def check_many(net: NetModel, props: list[S.BoundProperty],
                ) -> list[tuple[FormalResult, CexTrace | None]]:
     """Check a batch; results merged in prop_id order regardless of any
     execution interleaving, so output is schedule-independent."""
-    out = []
-    for bp in sorted(props, key=lambda p: p.prop_id):
-        if bp.kind == "cover":
-            out.append(check_cover(net, bp, cfg))
-        elif bp.kind == "assumption":
-            continue
-        else:
-            out.append(check(net, bp, cfg))
-    return out
+    return [check(net, bp, cfg) for bp in sorted(props, key=lambda p: p.prop_id)
+            if bp.kind != "assumption"]

@@ -11,8 +11,8 @@ from __future__ import annotations
 from verikg.ir.types import CoverageMetrics, DeadCodeClass, ResultStatus
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.engine.check import CheckConfig, _bound_assumption_monitors, _explore
-from verikg.engine.monitor import _Compiler, _truthy
+from verikg.engine.check import (
+    CheckConfig, _bound_assumption_monitors, _explore, check_many)
 
 
 def coverage(net: NetModel, props: list[S.BoundProperty],
@@ -26,17 +26,11 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     cfg.validate()
     monitors = _bound_assumption_monitors(net, cfg)
 
-    comp = _Compiler(net)
-    guard_fns: dict[str, object] = {}
-    for sid in sorted(net.statement_guards):
-        fn, _w = comp.compile(net.statement_guards[sid])
-        guard_fns[sid] = fn
-    uncovered = set(guard_fns)
+    uncovered = set(net.guard_fns)
     covered: set[str] = set()
-    empty_hist: tuple = ()
 
     def hook(values: dict) -> None:
-        hit = [sid for sid in uncovered if _truthy(guard_fns[sid](values, empty_hist))]
+        hit = [sid for sid in uncovered if net.guard_fns[sid](values, ())]
         for sid in hit:
             uncovered.discard(sid)
             covered.add(sid)
@@ -44,14 +38,8 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     ex = _explore(net, None, monitors, cfg, "", 0, "violation", guard_hook=hook)
     partial = ex.status is ResultStatus.BOUNDED
 
-    vacuity = 0
-    from verikg.engine.check import check, check_cover
-    for bp in sorted(props, key=lambda p: p.prop_id):
-        if bp.kind == "assumption":
-            continue
-        result, _trace = (check_cover if bp.kind == "cover" else check)(net, bp, cfg)
-        if result.status is ResultStatus.VACUOUS:
-            vacuity += 1
+    vacuity = sum(1 for result, _trace in check_many(net, props, cfg)
+                  if result.status is ResultStatus.VACUOUS)
 
     covered_list = sorted(covered, key=_sid_key)
     unreachable_list = sorted(uncovered, key=_sid_key)

@@ -1,11 +1,12 @@
 """Bounded-sequence property monitors.
 
-A property compiles to step-expression closures plus NFA-style progress
-tracking: antecedent match attempts start every cycle, each completed match
-spawns a consequent obligation, and an obligation whose possibility set
-empties is a violation. $past and the edge functions become shift-register
-taps carried in the monitor state, so the whole monitor state is a hashable
-value suitable for product-state exploration.
+A property compiles, through the shared RTL expression compiler, to
+step-expression closures plus NFA-style progress tracking: antecedent match
+attempts start every cycle, each completed match spawns a consequent
+obligation, and an obligation whose possibility set empties is a violation.
+$past and the edge functions become shift-register taps carried in the
+monitor state, so the whole monitor state is a hashable value suitable for
+product-state exploration.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from verikg.rtl import ast as rtl
+from verikg.rtl.compile import Compiler
 from verikg.rtl.elaborate import NetModel
-from verikg.rtl.parser import eval_const
 from verikg.sva import ast as S
 
 Values = dict  # name -> int for the current cycle
@@ -25,13 +26,13 @@ def _truthy(v: int) -> bool:
     return v != 0
 
 
-class _Compiler:
-    """Compiles property expressions to closures over (values, history)."""
+class _SampledCompiler(Compiler):
+    """The shared RTL compiler plus the sampled-value functions, which read
+    shift-register taps from the monitor history."""
 
-    def __init__(self, net: NetModel):
-        self.net = net
+    def __init__(self, widths: dict[str, int]):
+        super().__init__(widths)
         self.taps: list[tuple[object, int]] = []  # (expr, max depth)
-        self._tap_fns: list = []
 
     def tap(self, expr, depth: int) -> int:
         for i, (e, d) in enumerate(self.taps):
@@ -40,16 +41,14 @@ class _Compiler:
                     self.taps[i] = (e, depth)
                 return i
         self.taps.append((expr, depth))
-        self._tap_fns.append(None)
         return len(self.taps) - 1
 
     def compile(self, e):
-        """Returns (fn(values, hist) -> int, width|None)."""
         if isinstance(e, S.Past):
-            inner, _w = self.compile(e.expr)
+            _inner, w = self.compile(e.expr)
             ti = self.tap(e.expr, e.depth)
             n = e.depth
-            return (lambda v, h: h[ti][n - 1]), _w
+            return (lambda v, h: h[ti][n - 1]), w
         if isinstance(e, S.Rose):
             inner, _w = self.compile(e.expr)
             ti = self.tap(e.expr, 1)
@@ -62,74 +61,7 @@ class _Compiler:
             inner, _w = self.compile(e.expr)
             ti = self.tap(e.expr, 1)
             return (lambda v, h: int(inner(v, h) == h[ti][0])), 1
-        if isinstance(e, rtl.Lit):
-            val = e.value
-            return (lambda v, h: val), e.width
-        if isinstance(e, rtl.Id):
-            name = e.name
-            return (lambda v, h: v[name]), self.net.widths.get(name)
-        if isinstance(e, rtl.Select):
-            hi = eval_const(e.msb, {})
-            lo = eval_const(e.lsb, {})
-            name = e.name
-            m = (1 << (hi - lo + 1)) - 1
-            return (lambda v, h: (v[name] >> lo) & m), hi - lo + 1
-        if isinstance(e, rtl.SliceX):
-            inner, _w = self.compile(e.base)
-            lo = e.lsb
-            m = (1 << (e.msb - e.lsb + 1)) - 1
-            return (lambda v, h: (inner(v, h) >> lo) & m), e.msb - e.lsb + 1
-        if isinstance(e, rtl.Unary):
-            inner, w = self.compile(e.operand)
-            if e.op == "!":
-                return (lambda v, h: 0 if inner(v, h) else 1), 1
-            wv = w or 32
-            mk = (1 << wv) - 1
-            if e.op == "~":
-                return (lambda v, h: (~inner(v, h)) & mk), w
-            if e.op == "-":
-                return (lambda v, h: (-inner(v, h)) & mk), w
-        if isinstance(e, rtl.Binary):
-            lf, lw = self.compile(e.left)
-            rf, rw = self.compile(e.right)
-            op = e.op
-            if op == "&&":
-                return (lambda v, h: int(_truthy(lf(v, h)) and _truthy(rf(v, h)))), 1
-            if op == "||":
-                return (lambda v, h: int(_truthy(lf(v, h)) or _truthy(rf(v, h)))), 1
-            if op in rtl.COMPARISON_OPS:
-                import operator
-                cmp = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-                       "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
-                return (lambda v, h: int(cmp(lf(v, h), rf(v, h)))), 1
-            wv = lw if lw is not None else rw
-            mk = (1 << (wv or 32)) - 1
-            fns = {
-                "&": lambda v, h: lf(v, h) & rf(v, h),
-                "|": lambda v, h: lf(v, h) | rf(v, h),
-                "^": lambda v, h: lf(v, h) ^ rf(v, h),
-                "+": lambda v, h: (lf(v, h) + rf(v, h)) & mk,
-                "-": lambda v, h: (lf(v, h) - rf(v, h)) & mk,
-            }
-            return fns[op], wv
-        if isinstance(e, rtl.Ternary):
-            cf, _cw = self.compile(e.cond)
-            tf, tw = self.compile(e.then)
-            of, ow = self.compile(e.other)
-            return (lambda v, h: tf(v, h) if cf(v, h) else of(v, h)), \
-                (tw if tw is not None else ow)
-        if isinstance(e, rtl.Concat):
-            parts = [self.compile(p) for p in e.parts]
-            widths = [w or 1 for _, w in parts]
-
-            def cat(v, h):
-                out = 0
-                for (fn, _w), pw in zip(parts, widths):
-                    out = (out << pw) | (fn(v, h) & ((1 << pw) - 1))
-                return out
-
-            return cat, sum(widths)
-        raise TypeError(f"cannot compile expression {e!r}")
+        return super().compile(e)
 
     def finish_taps(self):
         # Compiling a tap may register further taps (nested $past), and a
@@ -191,7 +123,7 @@ def _require_bound(e, net: NetModel, prop_id: str) -> None:
 
 class Monitor:
     def __init__(self, bp: S.BoundProperty, net: NetModel):
-        comp = _Compiler(net)
+        comp = _SampledCompiler(net.widths)
 
         def inline(e):
             _require_bound(e, net, bp.prop_id)

@@ -22,7 +22,7 @@ from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.agents.generation import run_generation
 from verikg.agents.scripted import default_rules
 from verikg.agents.syntax_loop import run_syntax_loop
-from verikg.engine.check import CheckConfig, check, check_cover
+from verikg.engine.check import CheckConfig, check
 from verikg.engine.coverage import coverage
 from verikg.htmlview import render_html
 from verikg.ir import types as T
@@ -538,8 +538,7 @@ def _check_all(net, bound, cfg: RunConfig, bundle, pf, artifacts,
     n = id_start
     for bp in sorted((b for b in bound if b.kind != "assumption"),
                      key=lambda b: b.prop_id):
-        result, trace = (check_cover if bp.kind == "cover" else check)(
-            net, bp, check_cfg)
+        result, trace = check(net, bp, check_cfg)
         result.result_id = T.make_id("RES", n)
         n += 1
         if trace is not None and result.status is T.ResultStatus.CEX:
@@ -593,8 +592,7 @@ def recheck_properties(prop_ids, net, pf, bundle, dm, idx,
         if bp is None or bp.kind == "assumption":
             results.pop(pid, None)
             continue
-        result, trace = (check_cover if bp.kind == "cover" else check)(
-            net, bp, check_cfg)
+        result, trace = check(net, bp, check_cfg)
         prior = results.get(pid)
         result.result_id = prior.result_id if prior else T.make_id("RES", next_res)
         if not prior:

@@ -12,142 +12,10 @@ from dataclasses import dataclass, field
 
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast
+from verikg.rtl.compile import Compiler, WidthError, mask, width_of
 from verikg.rtl.parser import ParseError, eval_const
 
 TRUE = ast.Lit(1, 1)
-
-
-def mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
-
-
-# ---------------------------------------------------------------------------
-# Width inference (strict: sized widths must agree; unsized literals adapt)
-# ---------------------------------------------------------------------------
-
-class WidthError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
-def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
-    """Computed width; None for an unsized literal that adapts to context."""
-    if isinstance(e, ast.Lit):
-        return e.width
-    if isinstance(e, ast.Id):
-        if e.name not in widths:
-            raise WidthError(f"undeclared name {e.name!r}")
-        return widths[e.name]
-    if isinstance(e, ast.Select):
-        if e.name not in widths:
-            raise WidthError(f"undeclared name {e.name!r}")
-        try:
-            hi = eval_const(e.msb, {})
-            lo = eval_const(e.lsb, {})
-        except ParseError:
-            raise WidthError(f"non-constant select bounds on {e.name!r}")
-        base = widths[e.name]
-        if not (0 <= lo <= hi < base):
-            raise WidthError(
-                f"select [{hi}:{lo}] out of range for {e.name!r} (width {base})")
-        return hi - lo + 1
-    if isinstance(e, ast.SliceX):
-        return e.msb - e.lsb + 1
-    if isinstance(e, ast.Unary):
-        if e.op == "!":
-            width_of(e.operand, widths)
-            return 1
-        w = width_of(e.operand, widths)
-        if w is None:
-            raise WidthError(f"operator {e.op!r} needs a sized operand")
-        return w
-    if isinstance(e, ast.Binary):
-        lw = width_of(e.left, widths)
-        rw = width_of(e.right, widths)
-        if e.op in ast.LOGICAL_OPS:
-            return 1
-        if e.op in ast.COMPARISON_OPS:
-            if lw is not None and rw is not None and lw != rw:
-                raise WidthError(
-                    f"width mismatch in {e.op!r} comparison: {lw} vs {rw}")
-            return 1
-        # bitwise / arithmetic
-        if lw is not None and rw is not None and lw != rw:
-            raise WidthError(f"width mismatch in {e.op!r}: {lw} vs {rw}")
-        w = lw if lw is not None else rw
-        if w is None:
-            raise WidthError(f"operator {e.op!r} over two unsized literals")
-        return w
-    if isinstance(e, ast.Ternary):
-        width_of(e.cond, widths)
-        tw = width_of(e.then, widths)
-        ow = width_of(e.other, widths)
-        if tw is not None and ow is not None and tw != ow:
-            raise WidthError(f"width mismatch in ?: arms: {tw} vs {ow}")
-        w = tw if tw is not None else ow
-        if w is None:
-            raise WidthError("?: over two unsized literals")
-        return w
-    if isinstance(e, ast.Concat):
-        total = 0
-        for p in e.parts:
-            pw = width_of(p, widths)
-            if pw is None:
-                raise WidthError("unsized literal inside concatenation")
-            total += pw
-        return total
-    raise WidthError(f"unexpected expression node {e!r}")
-
-
-def eval_expr(e: ast.Expr, values: dict[str, int], widths: dict[str, int]) -> int:
-    """Two-valued evaluation; results masked to the expression width."""
-    if isinstance(e, ast.Lit):
-        return e.value
-    if isinstance(e, ast.Id):
-        return values[e.name]
-    if isinstance(e, ast.Select):
-        hi = eval_const(e.msb, {})
-        lo = eval_const(e.lsb, {})
-        return (values[e.name] >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if isinstance(e, ast.SliceX):
-        v = eval_expr(e.base, values, widths)
-        return (v >> e.lsb) & ((1 << (e.msb - e.lsb + 1)) - 1)
-    if isinstance(e, ast.Unary):
-        v = eval_expr(e.operand, values, widths)
-        if e.op == "!":
-            return 0 if v else 1
-        w = width_of(e.operand, widths) or 32
-        if e.op == "~":
-            return mask(~v, w)
-        if e.op == "-":
-            return mask(-v, w)
-    if isinstance(e, ast.Binary):
-        a = eval_expr(e.left, values, widths)
-        b = eval_expr(e.right, values, widths)
-        if e.op == "&&":
-            return int(bool(a) and bool(b))
-        if e.op == "||":
-            return int(bool(a) or bool(b))
-        if e.op in ast.COMPARISON_OPS:
-            return {
-                "==": int(a == b), "!=": int(a != b), "<": int(a < b),
-                "<=": int(a <= b), ">": int(a > b), ">=": int(a >= b),
-            }[e.op]
-        w = width_of(e, widths) or 32
-        return mask({
-            "&": a & b, "|": a | b, "^": a ^ b, "+": a + b, "-": a - b,
-        }[e.op], w)
-    if isinstance(e, ast.Ternary):
-        c = eval_expr(e.cond, values, widths)
-        return eval_expr(e.then if c else e.other, values, widths)
-    if isinstance(e, ast.Concat):
-        out = 0
-        for p in e.parts:
-            pw = width_of(p, widths)
-            out = (out << pw) | mask(eval_expr(p, values, widths), pw)
-        return out
-    raise TypeError(f"cannot evaluate {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +37,28 @@ class NetModel:
     def init_state(self) -> tuple[int, ...]:
         return tuple(self.init[name] for name, _ in self.state_bits)
 
-    def values(self, state: tuple[int, ...], inputs: tuple[int, ...]) -> dict[str, int]:
-        v = {name: state[i] for i, (name, _) in enumerate(self.state_bits)}
-        for i, (name, _) in enumerate(self.inputs):
-            v[name] = inputs[i]
-        return v
+    # compiled once from next_state (masked to each bit's width, in
+    # state_bits order) and statement_guards
+    next_fns: list = field(init=False, repr=False, compare=False)
+    guard_fns: dict = field(init=False, repr=False, compare=False)
 
-    def eval(self, e: ast.Expr, values: dict[str, int]) -> int:
-        # Property expressions may reference combinational nets by name.
-        needed = ast.expr_ids(e) - values.keys()
-        if needed:
-            values = dict(values)
-            for name in needed:
-                if name not in self.comb:
-                    raise KeyError(f"undefined name {name!r} in expression")
-                values[name] = mask(
-                    eval_expr(self.comb[name], values, self.widths),
-                    self.widths[name])
-        return eval_expr(e, values, self.widths)
+    def __post_init__(self):
+        comp = Compiler(self.widths)
+        self.next_fns = [(comp.compile(self.next_state[name])[0], (1 << w) - 1)
+                         for name, w in self.state_bits]
+        self.guard_fns = {sid: comp.compile(g)[0]
+                          for sid, g in self.statement_guards.items()}
+
+    def values(self, state: tuple[int, ...], inputs: tuple[int, ...]) -> dict[str, int]:
+        """Name -> value for one cycle: the state bits in state_bits order,
+        then `inputs` in `self.inputs` order (pass () for the state alone)."""
+        v = {name: x for (name, _w), x in zip(self.state_bits, state)}
+        v.update(zip((name for name, _w in self.inputs), inputs))
+        return v
 
     def step(self, state: tuple[int, ...], inputs: tuple[int, ...]) -> tuple[int, ...]:
         v = self.values(state, inputs)
-        out = []
-        for name, w in self.state_bits:
-            out.append(mask(eval_expr(self.next_state[name], v, self.widths), w))
-        return tuple(out)
+        return tuple([fn(v, ()) & m for fn, m in self.next_fns])
 
     def inline(self, e: ast.Expr) -> ast.Expr:
         """Substitute combinational definitions so the expression mentions
@@ -638,6 +503,9 @@ def _merge(cond: ast.Expr, then_map: dict[str, ast.Expr],
 
 def _splice(base: ast.Expr, rhs: ast.Expr, hi: int, lo: int, width: int) -> ast.Expr:
     """Read-modify-write for a part-select assignment target."""
+    if isinstance(rhs, ast.Lit) and rhs.width is None:
+        # an unsized literal takes the width of the selected part
+        rhs = ast.Lit(mask(rhs.value, hi - lo + 1), hi - lo + 1)
     parts: list[ast.Expr] = []
     if hi + 1 < width:
         parts.append(ast.SliceX(base, width - 1, hi + 1))
@@ -685,7 +553,25 @@ def elaborate(model: ast.DesignModel, top: str,
         guards.setdefault(s.id, ast.Lit(0, 1))
     inputs = [(n, w) for n, w in el.inputs if n != el.clock]
 
-    net = NetModel(
+    # Width discipline: every expression must carry a consistent width.
+    try:
+        for r, w in el.regs:
+            ew = width_of(next_state[r], el.widths)
+            if ew is not None and ew != w:
+                raise WidthError(
+                    f"next-state width mismatch for {r!r}: {ew} vs {w}")
+        for name, e in el.wire_defs.items():
+            ew = width_of(e, el.widths)
+            if ew is not None and ew != el.widths[name]:
+                raise WidthError(
+                    f"width mismatch for {name!r}: {ew} vs {el.widths[name]}")
+        for sid, g in guards.items():
+            width_of(g, el.widths)
+    except WidthError as werr:
+        diags.error(0, 0, werr.message, DiagCode.WIDTH)
+        return diags
+
+    return NetModel(
         top=top,
         clock=el.clock,
         state_bits=list(el.regs),
@@ -696,22 +582,3 @@ def elaborate(model: ast.DesignModel, top: str,
         statement_guards=guards,
         widths=dict(el.widths),
     )
-
-    # Width discipline: every expression must carry a consistent width.
-    try:
-        for r, w in net.state_bits:
-            ew = width_of(net.next_state[r], net.widths)
-            if ew is not None and ew != w:
-                raise WidthError(
-                    f"next-state width mismatch for {r!r}: {ew} vs {w}")
-        for name, e in net.comb.items():
-            ew = width_of(e, net.widths)
-            if ew is not None and ew != net.widths[name]:
-                raise WidthError(
-                    f"width mismatch for {name!r}: {ew} vs {net.widths[name]}")
-        for sid, g in net.statement_guards.items():
-            width_of(g, net.widths)
-    except WidthError as werr:
-        diags.error(0, 0, werr.message, DiagCode.WIDTH)
-        return diags
-    return net

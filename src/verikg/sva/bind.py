@@ -10,7 +10,7 @@ from __future__ import annotations
 from verikg.kg import SignalIndex, resolve_signal
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
-from verikg.rtl.elaborate import WidthError, width_of
+from verikg.rtl.compile import WidthError, width_of
 from verikg.rtl.lexer import LexError, tokenize
 from verikg.rtl.parser import Cursor, ParseError
 from verikg.sva import ast as S

@@ -1,11 +1,17 @@
 import random
 
+import pytest
+
 from oracles import RefDesign, gen_design_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast as rtl
 from verikg.rtl.analyze import statement_index
+from verikg.rtl.compile import Compiler, WidthError
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
+from verikg.sva import ast as S
+from verikg.sva.bind import bind
+from verikg.sva.parser import parse_properties
 
 
 def parse_ok(src: str) -> rtl.DesignModel:
@@ -191,6 +197,14 @@ class TestElaborate:
         s = net.step(s, (0,))
         assert s == (0, 1)  # the bit shifted through the chain
 
+    def test_part_select_assign_of_unsized_literal(self):
+        m = parse_ok(
+            "module t (input clk);\n  reg [3:0] r;\n"
+            "  always @(posedge clk) r[1:0] <= 1;\nendmodule\n")
+        net = elaborate(m, "t")
+        assert isinstance(net, NetModel), net.render()
+        assert net.step((0b1010,), ()) == (0b1001,)
+
     def test_parameter_override(self):
         m = parse_ok(
             "module t #(parameter W = 2) (input clk, input [W-1:0] d);\n"
@@ -205,7 +219,8 @@ class TestElaborate:
 
 
 class TestElaborationSoundness:
-    """NetModel simulation must match direct statement execution."""
+    """NetModel simulation and the compiled statement guards coverage
+    runs must match direct statement execution."""
 
     def test_random_designs_agree_with_reference(self):
         rng = random.Random(20260808)
@@ -231,10 +246,30 @@ class TestElaborationSoundness:
                 vec = tuple(combo.get(n, 0) for n, _ in net.inputs)
                 next_ref, executed = ref.step(s_ref, combo)
                 values = net.values(s_net, vec)
-                for sid, guard in net.statement_guards.items():
-                    hit = net.eval(guard, values) != 0
+                for sid, guard in net.guard_fns.items():
+                    hit = guard(values, ()) != 0
                     assert hit == (sid in executed), (sid, src)
                 s_net = net.step(s_net, vec)
                 s_ref = next_ref
                 assert dict(zip((n for n, _ in net.state_bits), s_net)) == s_ref, src
         assert checked == 40
+
+
+@pytest.mark.parametrize("layer", ["compile", "rtl", "sva"])
+def test_unsized_concat_part_has_no_width(layer, fifo_model, fifo_index):
+    """The compiler, the elaborator and the binder share width_of's rule."""
+    if layer == "compile":
+        with pytest.raises(WidthError, match="unsized literal inside concatenation"):
+            Compiler({"d": 1}).compile(rtl.Concat((rtl.Id("d"), rtl.Lit(0, None))))
+    elif layer == "rtl":
+        diags = elaborate(parse_ok(
+            "module t (input d, output [1:0] y);\n"
+            "  assign y = {d, 0};\nendmodule\n"), "t")
+        assert [d.code for d in diags.errors] == [DiagCode.WIDTH]
+    else:
+        pf = parse_properties("default clocking @(posedge clk); endclocking\n"
+                              "// property: PROP-001\n"
+                              "assert property ({wr_en, 0} == 2'd0);")
+        _bound, errs = bind(pf, fifo_model, fifo_index)
+        assert [i.kind for i in errs.for_prop("PROP-001")] == \
+            [S.BindErrorKind.WIDTH_MISMATCH]
