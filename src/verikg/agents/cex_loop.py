@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend, RecordingBackend, Transcript
+from verikg.agents.backend import Backend
 from verikg.agents.common import render_signal_table, requirement_text, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.engine.check import CheckConfig, check
@@ -14,8 +14,8 @@ from verikg.ir import types as T
 from verikg.kg import Graph, SignalIndex, build_signal_index
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.sva.bind import bind
-from verikg.sva.emit import emit_properties, render_statement
+from verikg.sva.bind import compile_properties
+from verikg.sva.emit import render_statement
 from verikg.sva.parser import parse_properties_with_recovery
 from verikg.vcd import failure_window, parse_vcd
 
@@ -38,7 +38,6 @@ class CexLoopReport:
     not_corrected: list[str] = field(default_factory=list)
     manual_review: list[str] = field(default_factory=list)
     cases: list[T.CexCase] = field(default_factory=list)
-    transcript: Transcript = field(default_factory=Transcript)
     # prop ids whose property text changed (drives downstream invalidation)
     patched: list[str] = field(default_factory=list)
 
@@ -62,8 +61,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
     RTL bugs are documented and the property left failing; property-side
     causes are patched and re-checked in isolation before reintegration.
     """
-    rec = RecordingBackend(backend)
-    report = CexLoopReport(transcript=rec.transcript)
+    report = CexLoopReport()
     idx = build_signal_index(kg)
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)
@@ -102,7 +100,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
                              for rid in (record.req_ids if record else []))
         prop_text = render_statement(decl) if decl else (record.sva_text if record else "")
 
-        analysis = send_step(rec, PromptEnvelope.build(
+        analysis = send_step(backend, PromptEnvelope.build(
             "spec_assertion_analyzer", f"cex/{pid}/classify",
             ResponseShape.ANALYSIS,
             requirement=req_text, prior_code=prop_text,
@@ -112,7 +110,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
         case.root_cause = cause
 
         if cause is T.RootCause.RTL_BUG:
-            doc = send_step(rec, PromptEnvelope.build(
+            doc = send_step(backend, PromptEnvelope.build(
                 "rtl_analyzer", f"cex/{pid}/rtl", ResponseShape.ANALYSIS,
                 requirement=req_text, prior_code=rtl_source,
                 diagnostics=window_text))
@@ -133,7 +131,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
 
         fixed = False
         for attempt_no in range(used + 1, MAX_ATTEMPTS + 1):
-            patch = send_step(rec, PromptEnvelope.build(
+            patch = send_step(backend, PromptEnvelope.build(
                 "cex_fixer", f"cex/{pid}/fix/{attempt_no}",
                 ResponseShape.CODE_PATCH,
                 requirement=req_text, signal_table=signal_table,
@@ -174,20 +172,14 @@ def _isolated_recheck(patch_text: str, pid: str, decl: S.PropertyDecl,
     candidate = next((p for p in block.properties if p.body is not None), None)
     if candidate is None:
         return False, None
-    wrapper = S.PropertyFile(macros=list(pf.macros),
-                             properties=[S.PropertyDecl(pid, candidate.kind,
-                                                        candidate.body, decl.line,
-                                                        candidate.raw_source)],
-                             default_clock=pf.default_clock)
-    text = emit_properties(wrapper)
-    parsed, diags = parse_properties_with_recovery(text)
-    parsed.default_clock = parsed.default_clock or pf.default_clock
-    if diags.has_errors():
+    c = compile_properties(
+        S.PropertyFile(macros=list(pf.macros),
+                       properties=[S.PropertyDecl(pid, candidate.kind, candidate.body,
+                                                  decl.line, candidate.raw_source)],
+                       default_clock=pf.default_clock), dm, idx)
+    if c.diags.has_errors() or c.errors or not c.bound:
         return False, None
-    bound, errs = bind(parsed, dm, idx)
-    if errs.items or not bound:
-        return False, None
-    bp = bound[0]
+    bp = c.bound[0]
     if bp.kind == "cover":
         return False, None
     result, _trace = check(net, bp, cfg)

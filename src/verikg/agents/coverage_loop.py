@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend, RecordingBackend, Transcript
+from verikg.agents.backend import Backend
 from verikg.agents.common import parse_property_block, render_signal_table, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
@@ -38,7 +38,6 @@ class CoverageLoopResult:
     dead_code: list[tuple[str, T.DeadCodeClass]] = field(default_factory=list)
     unlinked: list[str] = field(default_factory=list)
     blockers: dict[str, str] = field(default_factory=dict)
-    transcript: Transcript = field(default_factory=Transcript)
 
 
 def order_gaps(dm: DesignModel, gap_ids: list[str]) -> list[str]:
@@ -146,8 +145,7 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
     and emit nothing, gap verdicts get targeted cover directives (and any
     assertions the improver adds). New properties still flow through the
     syntax loop and engine downstream."""
-    rec = RecordingBackend(backend)
-    result = CoverageLoopResult(transcript=rec.transcript)
+    result = CoverageLoopResult()
     idx = build_signal_index(kg)
     signal_table = render_signal_table(idx)
     classifications = dict(cov.dead_code)
@@ -164,7 +162,7 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
         stmt = stmts_by_id.get(sid)
         detail = stmt.detail if stmt and stmt.detail else stmt.kind if stmt else "unknown"
 
-        analysis = send_step(rec, PromptEnvelope.build(
+        analysis = send_step(backend, PromptEnvelope.build(
             "cov_analyzer", f"cov/{sid}/analyze", ResponseShape.ANALYSIS,
             requirement="",
             spec_fragment="",
@@ -189,7 +187,7 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
         if not linked:
             result.unlinked.append(sid)
 
-        block_resp = send_step(rec, PromptEnvelope.build(
+        block_resp = send_step(backend, PromptEnvelope.build(
             "cov_improver", f"cov/{sid}/improve", ResponseShape.PROPERTY_BLOCK,
             signal_table=signal_table, rulebook=rulebook,
             prior_code=f"// unreachable statement {sid}\n"

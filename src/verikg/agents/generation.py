@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend, RecordingBackend, Transcript
+from verikg.agents.backend import Backend
 from verikg.agents.common import (
     parse_property_block,
     render_signal_table,
@@ -29,7 +29,6 @@ class GenerationResult:
     property_file: S.PropertyFile
     records: list[T.PropertyRecord] = field(default_factory=list)
     links: list[T.TraceLink] = field(default_factory=list)
-    transcript: Transcript = field(default_factory=Transcript)
     emitted_text: str = ""
 
 
@@ -47,9 +46,8 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
     Review rejections cycle through sva_patcher up to three rounds; a
     deadlock emits the last block with status=disabled and an attempt note.
     """
-    rec = RecordingBackend(backend)
     pf = S.PropertyFile(default_clock=S.ClockSpec("posedge", Id(clock_name)))
-    out = GenerationResult(pf, transcript=rec.transcript)
+    out = GenerationResult(pf)
     signal_table = render_signal_table(idx)
     next_id = id_start
 
@@ -59,13 +57,13 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
         fragment = spec_fragment_text(kg, ctx)
         siblings = sibling_property_text(kg, ctx, exclude=set())
 
-        send_step(rec, PromptEnvelope.build(
+        send_step(backend, PromptEnvelope.build(
             "sva_lead", f"gen/{req.req_id}/lead", ResponseShape.ANALYSIS,
             requirement=req_text, spec_fragment=fragment, rulebook=rulebook))
-        send_step(rec, PromptEnvelope.build(
+        send_step(backend, PromptEnvelope.build(
             "spec_analyst", f"gen/{req.req_id}/analyze", ResponseShape.ANALYSIS,
             requirement=req_text, spec_fragment=fragment))
-        author = send_step(rec, PromptEnvelope.build(
+        author = send_step(backend, PromptEnvelope.build(
             "sva_author", f"gen/{req.req_id}/author", ResponseShape.PROPERTY_BLOCK,
             requirement=req_text, spec_fragment=fragment,
             signal_table=signal_table, rulebook=rulebook, prior_code=siblings))
@@ -74,7 +72,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
         approved = False
         reject_reasons: list[str] = []
         for round_no in range(1, MAX_REVIEW_ROUNDS + 1):
-            verdict = send_step(rec, PromptEnvelope.build(
+            verdict = send_step(backend, PromptEnvelope.build(
                 "sva_reviewer", f"gen/{req.req_id}/review/{round_no}",
                 ResponseShape.VERDICT,
                 requirement=req_text, rulebook=rulebook, prior_code=block_text))
@@ -84,7 +82,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
             reject_reasons = verdict.payload["reasons"]
             if round_no == MAX_REVIEW_ROUNDS:
                 break
-            patched = send_step(rec, PromptEnvelope.build(
+            patched = send_step(backend, PromptEnvelope.build(
                 "sva_patcher", f"gen/{req.req_id}/patch/{round_no}",
                 ResponseShape.PROPERTY_BLOCK,
                 requirement=req_text, rulebook=rulebook, prior_code=block_text,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend, RecordingBackend, Transcript
+from verikg.agents.backend import Backend
 from verikg.agents.common import render_signal_table, requirement_text, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
@@ -15,7 +15,7 @@ from verikg.kg import Graph, SignalIndex, build_signal_index, resolve_signal
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
-from verikg.sva.bind import bind
+from verikg.sva.bind import Compiled, compile_properties
 from verikg.sva.emit import emit_properties, render_statement
 from verikg.sva.parser import parse_properties_with_recovery
 
@@ -37,34 +37,25 @@ class SyntaxLoopReport:
     rule_fixes: int = 0
     backend_fixes: int = 0
     disabled: list[str] = field(default_factory=list)
-    transcript: Transcript = field(default_factory=Transcript)
     emitted_text: str = ""
+    # the last compile's bound properties: no property failed in it
+    bound: list[S.BoundProperty] = field(default_factory=list)
 
 
-def _compile(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
-             ) -> tuple[S.PropertyFile, dict[str, PropFailure]]:
-    """compile = parse + bind over the canonical emitted text.
-
-    Re-emitting first keeps line maps and diagnostics consistent with what
-    a tool (or agent) would actually see.
-    """
-    text = emit_properties(pf)
-    parsed, diags = parse_properties_with_recovery(text)
-    parsed.default_clock = parsed.default_clock or pf.default_clock
+def _failures(compiled: Compiled) -> dict[str, PropFailure]:
+    """syntax_analyzer role: attribute parse and bind errors per property
+    (deterministic in this engine); unattributed ones go to "(file)"."""
     failures: dict[str, PropFailure] = {}
-
-    # syntax_analyzer role: attribution is deterministic in this engine
-    for d in diags.errors:
+    for d in compiled.diags.errors:
         pid = d.prop_id or "(file)"
         f = failures.setdefault(pid, PropFailure(pid))
         f.messages.append(d.render())
         f.parse_error = True
-    _bound, errs = bind(parsed, dm, idx)
-    for item in errs.items:
+    for item in compiled.errors.items:
         f = failures.setdefault(item.prop_id, PropFailure(item.prop_id))
         f.messages.append(str(item))
         f.bind_items.append(item)
-    return parsed, failures
+    return failures
 
 
 def _rewrite_identifier(decl: S.PropertyDecl, old: str, new_expr) -> None:
@@ -157,17 +148,11 @@ def _try_rules(pf: S.PropertyFile, decl: S.PropertyDecl,
 
 def _isolated_ok(decl: S.PropertyDecl, pf: S.PropertyFile, dm: DesignModel,
                  idx: SignalIndex) -> bool:
-    """syntax_validator role: single-property wrapper, parse + bind."""
-    wrapper = S.PropertyFile(macros=list(pf.macros), properties=[decl],
-                             default_clock=pf.default_clock)
-    text = emit_properties(wrapper)
-    parsed, diags = parse_properties_with_recovery(text)
-    parsed.default_clock = parsed.default_clock or pf.default_clock
-    if diags.has_errors():
-        return False
-    bound, errs = bind(parsed, dm, idx)
-    return not errs.items and len(bound) == len(
-        [p for p in parsed.properties if p.body is not None]) and bool(bound)
+    """syntax_validator role: the property compiles alone, with the file's
+    macros and default clock."""
+    c = compile_properties(S.PropertyFile(macros=list(pf.macros), properties=[decl],
+                                          default_clock=pf.default_clock), dm, idx)
+    return not c.diags.has_errors() and not c.errors and bool(c.bound)
 
 
 def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
@@ -176,9 +161,8 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
     """Repair until fixpoint. Deterministic rules R1-R3 never call the
     backend; each repair try counts as one attempt; a property exceeding
     three attempts is disabled with a logged note."""
-    rec = RecordingBackend(backend)
     idx = build_signal_index(kg)
-    report = SyntaxLoopReport(transcript=rec.transcript)
+    report = SyntaxLoopReport()
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)
     # The three-attempt budget is global per property, spanning invocations.
@@ -188,13 +172,13 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
             report.attempts[r.prop_id] = used
 
     while True:
-        parsed, failures = _compile(pf, dm, idx)
-        parsed.macros = list(pf.macros)
-        pf.properties = parsed.properties
-        pf.line_map = parsed.line_map
-        active_failures = {pid: f for pid, f in failures.items()
+        compiled = compile_properties(pf, dm, idx)
+        pf.properties = compiled.parsed.properties
+        pf.line_map = compiled.parsed.line_map
+        active_failures = {pid: f for pid, f in _failures(compiled).items()
                            if pid != "(file)"}
         if not active_failures:
+            report.bound = compiled.bound
             break
         progressed = False
         for pid in sorted(active_failures):
@@ -225,7 +209,7 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
             req_text = "\n".join(requirement_text(kg, rid)
                                  for rid in (record.req_ids if record else []))
             try:
-                fix = send_step(rec, PromptEnvelope.build(
+                fix = send_step(backend, PromptEnvelope.build(
                     "syntax_fixer", f"syntax/{pid}/attempt/{attempt_no}",
                     ResponseShape.CODE_PATCH,
                     requirement=req_text,

@@ -41,9 +41,8 @@ from verikg.rtl.ast import DesignModel
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
-from verikg.sva.bind import bind
-from verikg.sva.emit import emit_properties
-from verikg.sva.parser import parse_properties_with_recovery
+from verikg.sva.bind import compile_properties
+from verikg.vcd import write_vcd
 
 
 class PipelineError(Exception):
@@ -332,14 +331,12 @@ def link_assumptions_to_statements(bundle: T.RunBundle, pf: S.PropertyFile,
                         T.TraceLink(record.prop_id, sid, T.LinkKind.COVERS))
 
 
-def bind_active(pf: S.PropertyFile, bundle: T.RunBundle, dm: DesignModel, idx):
+def active_bound(bound: list[S.BoundProperty], bundle: T.RunBundle
+                 ) -> list[S.BoundProperty]:
+    """The bound properties whose records are ACTIVE."""
     active = {r.prop_id for r in bundle.properties or []
               if r.status is T.PropStatus.ACTIVE}
-    text = emit_properties(pf)
-    parsed, diags = parse_properties_with_recovery(text)
-    parsed.default_clock = parsed.default_clock or pf.default_clock
-    bound, errs = bind(parsed, dm, idx)
-    return [b for b in bound if b.prop_id in active], errs
+    return [b for b in bound if b.prop_id in active]
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +436,19 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
     bundle.properties = gen.records
     bundle.tracelinks.extend(gen.links)
 
-    # 5. syntax loop until fixpoint
+    # 5. syntax loop until fixpoint; its last compile binds the whole file,
+    # and the file is compiled again only after it changes
     kg = rebuild_graph(bundle)
-    run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook)
+    bound = active_bound(
+        run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook).bound,
+        bundle)
     iteration_counts["syntax"] += 1
 
     # 6. formal checking
-    bound, _errs = bind_active(pf, bundle, dm, idx)
-    results, _traces = _check_all(net, bound, cfg, bundle, pf, artifacts)
-    bundle.formal_results = results
+    bundle.formal_results = []
     bundle.cex_cases = []
-    _sync_result_links(bundle)
+    recheck_properties([b.prop_id for b in bound], net, bound, bundle, cfg,
+                       artifacts)
     link_assumptions_to_statements(bundle, pf, idx, net)
 
     # 7. cex loop, re-checking only invalidated results
@@ -460,25 +459,21 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
             break
         iteration_counts["cex"] += 1
         kg = rebuild_graph(bundle)
-        assumptions = _active_assumptions(pf, bundle, dm, idx)
         loop = run_cex_loop(failing, kg, net, rtl_source, backend, pf,
                             bundle.properties, artifacts,
-                            cfg.check_config(assumptions), dm,
-                            cex_id_start=_next_id(bundle.cex_cases, "CEX"))
+                            cfg.check_config(_assumptions(bound)), dm,
+                            cex_id_start=_next_id(
+                                (c.cex_id for c in bundle.cex_cases), "CEX"))
         bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
-        if loop.patched:
-            for pid in loop.patched:
-                invalidate_downstream(kg, pid)
-            recheck_properties(loop.patched, net, pf, bundle, dm, idx,
-                               cfg, artifacts)
         if not loop.patched:
             break
+        for pid in loop.patched:
+            invalidate_downstream(kg, pid)
+        bound = active_bound(compile_properties(pf, dm, idx).bound, bundle)
+        recheck_properties(loop.patched, net, bound, bundle, cfg, artifacts)
 
     # 8. coverage + coverage loop
-    assumptions = _active_assumptions(pf, bundle, dm, idx)
-    vac_props = [b for b in bind_active(pf, bundle, dm, idx)[0]
-                 if b.kind != "assumption"]
-    cov = coverage(net, vac_props, cfg.check_config(assumptions), run_ref="self")
+    cov = _coverage(net, bound, cfg)
     bundle.coverage_metrics = [cov]
     for _it in range(cfg.cov_iters):
         if not cov.unreachable_statements:
@@ -486,7 +481,8 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         iteration_counts["coverage"] += 1
         kg = rebuild_graph(bundle)
         loop = run_coverage_loop(cov, kg, dm, backend, rulebook, cfg.bounds(),
-                                 id_start=_next_id(bundle.properties, "PROP"))
+                                 id_start=_next_id(
+                                     (p.prop_id for p in bundle.properties), "PROP"))
         cov.dead_code = loop.dead_code
         if not loop.new_decls:
             break
@@ -494,16 +490,13 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         bundle.properties.extend(loop.new_records)
         bundle.tracelinks.extend(loop.new_links)
         kg = rebuild_graph(bundle)
-        run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook)
+        bound = active_bound(
+            run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook).bound,
+            bundle)
         iteration_counts["syntax"] += 1
-        new_ids = [r.prop_id for r in loop.new_records]
-        recheck_properties(new_ids, net, pf, bundle, dm, idx, cfg,
-                           artifacts)
-        assumptions = _active_assumptions(pf, bundle, dm, idx)
-        vac_props = [b for b in bind_active(pf, bundle, dm, idx)[0]
-                     if b.kind != "assumption"]
-        cov_new = coverage(net, vac_props, cfg.check_config(assumptions),
-                           run_ref="self")
+        recheck_properties([r.prop_id for r in loop.new_records], net, bound,
+                           bundle, cfg, artifacts)
+        cov_new = _coverage(net, bound, cfg)
         cov_new.dead_code = _merge_dead_code(loop.dead_code, cov_new)
         cov = cov_new
         bundle.coverage_metrics = [cov]
@@ -511,12 +504,11 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
     return report_from_bundle(bundle)
 
 
-def _next_id(items, prefix: str) -> int:
+def _next_id(ids, prefix: str) -> int:
+    """One past the highest number among the `<prefix>-<n>` ids."""
     best = 0
-    for item in items or []:
-        ident = getattr(item, "prop_id", None) if prefix == "PROP" \
-            else getattr(item, "cex_id", None)
-        if ident and ident.startswith(prefix + "-"):
+    for ident in ids:
+        if ident.startswith(prefix + "-"):
             try:
                 best = max(best, int(ident.split("-")[1]))
             except ValueError:
@@ -524,32 +516,14 @@ def _next_id(items, prefix: str) -> int:
     return best + 1
 
 
-def _active_assumptions(pf, bundle, dm, idx):
-    bound, _errs = bind_active(pf, bundle, dm, idx)
+def _assumptions(bound: list[S.BoundProperty]) -> list[S.BoundProperty]:
     return [b for b in bound if b.kind == "assumption"]
 
 
-def _check_all(net, bound, cfg: RunConfig, bundle, pf, artifacts,
-               id_start: int = 1):
-    assumptions = [b for b in bound if b.kind == "assumption"]
-    check_cfg = cfg.check_config(assumptions)
-    results: list[T.FormalResult] = []
-    traces = {}
-    n = id_start
-    for bp in sorted((b for b in bound if b.kind != "assumption"),
-                     key=lambda b: b.prop_id):
-        result, trace = check(net, bp, check_cfg)
-        result.result_id = T.make_id("RES", n)
-        n += 1
-        if trace is not None and result.status is T.ResultStatus.CEX:
-            rel = f"artifacts/{bp.prop_id}.vcd"
-            from verikg.vcd import write_vcd
-            decls = list(net.inputs) + list(net.state_bits)
-            artifacts[rel] = write_vcd(trace, decls)
-            result.artifact_path = rel
-            traces[bp.prop_id] = trace
-        results.append(result)
-    return results, traces
+def _coverage(net: NetModel, bound: list[S.BoundProperty], cfg: RunConfig
+              ) -> T.CoverageMetrics:
+    return coverage(net, [b for b in bound if b.kind != "assumption"],
+                    cfg.check_config(_assumptions(bound)), run_ref="self")
 
 
 def _sync_result_links(bundle: T.RunBundle) -> None:
@@ -575,17 +549,16 @@ def _merge_cases(existing: list[T.CexCase], new: list[T.CexCase]) -> list[T.CexC
     return [by_prop[k] for k in sorted(by_prop)]
 
 
-def recheck_properties(prop_ids, net, pf, bundle, dm, idx,
+def recheck_properties(prop_ids, net, bound: list[S.BoundProperty], bundle,
                        cfg: RunConfig, artifacts) -> None:
-    """Re-check exactly the named properties; everything else keeps its
-    result (focused re-verification)."""
-    bound, _errs = bind_active(pf, bundle, dm, idx)
+    """Re-check exactly the named properties against the current bound
+    file; everything else keeps its result (focused re-verification). On
+    an empty result set this is the full check: new results are numbered
+    RES-1.. in prop_id order."""
     by_id = {b.prop_id: b for b in bound}
-    assumptions = [b for b in bound if b.kind == "assumption"]
-    check_cfg = cfg.check_config(assumptions)
+    check_cfg = cfg.check_config(_assumptions(bound))
     results = {r.prop_id: r for r in bundle.formal_results or []}
-    next_res = _next_result_id(bundle)
-    from verikg.vcd import write_vcd
+    next_res = _next_id((r.result_id for r in results.values()), "RES")
 
     for pid in sorted(set(prop_ids)):
         bp = by_id.get(pid)
@@ -609,17 +582,6 @@ def recheck_properties(prop_ids, net, pf, bundle, dm, idx,
                                 if c.prop_id != pid]
     bundle.formal_results = [results[k] for k in sorted(results)]
     _sync_result_links(bundle)
-
-
-def _next_result_id(bundle) -> int:
-    best = 0
-    for r in bundle.formal_results or []:
-        if r.result_id.startswith("RES-"):
-            try:
-                best = max(best, int(r.result_id.split("-")[1]))
-            except ValueError:
-                continue
-    return best + 1
 
 
 def _merge_dead_code(prior: list[tuple[str, T.DeadCodeClass]],

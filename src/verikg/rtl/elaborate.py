@@ -70,7 +70,12 @@ def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
                  widths: dict[str, int]) -> ast.Expr:
     if isinstance(e, ast.Id):
         if e.name in defs:
-            return _subst_names(defs[e.name], defs, widths)
+            inner = _subst_names(defs[e.name], defs, widths)
+            if _unsized_value(inner):
+                # the compiler masks operators, not literals: a driver is
+                # read at the width of the name it drives
+                return ast.SliceX(inner, widths[e.name] - 1, 0)
+            return inner
         return e
     if isinstance(e, ast.Select):
         if e.name in defs:
@@ -93,6 +98,15 @@ def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
     if isinstance(e, ast.SliceX):
         return ast.SliceX(_subst_names(e.base, defs, widths), e.msb, e.lsb)
     return e
+
+
+def _unsized_value(e: ast.Expr) -> bool:
+    """True when an unsized literal can be the value of `e` unmasked."""
+    if isinstance(e, ast.Lit):
+        return e.width is None
+    if isinstance(e, ast.Ternary):
+        return _unsized_value(e.then) or _unsized_value(e.other)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +136,7 @@ class _Elaborator:
         self.clock: str | None = None
         self.guards: dict[str, ast.Expr] = {}
         self.next_state: dict[str, ast.Expr] = {}
+        self.next_lines: dict[str, int] = {}  # register -> its always block
         self.init: dict[str, int] = {}
         self.stmt_guard_src: dict[str, ast.Expr] = {}
 
@@ -391,6 +406,7 @@ class _Elaborator:
                                  f"register {full!r} assigned in multiple always blocks",
                                  DiagCode.DUPLICATE)
             self.next_state[full] = e
+            self.next_lines[full] = block.line
         for full, e in blocking_env.items():
             if full in seen_nonblocking:
                 continue
@@ -399,6 +415,7 @@ class _Elaborator:
                                  f"register {full!r} assigned in multiple always blocks",
                                  DiagCode.DUPLICATE)
             self.next_state[full] = e
+            self.next_lines[full] = block.line
 
         self._extract_init(prefix, block, env)
 
@@ -554,21 +571,27 @@ def elaborate(model: ast.DesignModel, top: str,
     inputs = [(n, w) for n, w in el.inputs if n != el.clock]
 
     # Width discipline: every expression must carry a consistent width.
+    # `line` follows the checks so an error points at its source line.
+    stmt_lines = {s.id: s.line for s in model.statements}
+    line = 0
     try:
         for r, w in el.regs:
+            line = el.next_lines.get(r, 0)
             ew = width_of(next_state[r], el.widths)
             if ew is not None and ew != w:
                 raise WidthError(
                     f"next-state width mismatch for {r!r}: {ew} vs {w}")
         for name, e in el.wire_defs.items():
+            line = el.wire_lines[name]
             ew = width_of(e, el.widths)
             if ew is not None and ew != el.widths[name]:
                 raise WidthError(
                     f"width mismatch for {name!r}: {ew} vs {el.widths[name]}")
         for sid, g in guards.items():
+            line = stmt_lines.get(sid, 0)
             width_of(g, el.widths)
     except WidthError as werr:
-        diags.error(0, 0, werr.message, DiagCode.WIDTH)
+        diags.error(line, 0, werr.message, DiagCode.WIDTH)
         return diags
 
     return NetModel(

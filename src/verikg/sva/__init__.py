@@ -1,4 +1,4 @@
-"""Assertion-subset front end: parse, emit, and bind property files."""
+"""Assertion-subset front end: parse, emit, bind, and compile property files."""
 
 from verikg.sva.ast import (
     BindErrors,
@@ -11,7 +11,7 @@ from verikg.sva.ast import (
 )
 from verikg.sva.parser import parse_properties
 from verikg.sva.emit import emit_properties
-from verikg.sva.bind import bind
+from verikg.sva.bind import Compiled, bind, compile_properties
 
 __all__ = [
     "BindErrors",
@@ -24,4 +24,6 @@ __all__ = [
     "parse_properties",
     "emit_properties",
     "bind",
+    "Compiled",
+    "compile_properties",
 ]

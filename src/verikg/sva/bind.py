@@ -1,4 +1,5 @@
-"""Identifier binding: property expressions against the elaborated design.
+"""Identifier binding: property expressions against the elaborated design,
+and the property-file compile step built on it.
 
 Identifiers resolve by exact hierarchical match, then unique suffix match;
 macros expand one level (no recursion). Properties that fail to bind are
@@ -7,6 +8,9 @@ reported per property and excluded from the bound list.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from verikg.diagnostics import Diagnostics
 from verikg.kg import SignalIndex, resolve_signal
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
@@ -14,7 +18,8 @@ from verikg.rtl.compile import WidthError, width_of
 from verikg.rtl.lexer import LexError, tokenize
 from verikg.rtl.parser import Cursor, ParseError
 from verikg.sva import ast as S
-from verikg.sva.parser import SvaExprParser
+from verikg.sva.emit import emit_properties
+from verikg.sva.parser import SvaExprParser, parse_properties_with_recovery
 
 
 class _BindFail(Exception):
@@ -238,3 +243,26 @@ def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
         except _BindFail as bf:
             errors.items.append(bf.item)
     return bound, errors
+
+
+@dataclass
+class Compiled:
+    parsed: S.PropertyFile
+    diags: Diagnostics
+    bound: list[S.BoundProperty]
+    errors: S.BindErrors
+
+
+def compile_properties(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
+                       ) -> Compiled:
+    """Compile a property file as a tool sees it: emit the canonical text,
+    parse it back, keep the file's default clock, and bind every property.
+
+    Re-emitting first keeps line maps and diagnostics consistent with what
+    a tool (or agent) reads. Emission also rewrites `pf.line_map`. To
+    compile one property in isolation, pass a file holding only it.
+    """
+    parsed, diags = parse_properties_with_recovery(emit_properties(pf))
+    parsed.default_clock = parsed.default_clock or pf.default_clock
+    bound, errors = bind(parsed, dm, idx)
+    return Compiled(parsed, diags, bound, errors)

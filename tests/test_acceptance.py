@@ -49,7 +49,7 @@ from verikg.rtl.ast import DesignModel
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
-from verikg.sva.bind import bind
+from verikg.sva.bind import bind, compile_properties
 from verikg.sva.parser import parse_properties, parse_properties_with_recovery
 from verikg.vcd import failure_window, parse_vcd, write_vcd
 
@@ -417,8 +417,9 @@ def test_criterion_08_cex_loop(fixtures_dir, fifo_model, fifo_net, tmp_path):
     cfg = RunConfig(spec_path=str(fixtures_dir / "fifo_spec.md"),
                     rtl_paths=[str(fixtures_dir / "fifo.v")],
                     out_root=str(tmp_path))
-    recheck_properties(loop.patched, fifo_net, pf, bundle, fifo_model,
-                       idx, cfg, artifacts)
+    recheck_properties(loop.patched, fifo_net,
+                       compile_properties(pf, fifo_model, idx).bound, bundle,
+                       cfg, artifacts)
     save_run(bundle, tmp_path / "after")
 
     d = diff_runs(before, bundle)

@@ -167,10 +167,10 @@ def generation_setup(fifo_model, annotations):
 class TestGeneration:
     def test_zero_requirements(self, fifo_model):
         _b, kg, idx, _r = generation_setup(fifo_model, [])
-        out = run_generation([], kg, fifo_model, "",
-                             ScriptedBackend(default_rules()), idx, "clk")
+        rec = RecordingBackend(ScriptedBackend(default_rules()))
+        out = run_generation([], kg, fifo_model, "", rec, idx, "clk")
         assert out.records == []
-        assert out.transcript.entries == []
+        assert rec.transcript.entries == []
         assert "assert" not in out.emitted_text
 
     def test_property_count_matches_scripted_blocks(self, fifo_model):

@@ -116,6 +116,30 @@ class TestRunAll:
         assert report.cex_not_corrected == 0
         assert report.props_failed == 0
 
+    @pytest.mark.parametrize("spec, sizes", [
+        ("fifo_spec.md", [4]),
+        # whole file, the CEX fix checked alone, whole file after the patch
+        ("fifo_overconstrained_spec.md", [3, 1, 3]),
+    ])
+    def test_property_file_compiled_once_per_change(self, fixtures_dir, tmp_path,
+                                                     monkeypatch, spec, sizes):
+        import verikg.agents.cex_loop as cex_loop
+        import verikg.agents.syntax_loop as syntax_loop
+        import verikg.pipeline as pipeline
+        from verikg.sva.bind import compile_properties
+
+        compiled = []
+
+        def counting(pf, dm, idx):
+            compiled.append(len(pf.properties))
+            return compile_properties(pf, dm, idx)
+
+        for module in (pipeline, syntax_loop, cex_loop):
+            monkeypatch.setattr(module, "compile_properties", counting)
+        run_all(fifo_config(fixtures_dir, tmp_path,
+                            spec_path=str(fixtures_dir / spec)))
+        assert compiled == sizes
+
     def test_stage_abort_preserves_artifacts(self, fixtures_dir, tmp_path):
         bad_rtl = tmp_path / "broken.v"
         bad_rtl.write_text("module broken (input a;\nendmodule\n")

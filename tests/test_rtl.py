@@ -174,6 +174,18 @@ class TestElaborate:
         assert isinstance(diags, Diagnostics)
         assert "2" in diags.errors[0].message and "3" in diags.errors[0].message
 
+    @pytest.mark.parametrize("src, line", [
+        ("module t (input clk, input [2:0] d);\n  reg [1:0] r;\n\n"
+         "  always @(posedge clk)\n    r <= d;\nendmodule\n", 4),
+        ("module t (input [2:0] d, output [1:0] y);\n\n"
+         "  assign y = d;\nendmodule\n", 3),
+        ("module t (input clk, input [2:0] d, input [1:0] e);\n  reg r;\n"
+         "  always @(posedge clk)\n    if (d == e)\n      r <= r;\nendmodule\n", 4),
+    ], ids=["next_state", "wire", "guard"])
+    def test_width_error_points_at_source_line(self, src, line):
+        diags = elaborate(parse_ok(src), "t")
+        assert [(d.code, d.line) for d in diags.errors] == [(DiagCode.WIDTH, line)]
+
     def test_unresolved_instance(self):
         m = parse_ok("module t (input a);\n  ghost u0 (.p(a));\nendmodule\n")
         diags = elaborate(m, "t")
@@ -221,6 +233,15 @@ class TestElaborate:
 class TestElaborationSoundness:
     """NetModel simulation and the compiled statement guards coverage
     runs must match direct statement execution."""
+
+    @pytest.mark.parametrize("driver", ["5", "a ? r : 5"])
+    def test_unsized_wire_driver_is_read_at_wire_width(self, driver):
+        dm = parse_ok(
+            "module t (input clk, input a);\n  reg [1:0] r;\n  wire [1:0] y;\n"
+            f"  assign y = {driver};\n"
+            "  always @(posedge clk) r <= (y == 2'd1) ? 2'd2 : 2'd3;\nendmodule\n")
+        next_ref, _executed = RefDesign(dm, "t").step({"t.r": 0}, {"t.a": 0})
+        assert elaborate(dm, "t").step((0,), (0,)) == (next_ref["t.r"],) == (2,)
 
     def test_random_designs_agree_with_reference(self):
         rng = random.Random(20260808)

@@ -6,7 +6,7 @@ from verikg.kg import SignalIndex
 from verikg.rtl.ast import DesignModel, Id
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
-from verikg.sva.bind import bind
+from verikg.sva.bind import bind, compile_properties
 from verikg.sva.emit import emit_properties
 from verikg.sva.parser import parse_properties, parse_properties_with_recovery
 
@@ -244,6 +244,41 @@ class TestBind:
         pf = parse_ok("// property: PROP-001\nassert property (full);")
         _bound, errs = bind(pf, fifo_model, fifo_index)
         assert errs.for_prop("PROP-001")
+
+
+class TestCompile:
+    def test_errors_attributed_per_property(self, fifo_model, fifo_index):
+        pf, _diags = parse_properties_with_recovery(
+            CLOCKED
+            + "// property: PROP-001\nassert property (count <= |-> 2'd2);\n"
+            + "// property: PROP-002\nassert property (wr_enn |-> full);\n"
+            + "// property: PROP-003\nassert property (count <= 2'd2);\n")
+        c = compile_properties(pf, fifo_model, fifo_index)
+        assert {d.prop_id for d in c.diags.errors} == {"PROP-001"}
+        assert [i.prop_id for i in c.errors.items] == ["PROP-002"]
+        assert [b.prop_id for b in c.bound] == ["PROP-003"]
+        assert c.bound[0].line == c.parsed.line_map["PROP-003"][0] \
+            == pf.line_map["PROP-003"][0]
+
+    def test_default_clock_carries_over(self, fifo_model, fifo_index):
+        pf = S.PropertyFile(default_clock=S.ClockSpec("posedge", Id("clk")))
+        pf.properties = parse_ok(
+            "// property: PROP-001\nassert property (full |-> !empty);").properties
+        c = compile_properties(pf, fifo_model, fifo_index)
+        assert c.parsed.default_clock == pf.default_clock
+        assert not c.errors and c.bound[0].clock_net == "fifo.clk"
+
+    def test_single_property_in_isolation(self, fifo_model, fifo_index):
+        pf = parse_ok("`define FULL fifo.full\n" + CLOCKED
+                      + "// property: PROP-001\nassert property (wr_enn);\n"
+                      + "// property: PROP-002\nassert property (`FULL |-> !empty);")
+        alone = S.PropertyFile(macros=list(pf.macros),
+                               properties=[pf.get("PROP-002")],
+                               default_clock=pf.default_clock)
+        c = compile_properties(alone, fifo_model, fifo_index)
+        assert not c.diags.has_errors() and not c.errors
+        assert [b.prop_id for b in c.bound] == ["PROP-002"]
+        assert c.bound[0].antecedent.steps[0].expr == Id("fifo.full")
 
 
 def test_macro_used_before_definition_is_diagnosed():
