@@ -82,7 +82,8 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
              cfg: CheckConfig, prop_id: str, line: int,
              stop_on: str, guard_hook=None) -> _Exploration:
     """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
-    (cover). guard_hook(values) is called for every admitted valuation."""
+    (cover). guard_hook(x) is called for every admitted valuation, with the
+    slot tuple `state + inputs` the monitors read."""
     space = _InputSpace(net)
     init_design = net.init_state()
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
@@ -116,13 +117,13 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
             design_state, monitor_states = node
             n_target = 1 if target else 0
             for vec, net_vec in space.vectors:
-                values = net.values(design_state, net_vec)
+                x = design_state + net_vec
                 # assumptions prune the branch before the target sees it
                 new_assume = []
                 pruned = False
                 for mi, mon in enumerate(assumptions):
                     mstate = monitor_states[n_target + mi]
-                    ns, ev = mon.step(mstate, values)
+                    ns, ev = mon.step(mstate, x)
                     if ev.violated:
                         pruned = True
                         break
@@ -130,10 +131,10 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                 if pruned:
                     continue
                 if guard_hook is not None:
-                    guard_hook(values)
+                    guard_hook(x)
                 new_target = ()
                 if target is not None:
-                    tstate, ev = target.step(monitor_states[0], values)
+                    tstate, ev = target.step(monitor_states[0], x)
                     if ev.ante_matched:
                         ante_matched = True
                     if stop_on == "violation" and ev.violated:

@@ -29,8 +29,8 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     uncovered = set(net.guard_fns)
     covered: set[str] = set()
 
-    def hook(values: dict) -> None:
-        hit = [sid for sid in uncovered if net.guard_fns[sid](values, ())]
+    def hook(x: tuple) -> None:
+        hit = [sid for sid in uncovered if net.guard_fns[sid](x)]
         for sid in hit:
             uncovered.discard(sid)
             covered.add(sid)

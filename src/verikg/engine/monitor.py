@@ -1,8 +1,8 @@
 """Bounded-sequence property monitors.
 
 A property compiles, through the shared RTL expression compiler, to
-step-expression closures plus NFA-style progress tracking: antecedent match
-attempts start every cycle, each completed match spawns a consequent
+step-expression functions plus NFA-style progress tracking: antecedent
+match attempts start every cycle, each completed match spawns a consequent
 obligation, and an obligation whose possibility set empties is a violation.
 $past and the edge functions become shift-register taps carried in the
 monitor state, so the whole monitor state is a hashable value suitable for
@@ -18,7 +18,7 @@ from verikg.rtl.compile import Compiler
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
 
-Values = dict  # name -> int for the current cycle
+Slots = tuple  # this cycle's state bits then inputs, in NetModel.slots order
 History = tuple  # per-tap tuple of past values, most recent first
 
 
@@ -28,10 +28,10 @@ def _truthy(v: int) -> bool:
 
 class _SampledCompiler(Compiler):
     """The shared RTL compiler plus the sampled-value functions, which read
-    shift-register taps from the monitor history."""
+    shift-register taps from the monitor history `h`."""
 
-    def __init__(self, widths: dict[str, int]):
-        super().__init__(widths)
+    def __init__(self, widths: dict[str, int], slots: dict[str, int]):
+        super().__init__(widths, slots)
         self.taps: list[tuple[object, int]] = []  # (expr, max depth)
 
     def tap(self, expr, depth: int) -> int:
@@ -43,36 +43,40 @@ class _SampledCompiler(Compiler):
         self.taps.append((expr, depth))
         return len(self.taps) - 1
 
-    def compile(self, e):
+    def emit(self, e):
         if isinstance(e, S.Past):
-            _inner, w = self.compile(e.expr)
+            # the operand is emitted for its width and its own taps only
+            _text, w, _d = self.emit(e.expr)
             ti = self.tap(e.expr, e.depth)
-            n = e.depth
-            return (lambda v, h: h[ti][n - 1]), w
-        if isinstance(e, S.Rose):
-            inner, _w = self.compile(e.expr)
-            ti = self.tap(e.expr, 1)
-            return (lambda v, h: int(_truthy(inner(v, h)) and not _truthy(h[ti][0]))), 1
-        if isinstance(e, S.Fell):
-            inner, _w = self.compile(e.expr)
-            ti = self.tap(e.expr, 1)
-            return (lambda v, h: int(not _truthy(inner(v, h)) and _truthy(h[ti][0]))), 1
-        if isinstance(e, S.Stable):
-            inner, _w = self.compile(e.expr)
-            ti = self.tap(e.expr, 1)
-            return (lambda v, h: int(inner(v, h) == h[ti][0])), 1
-        return super().compile(e)
+            return f"h[{ti}][{int(e.depth) - 1}]", w, 0
+        if isinstance(e, (S.Rose, S.Fell, S.Stable)):
+            return self.bit(e)
+        return super().emit(e)
 
-    def finish_taps(self):
+    def test(self, e):
+        if isinstance(e, S.Stable):
+            inner, _w, d = self.emit(e.expr)
+            return self.node(f"({inner} == h[{self.tap(e.expr, 1)}][0])", 1, d + 1)
+        if isinstance(e, (S.Rose, S.Fell)):
+            inner, _w, d = self.test(e.expr)
+            past = f"h[{self.tap(e.expr, 1)}][0]"
+            if isinstance(e, S.Rose):
+                return self.node(f"({inner} and not {past})", 1, d + 1)
+            return self.node(f"(not {inner} and {past})", 1, d + 1)
+        return super().test(e)
+
+    def finish_taps(self) -> tuple[str, list[int]]:
+        """The next history as source text, and each tap's depth."""
         # Compiling a tap may register further taps (nested $past), and a
         # later compile may deepen an existing tap, so resolve depths last.
-        fns = []
-        i = 0
-        while i < len(self.taps):
-            fn, _w = self.compile(self.taps[i][0])
-            fns.append(fn)
-            i += 1
-        return [(fn, self.taps[j][1]) for j, fn in enumerate(fns)]
+        texts = []
+        while len(texts) < len(self.taps):
+            texts.append(self.compile(self.taps[len(texts)][0]))
+        depths = [depth for _e, depth in self.taps]
+        hist = "".join(f"({text},) + h[{i}][:{depth - 1}], " if depth > 1
+                       else f"({text},), "
+                       for i, (text, depth) in enumerate(zip(texts, depths)))
+        return f"({hist})", depths
 
 
 @dataclass
@@ -123,41 +127,43 @@ def _require_bound(e, net: NetModel, prop_id: str) -> None:
 
 class Monitor:
     def __init__(self, bp: S.BoundProperty, net: NetModel):
-        comp = _SampledCompiler(net.widths)
+        comp = _SampledCompiler(net.widths, net.slots)
 
-        def inline(e):
+        def source(e) -> str:
+            """The source of a function of (x, h) that tests `e`."""
             _require_bound(e, net, bp.prop_id)
-            return _inline_sva(e, net)
+            return comp.function("x, h", comp.condition(_inline_sva(e, net)))
 
         self.kind = bp.kind
         self.impl = bp.impl
         self.prop_id = bp.prop_id
         self.line = bp.line
-        self.ante_steps = []
-        if bp.antecedent is not None:
-            for st in bp.antecedent.steps:
-                fn, _w = comp.compile(inline(st.expr))
-                self.ante_steps.append((st.delay_lo, st.delay_hi, fn))
-        self.cons_steps = []
-        for st in bp.consequent.steps:
-            fn, _w = comp.compile(inline(st.expr))
-            self.cons_steps.append((st.delay_lo, st.delay_hi, fn))
-        self.disable_fn = None
+        ante = [] if bp.antecedent is None else bp.antecedent.steps
+        cons = bp.consequent.steps
+        src = [source(st.expr) for st in [*ante, *cons]]
         if bp.disable_net is not None:
-            self.disable_fn, _w = comp.compile(inline(bp.disable_net))
-        self.tap_fns = comp.finish_taps()
+            src.append(source(bp.disable_net))
+        hist, self.tap_depths = comp.finish_taps()
+        src.append(comp.function("x, h", hist))
+        # one compile for every function not already on the net
+        fns = net.load(src)
+        self.ante_steps = [(st.delay_lo, st.delay_hi, fn) for st, fn in zip(ante, fns)]
+        self.cons_steps = [(st.delay_lo, st.delay_hi, fn)
+                           for st, fn in zip(cons, fns[len(ante):])]
+        self.disable_fn = fns[-2] if bp.disable_net is not None else None
+        self.advance = fns[-1]
 
     def initial(self):
-        hist = tuple(tuple(0 for _ in range(depth)) for _fn, depth in self.tap_fns)
+        hist = tuple(tuple(0 for _ in range(depth)) for depth in self.tap_depths)
         return (hist, frozenset(), frozenset())
 
     # -- one clock cycle ------------------------------------------------------
 
-    def step(self, mstate, values: Values) -> tuple[object, StepEvents]:
+    def step(self, mstate, x: Slots) -> tuple[object, StepEvents]:
         hist, ante, obls = mstate
         ev = StepEvents()
 
-        disabled = self.disable_fn is not None and _truthy(self.disable_fn(values, hist))
+        disabled = self.disable_fn is not None and _truthy(self.disable_fn(x, hist))
         if disabled:
             new_ante: frozenset = frozenset()
             new_obls: frozenset = frozenset()
@@ -167,7 +173,7 @@ class Monitor:
 
             def cons_true(i: int) -> bool:
                 if cons_truth[i] is None:
-                    cons_truth[i] = _truthy(steps_cons[i][2](values, hist))
+                    cons_truth[i] = _truthy(steps_cons[i][2](x, hist))
                 return cons_truth[i]
 
             spawned: set[frozenset] = set()
@@ -181,7 +187,7 @@ class Monitor:
 
                 def ante_true(i: int) -> bool:
                     if ante_truth[i] is None:
-                        ante_truth[i] = _truthy(steps_ante[i][2](values, hist))
+                        ante_truth[i] = _truthy(steps_ante[i][2](x, hist))
                     return ante_truth[i]
 
                 closed, matched = _closure(set(ante) | {(0, 0)}, steps_ante, ante_true)
@@ -209,12 +215,7 @@ class Monitor:
                 surviving.add(frozenset(nxt))
             new_obls = frozenset(surviving)
 
-        new_hist = tuple(
-            (fn(values, hist),) + hist[i][:depth - 1] if depth > 1
-            else (fn(values, hist),)
-            for i, (fn, depth) in enumerate(self.tap_fns)
-        )
-        return (new_hist, new_ante, new_obls), ev
+        return (self.advance(x, hist), new_ante, new_obls), ev
 
 
 def _closure(states: set, steps, truth) -> tuple[set, bool]:

@@ -1,17 +1,20 @@
 """Expression widths and the one compiler for RTL expressions.
 
 `width_of` is the strict width rule the elaborator and the binder check
-expressions against. `Compiler` turns an expression into a closure over
-(values, history), with every width resolved at compile time: `values`
-maps names to this cycle's values, and `history` is the sampled-value
-state a property monitor carries (plain RTL never reads it). Results are
-masked to the expression width; an unsized literal adapts to the sized
-operand beside it.
+expressions against. `Compiler` turns an expression into Python source
+text, with every width resolved at compile time. A name reads its
+position in a slot tuple: `x[i]`, where `x` is a state tuple followed by
+an input tuple, or a local the caller unpacked it into. A property monitor
+also reads `h`, the sampled-value history it carries (plain RTL never
+reads it). Results are masked to the expression width; an unsized literal
+adapts to the sized operand beside it.
+
+The generated text holds only integers, slot indices, fixed operators and
+names the compiler itself makes. No identifier or other text from the
+design or the properties reaches it, so it is safe to compile and run.
 """
 
 from __future__ import annotations
-
-import operator
 
 from verikg.rtl import ast
 from verikg.rtl.parser import ParseError, eval_const
@@ -101,85 +104,154 @@ def _part_width(w: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compilation
+# Compilation to Python source
 # ---------------------------------------------------------------------------
 
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ARITH = {"&": operator.and_, "|": operator.or_, "^": operator.xor,
-          "+": operator.add, "-": operator.sub}
+# Parenthesis depth at which a sub-expression is hoisted into a local.
+# Python's tokenizer allows at most 200 nested parentheses, and its parser
+# and compiler have recursion limits of their own; a long `case` elaborates
+# to a `?:` chain one level deep per arm.
+# Expressions are pure and total (no division, no shifts by a variable),
+# so evaluating a hoisted sub-expression eagerly gives the same value.
+MAX_NESTING = 32
+
+_LOGIC = {"&&": "and", "||": "or"}
+
+
+def _int(value) -> str:
+    """An integer's source text; anything else raises."""
+    value = int(value)
+    return f"({value})" if value < 0 else str(value)
 
 
 class Compiler:
-    """Compiles expressions over the names in `widths` to closures.
+    """Compiles expressions over the names in `widths` to source text.
 
-    Subclasses extend `compile` with further node types; the recursion goes
-    through `self.compile`, so such nodes may sit under any RTL operator.
+    `slots` gives each readable name its position in the slot tuple, and
+    `read` formats a position as the text that reads it. Subclasses extend
+    `emit` and `test` with further node types; the recursion goes through
+    them, so such nodes may sit under any RTL operator.
     """
 
-    def __init__(self, widths: dict[str, int]):
+    def __init__(self, widths: dict[str, int], slots: dict[str, int],
+                 read: str = "x[{}]"):
         self.widths = widths
+        self.slots = slots
+        self.read = read
+        self._lines: list[str] = []  # hoisted locals of the next function
+        self._hoisted: dict[str, str] = {}  # their text -> local name
 
-    def compile(self, e):
-        """Returns (fn(values, history) -> int, width or None if unsized)."""
+    def compile(self, e) -> str:
+        """Source text of the value of `e`. Sub-expressions it hoists go
+        into the next `function`."""
+        return self.emit(e)[0]
+
+    def condition(self, e) -> str:
+        """Source text whose truth value is whether `e` is non-zero."""
+        return self.test(e)[0]
+
+    def function(self, params: str, result: str, prologue: tuple[str, ...] = ()) -> str:
+        """Source of a function, from its parameter list on, that runs
+        `prologue`, computes the locals hoisted since the last call, and
+        returns `result`. `define` compiles it."""
+        body = [*prologue, *self._lines, f"return {result}"]
+        self._lines, self._hoisted = [], {}
+        return f"({params}):\n" + "".join(f"    {line}\n" for line in body)
+
+    def node(self, text: str, width: int | None, depth: int):
+        """A compound node's (text, width, depth), hoisted when too deep."""
+        if depth < MAX_NESTING:
+            return text, width, depth
+        local = self._hoisted.get(text)
+        if local is None:
+            local = self._hoisted[text] = f"t{len(self._hoisted)}"
+            self._lines.append(f"{local} = {text}")
+        return local, width, 0
+
+    def test(self, e):
+        """Like `emit`, where only whether `e` is non-zero is read: the
+        text's truth value is that, and its value may be a bool."""
+        if isinstance(e, ast.Unary) and e.op == "!":
+            inner, _w, d = self.test(e.operand)
+            return self.node(f"(not {inner})", 1, d + 1)
+        if isinstance(e, ast.Binary) and e.op in _LOGIC:
+            lt, _lw, ld = self.test(e.left)
+            rt, _rw, rd = self.test(e.right)
+            return self.node(f"({lt} {_LOGIC[e.op]} {rt})", 1, max(ld, rd) + 1)
+        if isinstance(e, ast.Binary) and e.op in ast.COMPARISON_OPS:
+            lt, _lw, ld = self.emit(e.left)
+            rt, _rw, rd = self.emit(e.right)
+            return self.node(f"({lt} {e.op} {rt})", 1, max(ld, rd) + 1)
+        return self.emit(e)
+
+    def bit(self, e):
+        """`emit` for a 1-bit node that `test` compiles: 1 or 0."""
+        text, _w, d = self.test(e)
+        return self.node(f"(1 if {text} else 0)", 1, d + 1)
+
+    def emit(self, e):
+        """Returns (text, width or None if unsized, nesting depth)."""
         if isinstance(e, ast.Lit):
-            val = e.value
-            return (lambda v, h: val), e.width
+            return _int(e.value), e.width, 0
         if isinstance(e, ast.Id):
-            name = e.name
-            return (lambda v, h: v[name]), self.widths[name]
+            return self.read.format(self.slots[e.name]), self.widths[e.name], 0
         if isinstance(e, ast.Select):
             hi = eval_const(e.msb, {})
             lo = eval_const(e.lsb, {})
-            name = e.name
-            m = (1 << (hi - lo + 1)) - 1
-            return (lambda v, h: (v[name] >> lo) & m), hi - lo + 1
+            base = self.read.format(self.slots[e.name])
+            return self._slice(base, hi, lo, 0)
         if isinstance(e, ast.SliceX):
-            inner, _w = self.compile(e.base)
-            lo = e.lsb
-            m = (1 << (e.msb - e.lsb + 1)) - 1
-            return (lambda v, h: (inner(v, h) >> lo) & m), e.msb - e.lsb + 1
+            inner, _w, d = self.emit(e.base)
+            return self._slice(inner, e.msb, e.lsb, d)
+        if (isinstance(e, ast.Unary) and e.op == "!" or isinstance(e, ast.Binary)
+                and (e.op in ast.LOGICAL_OPS or e.op in ast.COMPARISON_OPS)):
+            return self.bit(e)
         if isinstance(e, ast.Unary):
-            inner, w = self.compile(e.operand)
-            if e.op == "!":
-                return (lambda v, h: 0 if inner(v, h) else 1), 1
-            mk = (1 << (w or 32)) - 1
+            inner, w, d = self.emit(e.operand)
+            mk = _int((1 << (w or 32)) - 1)
             if e.op == "~":
-                return (lambda v, h: ~inner(v, h) & mk), w
+                return self.node(f"(~{inner} & {mk})", w, d + 1)
             if e.op == "-":
-                return (lambda v, h: -inner(v, h) & mk), w
+                return self.node(f"(-{inner} & {mk})", w, d + 1)
         if isinstance(e, ast.Binary):
-            lf, lw = self.compile(e.left)
-            rf, rw = self.compile(e.right)
-            op = e.op
-            if op == "&&":
-                return (lambda v, h: 1 if lf(v, h) and rf(v, h) else 0), 1
-            if op == "||":
-                return (lambda v, h: 1 if lf(v, h) or rf(v, h) else 0), 1
-            if op in _COMPARE:
-                cmp = _COMPARE[op]
-                return (lambda v, h: 1 if cmp(lf(v, h), rf(v, h)) else 0), 1
-            w = lw if lw is not None else rw
-            mk = (1 << (w or 32)) - 1
-            fn = _ARITH[op]
-            return (lambda v, h: fn(lf(v, h), rf(v, h)) & mk), w
+            lt, lw, ld = self.emit(e.left)
+            rt, rw, rd = self.emit(e.right)
+            if e.op in ast.BITWISE_OPS or e.op in ast.ARITH_OPS:
+                w = lw if lw is not None else rw
+                mk = _int((1 << (w or 32)) - 1)
+                return self.node(f"(({lt} {e.op} {rt}) & {mk})", w, max(ld, rd) + 1)
         if isinstance(e, ast.Ternary):
-            cf, _cw = self.compile(e.cond)
-            tf, tw = self.compile(e.then)
-            of, ow = self.compile(e.other)
-            return (lambda v, h: tf(v, h) if cf(v, h) else of(v, h)), \
-                (tw if tw is not None else ow)
+            ct, _cw, cd = self.test(e.cond)
+            tt, tw, td = self.emit(e.then)
+            ot, ow, od = self.emit(e.other)
+            return self.node(f"({tt} if {ct} else {ot})",
+                             tw if tw is not None else ow, max(cd, td, od) + 1)
         if isinstance(e, ast.Concat):
-            parts = []
+            # a left fold, so that hoisting bounds a long concatenation too
+            out = None
             for p in e.parts:
-                fn, pw = self.compile(p)
-                parts.append((fn, pw, (1 << _part_width(pw)) - 1))
-
-            def cat(v, h):
-                out = 0
-                for fn, pw, mk in parts:
-                    out = (out << pw) | (fn(v, h) & mk)
-                return out
-
-            return cat, sum(pw for _fn, pw, _mk in parts)
+                pt, pw, pd = self.emit(p)
+                pw = _part_width(pw)
+                part = f"{pt} & {_int((1 << pw) - 1)}"
+                if out is None:
+                    out = self.node(f"({part})", pw, pd + 1)
+                else:
+                    text, total, d = out
+                    out = self.node(f"({text} << {_int(pw)} | ({part}))",
+                                    total + pw, max(d, pd) + 1)
+            return out
         raise TypeError(f"cannot compile expression {e!r}")
+
+    def _slice(self, base: str, hi: int, lo: int, depth: int):
+        shifted = f"{base} >> {_int(lo)}" if lo else base
+        return self.node(f"({shifted} & {_int((1 << (hi - lo + 1)) - 1)})",
+                         hi - lo + 1, depth + 1)
+
+
+def define(functions: list[str]) -> list:
+    """The functions with sources `functions` (from `Compiler.function`),
+    compiled together as one code object that sees no builtins."""
+    src = "".join(f"def f{k}{fn}" for k, fn in enumerate(functions))
+    scope = {"__builtins__": {}}
+    exec(compile(src, "<verikg>", "exec"), scope)
+    return [scope[f"f{k}"] for k in range(len(functions))]

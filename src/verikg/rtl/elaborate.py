@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast
-from verikg.rtl.compile import Compiler, WidthError, mask, width_of
+from verikg.rtl.compile import Compiler, WidthError, define, mask, width_of
 from verikg.rtl.parser import ParseError, eval_const
 
 TRUE = ast.Lit(1, 1)
@@ -37,17 +37,41 @@ class NetModel:
     def init_state(self) -> tuple[int, ...]:
         return tuple(self.init[name] for name, _ in self.state_bits)
 
-    # compiled once from next_state (masked to each bit's width, in
-    # state_bits order) and statement_guards
-    next_fns: list = field(init=False, repr=False, compare=False)
+    # Set on construction: each state bit and input's position in the slot
+    # tuple `state + inputs`, the compiled functions by their source, the
+    # next-state function, and the statement guards over `x`.
+    slots: dict = field(init=False, repr=False, compare=False)
+    code: dict = field(init=False, repr=False, compare=False)
+    _step: object = field(init=False, repr=False, compare=False)
     guard_fns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comp = Compiler(self.widths)
-        self.next_fns = [(comp.compile(self.next_state[name])[0], (1 << w) - 1)
-                         for name, w in self.state_bits]
-        self.guard_fns = {sid: comp.compile(g)[0]
-                          for sid, g in self.statement_guards.items()}
+        names = [name for name, _w in self.state_bits + self.inputs]
+        self.slots = {name: i for i, name in enumerate(names)}
+        self.code = {}
+        # step reads locals unpacked from its two tuples; a guard reads x
+        local = Compiler(self.widths, self.slots, read="v{}")
+        nexts = "".join(f"{local.compile(self.next_state[name])} & {(1 << w) - 1}, "
+                        for name, w in self.state_bits)
+        n_state = len(self.state_bits)
+        unpack = tuple("".join(f"v{i}, " for i in idx) + f"= {tup}"
+                       for tup, idx in (("state", range(n_state)),
+                                        ("inputs", range(n_state, len(names))))
+                       if idx)
+        comp = Compiler(self.widths, self.slots)
+        guards = [comp.function("x", comp.condition(g))
+                  for g in self.statement_guards.values()]
+        self._step, *fns = self.load(
+            [local.function("state, inputs", f"({nexts})", unpack), *guards])
+        self.guard_fns = dict(zip(self.statement_guards, fns))
+
+    def load(self, functions: list[str]) -> list:
+        """The functions with generated sources `functions`, each compiled
+        once per net; the ones not seen before are compiled together."""
+        new = [fn for fn in dict.fromkeys(functions) if fn not in self.code]
+        if new:
+            self.code.update(zip(new, define(new)))
+        return [self.code[fn] for fn in functions]
 
     def values(self, state: tuple[int, ...], inputs: tuple[int, ...]) -> dict[str, int]:
         """Name -> value for one cycle: the state bits in state_bits order,
@@ -57,8 +81,7 @@ class NetModel:
         return v
 
     def step(self, state: tuple[int, ...], inputs: tuple[int, ...]) -> tuple[int, ...]:
-        v = self.values(state, inputs)
-        return tuple([fn(v, ()) & m for fn, m in self.next_fns])
+        return self._step(state, inputs)
 
     def inline(self, e: ast.Expr) -> ast.Expr:
         """Substitute combinational definitions so the expression mentions
@@ -68,9 +91,12 @@ class NetModel:
 
 def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
                  widths: dict[str, int]) -> ast.Expr:
+    """Replace each name in `defs` by its definition, one level deep: a
+    definition is already in terms of names it does not define (start-of-
+    cycle values, or wires inlined in dependency order)."""
     if isinstance(e, ast.Id):
         if e.name in defs:
-            inner = _subst_names(defs[e.name], defs, widths)
+            inner = defs[e.name]
             if _unsized_value(inner):
                 # the compiler masks operators, not literals: a driver is
                 # read at the width of the name it drives
@@ -81,8 +107,7 @@ def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
         if e.name in defs:
             hi = eval_const(e.msb, {})
             lo = eval_const(e.lsb, {})
-            inner = _subst_names(defs[e.name], defs, widths)
-            return ast.SliceX(inner, hi, lo)
+            return ast.SliceX(defs[e.name], hi, lo)
         return e
     if isinstance(e, ast.Unary):
         return ast.Unary(e.op, _subst_names(e.operand, defs, widths))

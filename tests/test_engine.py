@@ -1,4 +1,7 @@
+import io
 import random
+import re
+import tokenize
 
 import pytest
 
@@ -105,6 +108,49 @@ class TestCheckToggle:
         (bp,) = compile_props("assert property (o == a);", dm, net)
         result, trace = check(net, bp)
         assert result.status is ResultStatus.PROVEN, trace
+
+    def test_signal_names_never_reach_generated_code(self):
+        """Names that are Python keywords, builtins or the generated code's
+        own parameter names work as signals, and no text from the design
+        or the property appears in the generated code."""
+        dm = parse_rtl(
+            "module t (input clk, input x, input h, input lambda);\n"
+            "  reg [1:0] None;\n  reg __import__;\n"
+            "  always @(posedge clk)\n"
+            "    if (lambda) begin None <= 2'd0; __import__ <= 1'b0; end\n"
+            "    else begin None <= None + 2'd1; __import__ <= x ^ h; end\n"
+            "endmodule\n")
+        assert isinstance(dm, DesignModel), dm.render()
+        net = elaborate(dm, "t")
+        assert isinstance(net, NetModel), net.render()
+        ref = RefDesign(dm, "t")
+        names = [n for n, _ in net.state_bits]
+        s_net, s_ref = net.init_state(), ref.init_state()
+        for combo in [(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)]:
+            inputs = dict(zip((n for n, _ in net.inputs), combo))
+            s_ref, _executed = ref.step(s_ref, inputs)
+            s_net = net.step(s_net, combo)
+            assert s_net == tuple(s_ref[n] for n in names)
+        (bp,) = compile_props(
+            "assert property (x |=> __import__ != $past(h) || None == 2'd1);",
+            dm, net)
+        result, trace = check(net, bp, CheckConfig(max_depth=4))
+        o_min, _o_ante = oracle_min_violation(ref, bp, 4)
+        assert result.status is ResultStatus.CEX
+        assert trace.failure_cycle == o_min
+        own = re.compile(r"(def|return|if|else|and|or|not|state|inputs|x|h|"
+                         r"[vtf][0-9]*)$")
+        for src in net.code:
+            src = "def f" + src
+            for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+                if tok.type == tokenize.NAME:
+                    assert own.match(tok.string), tok
+                elif tok.type == tokenize.NUMBER:
+                    assert tok.string.isdigit(), tok
+                else:
+                    assert tok.type in (tokenize.OP, tokenize.NEWLINE,
+                                        tokenize.INDENT, tokenize.DEDENT,
+                                        tokenize.ENDMARKER), tok
 
 
 class TestCheckFifo:

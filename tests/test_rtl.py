@@ -243,6 +243,47 @@ class TestElaborationSoundness:
         next_ref, _executed = RefDesign(dm, "t").step({"t.r": 0}, {"t.a": 0})
         assert elaborate(dm, "t").step((0,), (0,)) == (next_ref["t.r"],) == (2,)
 
+    @pytest.mark.parametrize("body", ["a = b; b = d; c = a;",
+                                      "a = b; b = a; c = a;"])
+    def test_blocking_assignments_agree_with_reference(self, body):
+        """A blocking assignment's value is in start-of-cycle terms already;
+        a later read must not substitute it a second time."""
+        dm = parse_ok(
+            "module t (input clk, input d);\n  reg a, b, c;\n"
+            f"  always @(posedge clk) begin {body} end\nendmodule\n")
+        net = elaborate(dm, "t")
+        assert isinstance(net, NetModel), net.render()
+        ref = RefDesign(dm, "t")
+        names = [n for n, _ in net.state_bits]
+        for bits in range(8):
+            state = tuple(bits >> i & 1 for i in range(3))
+            for d in (0, 1):
+                next_ref, _executed = ref.step(dict(zip(names, state)), {"t.d": d})
+                assert net.step(state, (d,)) == tuple(next_ref[n] for n in names)
+
+    def test_long_case_agrees_with_reference(self):
+        """A 300-arm case elaborates to a 300-deep ?: chain and guards with
+        300-deep priority chains; generated code must stay within the
+        interpreter's nesting limits."""
+        arms = "".join(f"      9'd{i}: r <= 9'd{(i + 97) % 300};\n"
+                       for i in range(300))
+        dm = parse_ok(
+            "module t (input clk, input rst);\n  reg [8:0] r;\n"
+            "  always @(posedge clk)\n    if (rst) r <= 9'd0;\n"
+            "    else case (r)\n" + arms +
+            "      default: r <= 9'd0;\n    endcase\nendmodule\n")
+        net = elaborate(dm, "t")
+        assert isinstance(net, NetModel), net.render()
+        ref = RefDesign(dm, "t")
+        s_net, s_ref = net.init_state(), ref.init_state()
+        for _ in range(12):
+            next_ref, executed = ref.step(s_ref, {"t.rst": 0})
+            hit = {sid for sid, guard in net.guard_fns.items() if guard(s_net + (0,))}
+            assert hit == executed
+            s_net, s_ref = net.step(s_net, (0,)), next_ref
+            assert s_net == (s_ref["t.r"],)
+        assert s_net != (0,)
+
     def test_random_designs_agree_with_reference(self):
         rng = random.Random(20260808)
         checked = 0
@@ -266,9 +307,8 @@ class TestElaborationSoundness:
                 combo = {n: rng.randrange(1 << widths[n]) for n in names}
                 vec = tuple(combo.get(n, 0) for n, _ in net.inputs)
                 next_ref, executed = ref.step(s_ref, combo)
-                values = net.values(s_net, vec)
                 for sid, guard in net.guard_fns.items():
-                    hit = guard(values, ()) != 0
+                    hit = guard(s_net + vec) != 0
                     assert hit == (sid in executed), (sid, src)
                 s_net = net.step(s_net, vec)
                 s_ref = next_ref
@@ -281,7 +321,8 @@ def test_unsized_concat_part_has_no_width(layer, fifo_model, fifo_index):
     """The compiler, the elaborator and the binder share width_of's rule."""
     if layer == "compile":
         with pytest.raises(WidthError, match="unsized literal inside concatenation"):
-            Compiler({"d": 1}).compile(rtl.Concat((rtl.Id("d"), rtl.Lit(0, None))))
+            Compiler({"d": 1}, {"d": 0}).compile(
+                rtl.Concat((rtl.Id("d"), rtl.Lit(0, None))))
     elif layer == "rtl":
         diags = elaborate(parse_ok(
             "module t (input d, output [1:0] y);\n"
