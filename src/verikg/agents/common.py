@@ -69,10 +69,6 @@ class ParsedBlock:
     decls: list[S.PropertyDecl]
     parse_errors: int
 
-    @property
-    def all_broken(self) -> bool:
-        return bool(self.decls) and all(d.body is None for d in self.decls)
-
 
 def parse_property_block(text: str) -> ParsedBlock:
     """Parse an agent-produced block of property statements (no file

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from verikg.agents.backend import ScriptedBackend, ScriptedRule
+from verikg.agents.backend import ScriptedRule
 from verikg.agents.envelope import PromptEnvelope
 from verikg.sva import ast as S
 from verikg.sva.emit import render_statement
@@ -122,7 +122,3 @@ def default_rules() -> list[ScriptedRule]:
         ScriptedRule("cov_lead_agent", "cov/*", lambda env: "gap ordering applied"),
         ScriptedRule("cov_processor", "cov/*", lambda env: "linked via trace paths"),
     ]
-
-
-def default_backend() -> ScriptedBackend:
-    return ScriptedBackend(default_rules())

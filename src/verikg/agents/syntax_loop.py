@@ -59,28 +59,15 @@ def _failures(compiled: Compiled) -> dict[str, PropFailure]:
 
 
 def _rewrite_identifier(decl: S.PropertyDecl, old: str, new_expr) -> None:
-    def rw(e):
+    def leaf(e):
         if isinstance(e, rtl.Id) and e.name == old:
             return new_expr
         if isinstance(e, rtl.Select) and e.name == old and isinstance(new_expr, rtl.Id):
             return rtl.Select(new_expr.name, e.msb, e.lsb)
-        if isinstance(e, S.Past):
-            return S.Past(rw(e.expr), e.depth)
-        if isinstance(e, S.Rose):
-            return S.Rose(rw(e.expr))
-        if isinstance(e, S.Fell):
-            return S.Fell(rw(e.expr))
-        if isinstance(e, S.Stable):
-            return S.Stable(rw(e.expr))
-        if isinstance(e, rtl.Unary):
-            return rtl.Unary(e.op, rw(e.operand))
-        if isinstance(e, rtl.Binary):
-            return rtl.Binary(e.op, rw(e.left), rw(e.right))
-        if isinstance(e, rtl.Ternary):
-            return rtl.Ternary(rw(e.cond), rw(e.then), rw(e.other))
-        if isinstance(e, rtl.Concat):
-            return rtl.Concat(tuple(rw(p) for p in e.parts))
-        return e
+        return None
+
+    def rw(e):
+        return rtl.rewrite(e, leaf)
 
     body = decl.body
     if body is None:

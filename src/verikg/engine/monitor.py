@@ -91,35 +91,12 @@ class StepEvents:
 _INCOMING = -1
 
 
-def _inline_sva(e, net: NetModel):
-    """Substitute combinational definitions, recursing through the
-    sampled-value wrappers the plain RTL inliner does not know."""
-    if isinstance(e, S.Past):
-        return S.Past(_inline_sva(e.expr, net), e.depth)
-    if isinstance(e, S.Rose):
-        return S.Rose(_inline_sva(e.expr, net))
-    if isinstance(e, S.Fell):
-        return S.Fell(_inline_sva(e.expr, net))
-    if isinstance(e, S.Stable):
-        return S.Stable(_inline_sva(e.expr, net))
-    if isinstance(e, rtl.Unary):
-        return rtl.Unary(e.op, _inline_sva(e.operand, net))
-    if isinstance(e, rtl.Binary):
-        return rtl.Binary(e.op, _inline_sva(e.left, net), _inline_sva(e.right, net))
-    if isinstance(e, rtl.Ternary):
-        return rtl.Ternary(_inline_sva(e.cond, net), _inline_sva(e.then, net),
-                           _inline_sva(e.other, net))
-    if isinstance(e, rtl.Concat):
-        return rtl.Concat(tuple(_inline_sva(p, net) for p in e.parts))
-    return net.inline(e)
-
-
 class UnboundIdentifierError(Exception):
     pass
 
 
 def _require_bound(e, net: NetModel, prop_id: str) -> None:
-    for name in S.sva_expr_ids(e):
+    for name in rtl.expr_ids(e):
         if name not in net.widths:
             raise UnboundIdentifierError(
                 f"{prop_id}: unbound identifier {name!r} (bind contract violation)")
@@ -132,7 +109,7 @@ class Monitor:
         def source(e) -> str:
             """The source of a function of (x, h) that tests `e`."""
             _require_bound(e, net, bp.prop_id)
-            return comp.function("x, h", comp.condition(_inline_sva(e, net)))
+            return comp.function("x, h", comp.condition(net.inline(e)))
 
         self.kind = bp.kind
         self.impl = bp.impl

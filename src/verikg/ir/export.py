@@ -14,10 +14,6 @@ from verikg.rtl.ast import DesignModel
 NODE_HEADER = ("id", "type", "run_id", "attributes")
 EDGE_HEADER = ("src", "dst", "type", "run_id", "attributes")
 
-# Edge vocabulary: the five trace-link kinds plus structural containment.
-CONTAINMENT_EDGES = ("has_signal", "has_statement", "next_chunk")
-EVIDENCE_EDGES = ("proves", "fails", "covers", "has_cex")
-
 
 class ExportError(Exception):
     pass

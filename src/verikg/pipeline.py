@@ -27,7 +27,7 @@ from verikg.engine.coverage import coverage
 from verikg.htmlview import render_html
 from verikg.ir import types as T
 from verikg.ir.export import export_graph
-from verikg.ir.store import StoreError, load_run, make_run_id, save_run, timestamp_now
+from verikg.ir.store import StoreError, make_run_id, save_run, timestamp_now
 from verikg.kg import (
     Graph,
     RetrievalBounds,
@@ -298,7 +298,6 @@ def link_assumptions_to_statements(bundle: T.RunBundle, pf: S.PropertyFile,
     """An assumption constrains the statements whose guards read the signals
     it mentions; the covers links make blocked gaps graph-reachable."""
     from verikg.rtl.ast import expr_ids
-    from verikg.sva.ast import sva_expr_ids
 
     existing = {(l.src_id, l.dst_id, l.link_kind) for l in bundle.tracelinks or []}
     for record in bundle.properties or []:
@@ -313,7 +312,7 @@ def link_assumptions_to_statements(bundle: T.RunBundle, pf: S.PropertyFile,
             [decl.body.antecedent] if decl.body.antecedent else [])
         for seq in seqs:
             for step in seq.steps:
-                for name in sva_expr_ids(step.expr):
+                for name in expr_ids(step.expr):
                     paths = resolve_signal(idx, name)
                     if len(paths) == 1:
                         mentioned.add(paths[0])
@@ -635,7 +634,3 @@ def report_from_bundle(bundle: T.RunBundle) -> RunReport:
     report.kg_nodes = len(nodes) - 1
     report.kg_edges = len(edges) - 1
     return report
-
-
-def report_for_run(root: str, run_id: str) -> RunReport:
-    return report_from_bundle(load_run(root, run_id))

@@ -92,25 +92,6 @@ def _module_exprs(m: ast.ModuleDecl):
         yield from inst.ports.values()
 
 
-def _subexprs(e: ast.Expr):
-    yield e
-    if isinstance(e, ast.Unary):
-        yield from _subexprs(e.operand)
-    elif isinstance(e, ast.Binary):
-        yield from _subexprs(e.left)
-        yield from _subexprs(e.right)
-    elif isinstance(e, ast.Ternary):
-        yield from _subexprs(e.cond)
-        yield from _subexprs(e.then)
-        yield from _subexprs(e.other)
-    elif isinstance(e, ast.Concat):
-        for p in e.parts:
-            yield from _subexprs(p)
-    elif isinstance(e, ast.Select):
-        yield from _subexprs(e.msb)
-        yield from _subexprs(e.lsb)
-
-
 def _assignments_to(m: ast.ModuleDecl, reg: str):
     def walk(body):
         for stmt in body:
@@ -144,7 +125,7 @@ def detect_fsms(model: ast.DesignModel) -> list[ast.FsmDesc]:
             usage_count = 0
             ok = True
             for top in _module_exprs(m):
-                for e in _subexprs(top):
+                for e in ast.walk(top):
                     if isinstance(e, ast.Binary) and e.op in _CMP_OPS:
                         sides = [(e.left, e.right), (e.right, e.left)]
                         for this, other in sides:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Union
 
 
@@ -10,53 +10,96 @@ from typing import Any, Union
 # Expressions
 # ---------------------------------------------------------------------------
 
+class Node:
+    """Base of every expression node. `children` lists a node's child
+    expressions in source order, and a node that has any defines
+    `rebuild`, which makes the same node over new ones. `walk` and
+    `rewrite` below build on the two, so they are the one place that says
+    how each node kind is taken apart."""
+
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+
 @dataclass(frozen=True)
-class Lit:
+class Lit(Node):
     value: int
     width: int | None = None  # None: unsized decimal literal, adapts to context
 
 
 @dataclass(frozen=True)
-class Id:
+class Id(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(Node):
     op: str  # ~ ! -
     operand: "Expr"
 
+    def children(self):
+        return (self.operand,)
+
+    def rebuild(self, kids):
+        return Unary(self.op, *kids)
+
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(Node):
     op: str  # & | ^ + - == != < <= > >= && ||
     left: "Expr"
     right: "Expr"
 
+    def children(self):
+        return (self.left, self.right)
+
+    def rebuild(self, kids):
+        return Binary(self.op, *kids)
+
 
 @dataclass(frozen=True)
-class Ternary:
+class Ternary(Node):
     cond: "Expr"
     then: "Expr"
     other: "Expr"
 
+    def children(self):
+        return (self.cond, self.then, self.other)
+
+    def rebuild(self, kids):
+        return Ternary(*kids)
+
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(Node):
     parts: tuple["Expr", ...]
 
+    def children(self):
+        return self.parts
+
+    def rebuild(self, kids):
+        return Concat(tuple(kids))
+
 
 @dataclass(frozen=True)
-class Select:
+class Select(Node):
     """Constant bit- or part-select. msb == lsb for a single bit."""
 
     name: str
     msb: "Expr"
     lsb: "Expr"
 
+    def children(self):
+        return (self.msb, self.lsb)
+
+    def rebuild(self, kids):
+        return Select(self.name, *kids)
+
 
 @dataclass(frozen=True)
-class SliceX:
+class SliceX(Node):
     """Internal bit-slice over an arbitrary expression; produced by wire
     inlining during elaboration, never by the parsers."""
 
@@ -64,8 +107,67 @@ class SliceX:
     msb: int
     lsb: int
 
+    def children(self):
+        return (self.base,)
+
+    def rebuild(self, kids):
+        return SliceX(kids[0], self.msb, self.lsb)
+
+
+@dataclass(frozen=True)
+class Sampled(Node):
+    """Base of the sampled-value functions ($past, $rose, $fell, $stable),
+    which only property files use (`verikg.sva.ast`): one operand, `expr`.
+    Its value is a 1-bit test, unless `keeps_width` says it is the
+    operand's own value ($past)."""
+
+    expr: "Expr"
+    keeps_width = False  # a class attribute, not a field
+
+    def children(self):
+        return (self.expr,)
+
+    def rebuild(self, kids):
+        return replace(self, expr=kids[0])
+
 
 Expr = Union[Lit, Id, Unary, Binary, Ternary, Concat, Select, SliceX]
+
+
+def walk(e: Node):
+    """Every node of `e`, parent before children, children in order."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = node.children()
+        if kids:
+            stack += kids[::-1]
+
+
+def rewrite(e: Node, leaf) -> Node:
+    """`e` with each node `n` that `leaf(n)` replaces (a non-None result)
+    swapped for its replacement; other nodes are rebuilt over rewritten
+    children. A node whose children all come back unchanged is kept."""
+    new = leaf(e)
+    if new is not None:
+        return new
+    kids = e.children()
+    if not kids:
+        return e
+    out = []
+    changed = False
+    for k in kids:  # a loop, not a comprehension: one frame per level
+        n = rewrite(k, leaf)
+        changed = changed or n is not k
+        out.append(n)
+    return e.rebuild(out) if changed else e
+
+
+def expr_ids(e: Node) -> set[str]:
+    """All signal names an expression reads (every Id and Select name)."""
+    return {n.name for n in walk(e) if isinstance(n, (Id, Select))}
+
 
 COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}
 LOGICAL_OPS = {"&&", "||"}
@@ -108,36 +210,6 @@ def expr_from_json(doc: Any) -> Expr:
     if tag == "sel":
         return Select(doc[1], expr_from_json(doc[2]), expr_from_json(doc[3]))
     raise ValueError(f"unknown expression tag: {tag!r}")
-
-
-def expr_ids(e: Expr) -> set[str]:
-    """All identifier names referenced by an expression."""
-    out: set[str] = set()
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, Id):
-            out.add(x.name)
-        elif isinstance(x, Select):
-            out.add(x.name)
-            walk(x.msb)
-            walk(x.lsb)
-        elif isinstance(x, SliceX):
-            walk(x.base)
-        elif isinstance(x, Unary):
-            walk(x.operand)
-        elif isinstance(x, Binary):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Ternary):
-            walk(x.cond)
-            walk(x.then)
-            walk(x.other)
-        elif isinstance(x, Concat):
-            for p in x.parts:
-                walk(p)
-
-    walk(e)
-    return out
 
 
 def render_expr(e: Expr) -> str:
@@ -358,12 +430,6 @@ class ModuleDecl:
     assigns: list[ContAssign] = field(default_factory=list)
     always_blocks: list[AlwaysBlock] = field(default_factory=list)
     line: int = 0
-
-    def signal_width(self, name: str) -> int | None:
-        for s in self.signals:
-            if s.name == name:
-                return s.width
-        return None
 
     def param_map(self) -> dict[str, int]:
         return {p.name: p.value for p in self.parameters}

@@ -1,13 +1,14 @@
 """Expression widths and the one compiler for RTL expressions.
 
 `width_of` is the strict width rule the elaborator and the binder check
-expressions against. `Compiler` turns an expression into Python source
-text, with every width resolved at compile time. A name reads its
-position in a slot tuple: `x[i]`, where `x` is a state tuple followed by
-an input tuple, or a local the caller unpacked it into. A property monitor
-also reads `h`, the sampled-value history it carries (plain RTL never
-reads it). Results are masked to the expression width; an unsized literal
-adapts to the sized operand beside it.
+expressions against, sampled-value functions included. `Compiler` turns
+an expression into Python source text, with every width resolved at
+compile time. A name reads its position in a slot tuple: `x[i]`, where
+`x` is a state tuple followed by an input tuple, or a local the caller
+unpacked it into. A property monitor also reads `h`, the sampled-value
+history it carries (plain RTL never reads it). Results are masked to the
+expression width; an unsized literal adapts to the sized operand beside
+it.
 
 The generated text holds only integers, slot indices, fixed operators and
 names the compiler itself makes. No identifier or other text from the
@@ -94,6 +95,9 @@ def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
         return w
     if isinstance(e, ast.Concat):
         return sum(_part_width(width_of(p, widths)) for p in e.parts)
+    if isinstance(e, ast.Sampled):
+        w = width_of(e.expr, widths)
+        return w if e.keeps_width else 1
     raise WidthError(f"unexpected expression node {e!r}")
 
 

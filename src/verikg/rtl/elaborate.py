@@ -94,35 +94,19 @@ def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
     """Replace each name in `defs` by its definition, one level deep: a
     definition is already in terms of names it does not define (start-of-
     cycle values, or wires inlined in dependency order)."""
-    if isinstance(e, ast.Id):
-        if e.name in defs:
-            inner = defs[e.name]
+    def leaf(x):
+        if isinstance(x, ast.Id) and x.name in defs:
+            inner = defs[x.name]
             if _unsized_value(inner):
                 # the compiler masks operators, not literals: a driver is
                 # read at the width of the name it drives
-                return ast.SliceX(inner, widths[e.name] - 1, 0)
+                return ast.SliceX(inner, widths[x.name] - 1, 0)
             return inner
-        return e
-    if isinstance(e, ast.Select):
-        if e.name in defs:
-            hi = eval_const(e.msb, {})
-            lo = eval_const(e.lsb, {})
-            return ast.SliceX(defs[e.name], hi, lo)
-        return e
-    if isinstance(e, ast.Unary):
-        return ast.Unary(e.op, _subst_names(e.operand, defs, widths))
-    if isinstance(e, ast.Binary):
-        return ast.Binary(e.op, _subst_names(e.left, defs, widths),
-                          _subst_names(e.right, defs, widths))
-    if isinstance(e, ast.Ternary):
-        return ast.Ternary(_subst_names(e.cond, defs, widths),
-                           _subst_names(e.then, defs, widths),
-                           _subst_names(e.other, defs, widths))
-    if isinstance(e, ast.Concat):
-        return ast.Concat(tuple(_subst_names(p, defs, widths) for p in e.parts))
-    if isinstance(e, ast.SliceX):
-        return ast.SliceX(_subst_names(e.base, defs, widths), e.msb, e.lsb)
-    return e
+        if isinstance(x, ast.Select) and x.name in defs:
+            return ast.SliceX(defs[x.name], eval_const(x.msb, {}), eval_const(x.lsb, {}))
+        return None
+
+    return ast.rewrite(e, leaf)
 
 
 def _unsized_value(e: ast.Expr) -> bool:
@@ -163,7 +147,7 @@ class _Elaborator:
         self.next_state: dict[str, ast.Expr] = {}
         self.next_lines: dict[str, int] = {}  # register -> its always block
         self.init: dict[str, int] = {}
-        self.stmt_guard_src: dict[str, ast.Expr] = {}
+        self.reads: list[tuple[int, ast.Expr]] = []  # (line, what it reads)
 
     # -- helpers ------------------------------------------------------------
 
@@ -193,39 +177,28 @@ class _Elaborator:
 
     def _prefix_expr(self, e: ast.Expr, prefix: str, env: dict[str, int],
                      line: int) -> ast.Expr:
-        if isinstance(e, ast.Lit):
-            return e
-        if isinstance(e, ast.Id):
-            if e.name in env:
-                return ast.Lit(env[e.name], None)
-            if "." in e.name:
-                raise _ElabError(line, f"hierarchical reference {e.name!r} in RTL",
-                                 DiagCode.UNSUPPORTED)
-            full = f"{prefix}.{e.name}"
-            if full not in self.widths:
-                raise _ElabError(line, f"undeclared identifier {e.name!r}")
-            return ast.Id(full)
-        if isinstance(e, ast.Select):
-            hi = ast.Lit(eval_const(e.msb, env), None)
-            lo = ast.Lit(eval_const(e.lsb, env), None)
-            full = f"{prefix}.{e.name}"
-            if full not in self.widths:
-                raise _ElabError(line, f"undeclared identifier {e.name!r}")
-            return ast.Select(full, hi, lo)
-        if isinstance(e, ast.Unary):
-            return ast.Unary(e.op, self._prefix_expr(e.operand, prefix, env, line))
-        if isinstance(e, ast.Binary):
-            return ast.Binary(e.op, self._prefix_expr(e.left, prefix, env, line),
-                              self._prefix_expr(e.right, prefix, env, line))
-        if isinstance(e, ast.Ternary):
-            return ast.Ternary(self._prefix_expr(e.cond, prefix, env, line),
-                               self._prefix_expr(e.then, prefix, env, line),
-                               self._prefix_expr(e.other, prefix, env, line))
-        if isinstance(e, ast.Concat):
-            return ast.Concat(tuple(self._prefix_expr(p, prefix, env, line)
-                                    for p in e.parts))
-        raise _ElabError(line, f"unsupported expression node {e!r}",
-                         DiagCode.UNSUPPORTED)
+        """`e` over hierarchical names, with parameters folded to literals."""
+        def leaf(x):
+            if isinstance(x, ast.Id):
+                if x.name in env:
+                    return ast.Lit(env[x.name], None)
+                if "." in x.name:
+                    raise _ElabError(line, f"hierarchical reference {x.name!r} in RTL",
+                                     DiagCode.UNSUPPORTED)
+                return ast.Id(self._declared(prefix, x.name, line))
+            if isinstance(x, ast.Select):
+                hi = ast.Lit(eval_const(x.msb, env), None)
+                lo = ast.Lit(eval_const(x.lsb, env), None)
+                return ast.Select(self._declared(prefix, x.name, line), hi, lo)
+            return None
+
+        return ast.rewrite(e, leaf)
+
+    def _declared(self, prefix: str, name: str, line: int) -> str:
+        full = f"{prefix}.{name}"
+        if full not in self.widths:
+            raise _ElabError(line, f"undeclared identifier {name!r}")
+        return full
 
     # -- hierarchy walk -----------------------------------------------------
 
@@ -333,6 +306,12 @@ class _Elaborator:
         def subst(e: ast.Expr) -> ast.Expr:
             return _subst_names(e, blocking_env, self.widths)
 
+        def read(e: ast.Expr, line: int) -> ast.Expr:
+            """`e` in hierarchical names, noted as read on `line`."""
+            e = self._prefix_expr(e, prefix, env, line)
+            self.reads.append((line, e))
+            return e
+
         def current(name: str) -> ast.Expr:
             return blocking_env.get(name, ast.Id(name))
 
@@ -347,7 +326,7 @@ class _Elaborator:
                                              f"undeclared identifier {stmt.target!r}")
                         raise _ElabError(stmt.line,
                                          f"always-block assignment to non-register {stmt.target!r}")
-                    rhs = subst(self._prefix_expr(stmt.rhs, prefix, env, stmt.line))
+                    rhs = subst(read(stmt.rhs, stmt.line))
                     if stmt.sel is not None:
                         hi = eval_const(stmt.sel[0], env)
                         lo = eval_const(stmt.sel[1], env)
@@ -371,7 +350,7 @@ class _Elaborator:
                         seen_nonblocking.add(full)
                         pending[full] = rhs
                 elif isinstance(stmt, ast.IfStmt):
-                    cond = subst(self._prefix_expr(stmt.cond, prefix, env, stmt.line))
+                    cond = subst(read(stmt.cond, stmt.line))
                     then_guard = _and(guard, cond)
                     self.guards[stmt.then_id] = _or(self.guards.get(stmt.then_id), then_guard)
                     saved_env, saved_pending = dict(blocking_env), dict(pending)
@@ -386,7 +365,7 @@ class _Elaborator:
                     blocking_env = _merge(cond, t_env, e_env)
                     pending = _merge(cond, t_pending, e_pending)
                 elif isinstance(stmt, ast.CaseStmt):
-                    subj = subst(self._prefix_expr(stmt.subject, prefix, env, stmt.line))
+                    subj = subst(read(stmt.subject, stmt.line))
                     run_arms(stmt.arms, subj, guard, None)
                 else:
                     raise _ElabError(getattr(stmt, "line", block.line),
@@ -405,7 +384,7 @@ class _Elaborator:
             else:
                 eq_cond = None
                 for lab in arm.labels:
-                    lab_p = self._prefix_expr(lab, prefix, env, arm.line)
+                    lab_p = read(lab, arm.line)
                     eq = ast.Binary("==", subj, lab_p)
                     eq_cond = eq if eq_cond is None else ast.Binary("||", eq_cond, eq)
             # Recorded guard reflects priority: no earlier arm matched.
@@ -512,6 +491,26 @@ class _Elaborator:
             inlined[w] = _subst_names(self.wire_defs[w], inlined, self.widths)
         self.wire_defs = inlined
 
+    def check_reads(self) -> None:
+        """Every name an always block reads must have a value each cycle:
+        through its wires it may reach only registers and data inputs, not
+        an undriven net or the clock."""
+        readable = self.reg_names | (self.input_names - {self.clock})
+        wire_reads: dict[str, set[str]] = {}
+        for line, e in self.reads:
+            for name in sorted(ast.expr_ids(e)):
+                if name in self.wire_defs:
+                    if name not in wire_reads:
+                        wire_reads[name] = ast.expr_ids(self.wire_defs[name])
+                    reaches = wire_reads[name]
+                else:
+                    reaches = {name}
+                for leaf in sorted(reaches - readable):
+                    if leaf == self.clock:
+                        raise _ElabError(line, f"clock {leaf!r} read as data",
+                                         DiagCode.UNSUPPORTED)
+                    raise _ElabError(line, f"undriven net {leaf!r} read")
+
 
 def _seq_targets(body: list[ast.AlwaysStmt]):
     for stmt in body:
@@ -575,6 +574,7 @@ def elaborate(model: ast.DesignModel, top: str,
         for prefix, m, block, env in el.always_units:
             el.exec_always(prefix, m, block, env)
         el.close_wires()
+        el.check_reads()
     except _ElabError as ee:
         diags.error(ee.line, 0, ee.message, ee.code)
         return diags

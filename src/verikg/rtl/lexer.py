@@ -149,33 +149,3 @@ def tokenize(source: str, diags: Diagnostics | None = None) -> list[Token]:
             raise LexError(line, col, f"unexpected character {c!r}")
     tokens.append(Token("EOF", "", line, col))
     return tokens
-
-
-def scan_comments(source: str) -> list[tuple[int, str]]:
-    """Line comments as (line, text-after-slashes); block comments skipped.
-
-    Used by the property parser to pick up `// property: <id>` markers that
-    the tokenizer discards.
-    """
-    out: list[tuple[int, str]] = []
-    i = 0
-    line = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif source.startswith("//", i):
-            j = source.find("\n", i)
-            end = j if j != -1 else n
-            out.append((line, source[i + 2:end].strip()))
-            i = end
-        elif source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            end = (j + 2) if j != -1 else n
-            line += source.count("\n", i, end)
-            i = end
-        else:
-            i += 1
-    return out

@@ -58,9 +58,6 @@ class Cursor:
         t = self.peek()
         return t.text == text and t.kind in ("PUNCT", "ID")
 
-    def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
     def accept(self, text: str) -> Token | None:
         if self.at(text):
             return self.next()

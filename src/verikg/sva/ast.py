@@ -12,31 +12,32 @@ MAX_DELAY_BOUND = 32  # largest accepted ##n / ##[m:n] bound
 
 
 # Sampled-value expression nodes; these extend the shared RTL expression
-# grammar inside property files only.
+# grammar inside property files only. `rtl.Sampled` gives their one operand,
+# `expr`, to the shared traversal and the width rule.
 
 @dataclass(frozen=True)
-class Past:
-    expr: "SvaExpr"
+class Past(rtl.Sampled):
     depth: int  # cycles back, >= 1
+    keeps_width = True
 
 
 @dataclass(frozen=True)
-class Rose:
-    expr: "SvaExpr"
+class Rose(rtl.Sampled):
+    pass
 
 
 @dataclass(frozen=True)
-class Fell:
-    expr: "SvaExpr"
+class Fell(rtl.Sampled):
+    pass
 
 
 @dataclass(frozen=True)
-class Stable:
-    expr: "SvaExpr"
+class Stable(rtl.Sampled):
+    pass
 
 
 @dataclass(frozen=True)
-class MacroRef:
+class MacroRef(rtl.Node):
     name: str
 
 
@@ -63,9 +64,6 @@ class Sequence:
     relative to the evaluation start (nonzero for `|-> ##1 b` consequents)."""
 
     steps: tuple[SeqStep, ...]
-
-    def max_span(self) -> int:
-        return sum(s.delay_hi for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -150,36 +148,6 @@ class BindErrors:
 
     def __bool__(self) -> bool:
         return bool(self.items)
-
-
-def sva_expr_ids(e) -> set[str]:
-    """Identifier names in a property expression (macros excluded)."""
-    out: set[str] = set()
-
-    def walk(x) -> None:
-        if isinstance(x, (Past, Rose, Fell, Stable)):
-            walk(x.expr)
-        elif isinstance(x, MacroRef):
-            pass
-        elif isinstance(x, rtl.Id):
-            out.add(x.name)
-        elif isinstance(x, rtl.Select):
-            out.add(x.name)
-        elif isinstance(x, rtl.Unary):
-            walk(x.operand)
-        elif isinstance(x, rtl.Binary):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, rtl.Ternary):
-            walk(x.cond)
-            walk(x.then)
-            walk(x.other)
-        elif isinstance(x, rtl.Concat):
-            for p in x.parts:
-                walk(p)
-
-    walk(e)
-    return out
 
 
 def render_sva_expr(e) -> str:

@@ -50,22 +50,6 @@ def _parse_macro_expansion(name: str, text: str, prop_id: str, line: int):
     return expr
 
 
-def _contains_macro(e) -> bool:
-    if isinstance(e, S.MacroRef):
-        return True
-    if isinstance(e, (S.Past, S.Rose, S.Fell, S.Stable)):
-        return _contains_macro(e.expr)
-    if isinstance(e, rtl.Unary):
-        return _contains_macro(e.operand)
-    if isinstance(e, rtl.Binary):
-        return _contains_macro(e.left) or _contains_macro(e.right)
-    if isinstance(e, rtl.Ternary):
-        return any(_contains_macro(x) for x in (e.cond, e.then, e.other))
-    if isinstance(e, rtl.Concat):
-        return any(_contains_macro(p) for p in e.parts)
-    return False
-
-
 class _Binder:
     def __init__(self, pf: S.PropertyFile, idx: SignalIndex,
                  prop_id: str, line: int):
@@ -104,91 +88,30 @@ class _Binder:
                                         S.BindErrorKind.AMBIGUOUS_PATH, matches))
 
     def resolve_expr(self, e):
+        return rtl.rewrite(e, self._resolve_leaf)
+
+    def _resolve_leaf(self, e):
         if isinstance(e, S.MacroRef):
             if e.name not in self.macros:
                 raise _BindFail(S.BindErrorItem(self.prop_id, e.name, self.line,
                                                 S.BindErrorKind.UNDEFINED_MACRO))
             expansion = _parse_macro_expansion(e.name, self.macros[e.name],
                                                self.prop_id, self.line)
-            if _contains_macro(expansion):
+            if any(isinstance(n, S.MacroRef) for n in rtl.walk(expansion)):
                 raise _BindFail(S.BindErrorItem(self.prop_id, e.name, self.line,
                                                 S.BindErrorKind.UNDEFINED_MACRO,
                                                 ["recursive macro expansion"]))
             return self.resolve_expr(expansion)
-        if isinstance(e, S.Past):
-            return S.Past(self.resolve_expr(e.expr), e.depth)
-        if isinstance(e, S.Rose):
-            return S.Rose(self.resolve_expr(e.expr))
-        if isinstance(e, S.Fell):
-            return S.Fell(self.resolve_expr(e.expr))
-        if isinstance(e, S.Stable):
-            return S.Stable(self.resolve_expr(e.expr))
         if isinstance(e, rtl.Id):
             return rtl.Id(self.resolve_name(e.name))
         if isinstance(e, rtl.Select):
             return rtl.Select(self.resolve_name(e.name), e.msb, e.lsb)
-        if isinstance(e, rtl.Unary):
-            return rtl.Unary(e.op, self.resolve_expr(e.operand))
-        if isinstance(e, rtl.Binary):
-            return rtl.Binary(e.op, self.resolve_expr(e.left),
-                              self.resolve_expr(e.right))
-        if isinstance(e, rtl.Ternary):
-            return rtl.Ternary(self.resolve_expr(e.cond),
-                               self.resolve_expr(e.then),
-                               self.resolve_expr(e.other))
-        if isinstance(e, rtl.Concat):
-            return rtl.Concat(tuple(self.resolve_expr(p) for p in e.parts))
-        return e
+        return None
 
     def resolve_sequence(self, seq: S.Sequence) -> S.Sequence:
         return S.Sequence(tuple(
             S.SeqStep(s.delay_lo, s.delay_hi, self.resolve_expr(s.expr))
             for s in seq.steps))
-
-
-def sva_width_of(e, widths: dict[str, int]) -> int | None:
-    """Width inference over property expressions (sampled-value aware)."""
-    if isinstance(e, S.Past):
-        return sva_width_of(e.expr, widths)
-    if isinstance(e, (S.Rose, S.Fell, S.Stable)):
-        sva_width_of(e.expr, widths)
-        return 1
-    if isinstance(e, rtl.Unary):
-        if e.op == "!":
-            sva_width_of(e.operand, widths)
-            return 1
-        w = sva_width_of(e.operand, widths)
-        if w is None:
-            raise WidthError(f"operator {e.op!r} needs a sized operand")
-        return w
-    if isinstance(e, rtl.Binary):
-        lw = sva_width_of(e.left, widths)
-        rw = sva_width_of(e.right, widths)
-        if e.op in rtl.LOGICAL_OPS:
-            return 1
-        if e.op in rtl.COMPARISON_OPS:
-            if lw is not None and rw is not None and lw != rw:
-                raise WidthError(f"width mismatch in {e.op!r} comparison: {lw} vs {rw}")
-            return 1
-        if lw is not None and rw is not None and lw != rw:
-            raise WidthError(f"width mismatch in {e.op!r}: {lw} vs {rw}")
-        return lw if lw is not None else rw
-    if isinstance(e, rtl.Ternary):
-        sva_width_of(e.cond, widths)
-        tw = sva_width_of(e.then, widths)
-        ow = sva_width_of(e.other, widths)
-        if tw is not None and ow is not None and tw != ow:
-            raise WidthError(f"width mismatch in ?: arms: {tw} vs {ow}")
-        return tw if tw is not None else ow
-    if isinstance(e, rtl.Concat):
-        total = 0
-        for p in e.parts:
-            pw = sva_width_of(p, widths)
-            if pw is None:
-                raise WidthError("unsized literal inside concatenation")
-            total += pw
-        return total
-    return width_of(e, widths)
 
 
 def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
@@ -224,9 +147,9 @@ def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
             try:
                 for seq in filter(None, (ante, cons)):
                     for step in seq.steps:
-                        sva_width_of(step.expr, widths)
+                        width_of(step.expr, widths)
                 if disable is not None:
-                    sva_width_of(disable, widths)
+                    width_of(disable, widths)
             except WidthError as we:
                 raise _BindFail(S.BindErrorItem(decl.prop_id, we.message, decl.line,
                                                 S.BindErrorKind.WIDTH_MISMATCH))

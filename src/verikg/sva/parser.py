@@ -280,8 +280,15 @@ def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOU
         seen.add(p.prop_id)
         # backtick defines are sequential: a use before the definition line
         # is an error, attributed to the enclosing property
-        if p.body is not None:
-            for name in sorted(_macro_refs(p.body)):
+        if p.body is not None and macro_def_lines:
+            body = p.body
+            exprs = [st.expr for seq in (body.antecedent, body.consequent)
+                     if seq is not None for st in seq.steps]
+            if body.disable is not None:
+                exprs.append(body.disable)
+            used = {n.name for e in exprs for n in rtl.walk(e)
+                    if isinstance(n, S.MacroRef)}
+            for name in sorted(used):
                 def_line = macro_def_lines.get(name)
                 if def_line is not None and def_line > p.line:
                     diags.error(p.line, 1,
@@ -289,36 +296,6 @@ def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOU
                                 f"(line {def_line})",
                                 DiagCode.UNDEFINED_MACRO, prop_id=p.prop_id)
     return pf, diags
-
-
-def _macro_refs(body: S.PropBody) -> set[str]:
-    out: set[str] = set()
-
-    def walk(e) -> None:
-        if isinstance(e, S.MacroRef):
-            out.add(e.name)
-        elif isinstance(e, (S.Past, S.Rose, S.Fell, S.Stable)):
-            walk(e.expr)
-        elif hasattr(e, "operand"):
-            walk(e.operand)
-        elif hasattr(e, "left"):
-            walk(e.left)
-            walk(e.right)
-        elif hasattr(e, "cond"):
-            walk(e.cond)
-            walk(e.then)
-            walk(e.other)
-        elif hasattr(e, "parts"):
-            for p in e.parts:
-                walk(p)
-
-    for seq in (body.antecedent, body.consequent):
-        if seq is not None:
-            for step in seq.steps:
-                walk(step.expr)
-    if body.disable is not None:
-        walk(body.disable)
-    return out
 
 
 def _resync(cur: Cursor) -> int:

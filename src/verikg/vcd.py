@@ -38,17 +38,6 @@ class WaveDb:
     def signal_names(self) -> list[str]:
         return [name for name, _w, _c in self.signals]
 
-    def value_at(self, name: str, t: int):
-        code = self.code_of(name)
-        if code is None:
-            return None
-        last = None
-        for time, value in self.changes.get(code, ()):
-            if time > t:
-                break
-            last = value
-        return last
-
     def end_time(self) -> int:
         end = 0
         for series in self.changes.values():

@@ -186,6 +186,23 @@ class TestElaborate:
         diags = elaborate(parse_ok(src), "t")
         assert [(d.code, d.line) for d in diags.errors] == [(DiagCode.WIDTH, line)]
 
+    @pytest.mark.parametrize("stmt, code, message", [
+        ("b <= a;", DiagCode.UNRESOLVED, "undriven net 't.a' read"),
+        ("b <= clk;", DiagCode.UNSUPPORTED, "clock 't.clk' read as data"),
+        ("if (clk) b <= d;", DiagCode.UNSUPPORTED, "clock 't.clk' read as data"),
+        ("b <= w;", DiagCode.UNSUPPORTED, "clock 't.clk' read as data"),
+    ])
+    def test_unreadable_name_is_a_diagnostic(self, stmt, code, message):
+        """A register nothing assigns, and the clock (also through a wire),
+        have no value to read: a diagnostic at the reading statement."""
+        diags = elaborate(parse_ok(
+            "module t (input clk, input d, output y);\n"
+            "  reg a, b;\n  wire w;\n  assign w = clk;\n  assign y = b;\n"
+            f"  always @(posedge clk)\n    {stmt}\nendmodule\n"), "t")
+        assert isinstance(diags, Diagnostics)
+        assert [(d.code, d.line, d.message) for d in diags.errors] == \
+            [(code, 7, message)]
+
     def test_unresolved_instance(self):
         m = parse_ok("module t (input a);\n  ghost u0 (.p(a));\nendmodule\n")
         diags = elaborate(m, "t")
@@ -316,9 +333,24 @@ class TestElaborationSoundness:
         assert checked == 40
 
 
-@pytest.mark.parametrize("layer", ["compile", "rtl", "sva"])
-def test_unsized_concat_part_has_no_width(layer, fifo_model, fifo_index):
-    """The compiler, the elaborator and the binder share width_of's rule."""
+# (RTL right-hand side of a 2-bit wire, property expression over the FIFO)
+_UNSIZED = {
+    "concat": ("{d, 0}", "{wr_en, 0} == 2'd0"),
+    "operator": ("1 + 2", "count == (1 + 1)"),
+    "ternary": ("d ? 1 : 2", "count == (wr_en ? 1 : 2)"),
+}
+
+
+@pytest.mark.parametrize("layer, case", [
+    ("compile", "concat"), ("rtl", "concat"), ("sva", "concat"),
+    ("rtl", "operator"), ("sva", "operator"), ("rtl", "ternary"), ("sva", "ternary"),
+], ids=["compile", "rtl", "sva", "rtl-operator", "sva-operator",
+        "rtl-ternary", "sva-ternary"])
+def test_unsized_concat_part_has_no_width(layer, case, fifo_model, fifo_index):
+    """The compiler, the elaborator and the binder share width_of's rule:
+    an unsized literal has no width inside a concatenation, and neither
+    has an operator or `?:` whose operands are all unsized literals."""
+    rhs, prop = _UNSIZED[case]
     if layer == "compile":
         with pytest.raises(WidthError, match="unsized literal inside concatenation"):
             Compiler({"d": 1}, {"d": 0}).compile(
@@ -326,12 +358,60 @@ def test_unsized_concat_part_has_no_width(layer, fifo_model, fifo_index):
     elif layer == "rtl":
         diags = elaborate(parse_ok(
             "module t (input d, output [1:0] y);\n"
-            "  assign y = {d, 0};\nendmodule\n"), "t")
+            f"  assign y = {rhs};\nendmodule\n"), "t")
         assert [d.code for d in diags.errors] == [DiagCode.WIDTH]
     else:
         pf = parse_properties("default clocking @(posedge clk); endclocking\n"
                               "// property: PROP-001\n"
-                              "assert property ({wr_en, 0} == 2'd0);")
+                              f"assert property ({prop});")
         _bound, errs = bind(pf, fifo_model, fifo_index)
         assert [i.kind for i in errs.for_prop("PROP-001")] == \
             [S.BindErrorKind.WIDTH_MISMATCH]
+
+
+def _node_kinds(cls=rtl.Node) -> set[type]:
+    """Every concrete expression node class."""
+    subs = cls.__subclasses__()
+    return set().union(*map(_node_kinds, subs)) if subs else {cls}
+
+
+def test_traversal_covers_every_node_kind():
+    """One expression holds every node kind: the shared traversal keeps it,
+    visits each node once, rebuilds each kind, and finds its names."""
+    a, c, d = rtl.Id("a"), rtl.Id("c"), rtl.Id("d")
+    m = S.MacroRef("M")
+    rose, fell = S.Rose(a), S.Fell(m)
+    cond = rtl.Binary("&&", rose, fell)
+    hi, lo = rtl.Lit(1, None), rtl.Lit(0, None)
+    sel = rtl.Select("b", hi, lo)
+    past = S.Past(c, 2)
+    cat = rtl.Concat((sel, past))
+    stable = S.Stable(d)
+    neg = rtl.Unary("~", stable)
+    sl = rtl.SliceX(neg, 0, 0)
+    e = rtl.Ternary(cond, cat, sl)
+    preorder = [e, cond, rose, a, fell, m, cat, sel, hi, lo, past, c, sl, neg,
+                stable, d]
+
+    assert {type(n) for n in preorder} == _node_kinds()
+    assert len(_node_kinds()) == 13
+    walked = list(rtl.walk(e))
+    assert len(walked) == len(preorder)
+    assert all(w is p for w, p in zip(walked, preorder))
+    assert rtl.rewrite(e, lambda n: None) is e
+    assert rtl.expr_ids(e) == {"a", "b", "c", "d"}
+
+    def leaf(n):
+        if isinstance(n, rtl.Id):
+            return rtl.Id(n.name.upper())
+        if isinstance(n, S.MacroRef):
+            return rtl.Id(n.name.lower())
+        if isinstance(n, rtl.Lit):
+            return rtl.Lit(n.value, 1)
+        return None
+
+    A, C, D = rtl.Id("A"), rtl.Id("C"), rtl.Id("D")
+    assert rtl.rewrite(e, leaf) == rtl.Ternary(
+        rtl.Binary("&&", S.Rose(A), S.Fell(rtl.Id("m"))),
+        rtl.Concat((rtl.Select("b", rtl.Lit(1, 1), rtl.Lit(0, 1)), S.Past(C, 2))),
+        rtl.SliceX(rtl.Unary("~", S.Stable(D)), 0, 0))

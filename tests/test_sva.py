@@ -290,3 +290,15 @@ def test_macro_used_before_definition_is_diagnosed():
     assert isinstance(result, Diagnostics)
     bad = [d for d in result.errors if d.code is DiagCode.UNDEFINED_MACRO]
     assert bad and bad[0].prop_id == "PROP-001"
+
+
+def test_macro_in_select_bound_used_before_definition_is_diagnosed():
+    """The use-before-definition check sees every node, select bounds too."""
+    src = (CLOCKED
+           + "// property: PROP-001\n"
+           + "assert property (count[`HI:0] == 2'd0);\n"
+           + "`define HI 1\n")
+    result = parse_properties(src)
+    assert isinstance(result, Diagnostics)
+    bad = [d for d in result.errors if d.code is DiagCode.UNDEFINED_MACRO]
+    assert [d.prop_id for d in bad] == ["PROP-001"]
