@@ -8,7 +8,7 @@ from verikg.rtl.ast import (
     StatementRef,
 )
 from verikg.rtl.parser import parse_rtl
-from verikg.rtl.analyze import detect_fsms, statement_index
+from verikg.rtl.analyze import detect_fsms
 from verikg.rtl.elaborate import NetModel, elaborate
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "parse_rtl",
     "elaborate",
     "detect_fsms",
-    "statement_index",
 ]

@@ -56,11 +56,6 @@ def assign_statement_ids(model: ast.DesignModel, start: int = 1) -> list[ast.Sta
     return refs
 
 
-def statement_index(model: ast.DesignModel) -> list[ast.StatementRef]:
-    """Recompute the statement index; identical ids for identical source."""
-    return assign_statement_ids(model)
-
-
 def _exprs_in_stmt(stmt: ast.AlwaysStmt):
     if isinstance(stmt, ast.SeqAssign):
         yield stmt.rhs

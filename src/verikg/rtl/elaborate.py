@@ -187,12 +187,21 @@ class _Elaborator:
                                      DiagCode.UNSUPPORTED)
                 return ast.Id(self._declared(prefix, x.name, line))
             if isinstance(x, ast.Select):
-                hi = ast.Lit(eval_const(x.msb, env), None)
-                lo = ast.Lit(eval_const(x.lsb, env), None)
-                return ast.Select(self._declared(prefix, x.name, line), hi, lo)
+                hi, lo = self._select_bounds(x.name, x.msb, x.lsb, env, line)
+                return ast.Select(self._declared(prefix, x.name, line),
+                                  ast.Lit(hi, None), ast.Lit(lo, None))
             return None
 
         return ast.rewrite(e, leaf)
+
+    @staticmethod
+    def _select_bounds(name: str, msb: ast.Expr, lsb: ast.Expr,
+                       env: dict[str, int], line: int) -> tuple[int, int]:
+        try:
+            return eval_const(msb, env), eval_const(lsb, env)
+        except ParseError:
+            raise _ElabError(line, f"non-constant select on {name!r}",
+                             DiagCode.UNSUPPORTED)
 
     def _declared(self, prefix: str, name: str, line: int) -> str:
         full = f"{prefix}.{name}"
@@ -328,8 +337,8 @@ class _Elaborator:
                                          f"always-block assignment to non-register {stmt.target!r}")
                     rhs = subst(read(stmt.rhs, stmt.line))
                     if stmt.sel is not None:
-                        hi = eval_const(stmt.sel[0], env)
-                        lo = eval_const(stmt.sel[1], env)
+                        hi, lo = self._select_bounds(stmt.target, *stmt.sel, env,
+                                                     stmt.line)
                         rhs = _splice(current(full) if stmt.blocking else
                                       pending.get(full, ast.Id(full)),
                                       rhs, hi, lo, self.widths[full])

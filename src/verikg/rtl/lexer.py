@@ -1,13 +1,21 @@
-"""Tokenizer shared by the RTL and property-file parsers."""
+"""Tokenizer shared by the RTL and property-file parsers.
+
+One compiled pattern with a named group per token class is matched along
+the source (the "Writing a Tokenizer" recipe of Python's `re` docs). Line
+and column are tracked only across whitespace and comments, the only
+matches that can hold a newline; a token's column is its offset from the
+start of its line. The `ERR` group matches any character that no token
+group takes, so every position is covered and an error is reported at the
+exact character where lexing stops.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID SYSID MACRO NUMBER PUNCT EOF
     text: str
     line: int
@@ -24,8 +32,26 @@ _PUNCT = [
     ".", "=", "<", ">", "&", "|", "^", "~", "!", "+", "-", "*", "/",
 ]
 
-_ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ID_CHARS = _ID_START | set("0123456789$")
+# The widest sized literal accepted: the smallest limit IEEE 1364 lets a
+# tool impose on a literal's width.
+MAX_LITERAL_WIDTH = 1 << 16
+
+_BASES = {"b": 2, "d": 10, "h": 16}
+
+
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<SKIP>(?:[ \t\r\n]|//[^\n]*|/\*(?s:.*?)\*/)+)",
+    r"(?P<ID>[A-Za-z_][A-Za-z0-9_$]*)",
+    # A '/' that opens a block comment is never an operator: an unterminated
+    # `/*` falls through to ERR and is reported as such.
+    "(?P<PUNCT>{})".format("|".join(
+        r"/(?!\*)" if p == "/" else re.escape(p) for p in _PUNCT)),
+    # Plain or based; the base letter and digits are checked in `_number`.
+    r"(?P<NUMBER>[0-9][0-9_]*(?:'(?s:.)?\w*)?)",
+    r"(?P<SYSID>\$[A-Za-z0-9_$]+)",
+    r"(?P<MACRO>`[A-Za-z_][A-Za-z0-9_$]*)",
+    r"(?P<ERR>(?s:.))",
+]))
 
 
 class LexError(Exception):
@@ -36,116 +62,84 @@ class LexError(Exception):
         self.message = message
 
 
-def tokenize(source: str, diags: Diagnostics | None = None) -> list[Token]:
+def tokenize(source: str) -> list[Token]:
     """Tokenize; lexical problems are raised as LexError (callers convert
     them to diagnostics so parsing never crashes on malformed input)."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of `line`
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            advance((j - i) if j != -1 else (n - i))
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j == -1:
-                raise LexError(line, col, "unterminated block comment")
-            advance(j + 2 - i)
-            continue
-        if c == "`":
-            start_line, start_col = line, col
-            j = i + 1
-            if j >= n or source[j] not in _ID_START:
-                raise LexError(line, col, "expected macro name after '`'")
-            k = j
-            while k < n and source[k] in _ID_CHARS:
-                k += 1
-            text = source[j:k]
-            advance(k - i)
-            tokens.append(Token("MACRO", text, start_line, start_col))
-            continue
-        if c == "$":
-            start_line, start_col = line, col
-            k = i + 1
-            while k < n and source[k] in _ID_CHARS:
-                k += 1
-            if k == i + 1:
-                raise LexError(line, col, "expected name after '$'")
-            text = source[i:k]
-            advance(k - i)
-            tokens.append(Token("SYSID", text, start_line, start_col))
-            continue
-        if c.isdigit():
-            start_line, start_col = line, col
-            k = i
-            while k < n and (source[k].isdigit() or source[k] == "_"):
-                k += 1
-            if k < n and source[k] == "'":
-                base_ch = source[k + 1] if k + 1 < n else ""
-                if base_ch not in "bdhBDH":
-                    raise LexError(line, col, f"bad literal base {base_ch!r}")
-                width = int(source[i:k].replace("_", ""))
-                j = k + 2
-                digits_start = j
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-                digits = source[digits_start:j].replace("_", "")
-                if not digits:
-                    raise LexError(line, col, "literal has no digits")
-                base = {"b": 2, "d": 10, "h": 16}[base_ch.lower()]
-                try:
-                    value = int(digits, base)
-                except ValueError:
-                    raise LexError(line, col, f"bad digits {digits!r} for base {base}")
-                if width <= 0:
-                    raise LexError(line, col, "literal width must be positive")
-                if value >= (1 << width):
-                    raise LexError(line, col,
-                                   f"literal value {value} does not fit in {width} bits")
-                text = source[i:j]
-                advance(j - i)
-                tokens.append(Token("NUMBER", text, start_line, start_col, value, width))
-            else:
-                text = source[i:k]
-                advance(k - i)
-                tokens.append(Token("NUMBER", text, start_line, start_col,
-                                    int(text.replace("_", "")), None))
-            continue
-        if c in _ID_START:
-            start_line, start_col = line, col
-            k = i
-            while k < n and source[k] in _ID_CHARS:
-                k += 1
-            text = source[i:k]
-            advance(k - i)
-            tokens.append(Token("ID", text, start_line, start_col))
-            continue
-        matched = False
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("PUNCT", p, line, col))
-                advance(len(p))
-                matched = True
-                break
-        if not matched:
-            raise LexError(line, col, f"unexpected character {c!r}")
-    tokens.append(Token("EOF", "", line, col))
+        start = m.start()
+        col = start - line_start + 1
+        if kind == "ID" or kind == "PUNCT" or kind == "SYSID":
+            append(Token(kind, m.group(), line, col))
+        elif kind == "NUMBER":
+            text = m.group()
+            value, width = _number(text, line, col)
+            append(Token("NUMBER", text, line, col, value, width))
+        elif kind == "MACRO":
+            append(Token("MACRO", m.group()[1:], line, col))
+        else:
+            raise LexError(line, col, _error_message(source, start))
+    append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
+
+
+def _error_message(source: str, pos: int) -> str:
+    c = source[pos]
+    if c == "`":
+        return "expected macro name after '`'"
+    if c == "$":
+        return "expected name after '$'"
+    if source.startswith("/*", pos):
+        return "unterminated block comment"
+    return f"unexpected character {c!r}"
+
+
+def _number(text: str, line: int, col: int) -> tuple[int, int | None]:
+    """Decode a NUMBER match to (value, width); width None when unsized."""
+    tick = text.find("'")
+    if tick < 0:
+        digits = text.replace("_", "")
+        try:
+            return int(digits), None
+        except ValueError:  # over Python's int-string conversion limit
+            raise LexError(line, col,
+                           f"decimal literal of {len(digits)} digits is too long")
+    base_ch = text[tick + 1:tick + 2]
+    if base_ch not in "bdhBDH":
+        raise LexError(line, col, f"bad literal base {base_ch!r}")
+    width_digits = text[:tick].replace("_", "").lstrip("0") or "0"
+    # Length first: int() of a long digit string is slow or refused.
+    if len(width_digits) > len(str(MAX_LITERAL_WIDTH)) \
+            or int(width_digits) > MAX_LITERAL_WIDTH:
+        raise LexError(line, col, f"literal width exceeds {MAX_LITERAL_WIDTH} bits")
+    width = int(width_digits)
+    digits = text[tick + 2:].replace("_", "")
+    if not digits:
+        raise LexError(line, col, "literal has no digits")
+    base = _BASES[base_ch.lower()]
+    try:
+        value = int(digits, base) if digits.isascii() else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise LexError(line, col, f"bad digits {digits!r} for base {base}")
+    if width <= 0:
+        raise LexError(line, col, "literal width must be positive")
+    if value.bit_length() > width:
+        # str() of an int is limited like int() of a str (never below 640
+        # digits); name a huge value by its bit length.
+        shown = value if value.bit_length() <= 2048 else \
+            f"of {value.bit_length()} bits"
+        raise LexError(line, col, f"literal value {shown} does not fit in {width} bits")
+    return value, width

@@ -45,29 +45,36 @@ class Cursor:
         self.tokens = tokens
         self.pos = 0
 
+    # `tokens` ends in EOF and `next` never moves past it, so `pos` is
+    # always a valid index.
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "EOF":
             self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("PUNCT", "ID")
+        t = self.tokens[self.pos]
+        return t.text == text and (t.kind == "PUNCT" or t.kind == "ID")
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.next()
+        t = self.tokens[self.pos]
+        if t.text == text and (t.kind == "PUNCT" or t.kind == "ID"):
+            self.pos += 1
+            return t
         return None
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
+        t = self.accept(text)
+        if t is None:
+            t = self.tokens[self.pos]
             raise ParseError(t.line, t.col, f"expected {text!r}, found {t.text!r}")
-        return self.next()
+        return t
 
     def expect_id(self) -> Token:
         t = self.peek()
@@ -91,6 +98,9 @@ _BINARY_LEVELS = [
     ["+", "-"],
 ]
 
+# Binding power of each binary operator: its index in `_BINARY_LEVELS`.
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 
 class ExprParser:
     """Expression parser over a Cursor; subclasses may extend primaries."""
@@ -99,28 +109,26 @@ class ExprParser:
         self.cur = cur
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self.cur.at("?"):
-            self.cur.next()
-            then = self._parse_ternary()
+        if self.cur.accept("?"):
+            then = self.parse_expr()
             self.cur.expect(":")
-            other = self._parse_ternary()
+            other = self.parse_expr()
             return ast.Ternary(cond, then, other)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self.cur.peek().kind == "PUNCT" and self.cur.peek().text in ops:
-            op = self.cur.next().text
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(op, left, right)
-        return left
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Operators binding at `min_level` or tighter, left-associative."""
+        left = self._parse_unary()
+        cur = self.cur
+        while True:
+            # Only PUNCT tokens carry operator text.
+            op = cur.tokens[cur.pos].text
+            level = _PRECEDENCE.get(op)
+            if level is None or level < min_level:
+                return left
+            cur.next()
+            left = ast.Binary(op, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> ast.Expr:
         t = self.cur.peek()
@@ -131,9 +139,8 @@ class ExprParser:
 
     def parse_primary(self) -> ast.Expr:
         t = self.cur.peek()
-        special = self.parse_special_primary()
-        if special is not None:
-            return special
+        if t.kind == "SYSID" or t.kind == "MACRO":
+            return self.parse_special_primary()
         if t.kind == "NUMBER":
             self.cur.next()
             return ast.Lit(t.value, t.width)
@@ -166,16 +173,15 @@ class ExprParser:
             return ast.Id(name)
         raise ParseError(t.line, t.col, f"expected expression, found {t.text!r}")
 
-    def parse_special_primary(self) -> ast.Expr | None:
-        """Hook for the property parser ($past, macros); RTL rejects them."""
+    def parse_special_primary(self) -> ast.Expr:
+        """Parse a primary that starts at a SYSID or MACRO token. Hook for the
+        property parser ($past, macros); RTL rejects them."""
         t = self.cur.peek()
         if t.kind == "SYSID":
             raise ParseError(t.line, t.col, f"construct {t.text!r}",
                              DiagCode.UNSUPPORTED)
-        if t.kind == "MACRO":
-            raise ParseError(t.line, t.col, f"macro reference `{t.text}",
-                             DiagCode.UNSUPPORTED)
-        return None
+        raise ParseError(t.line, t.col, f"macro reference `{t.text}",
+                         DiagCode.UNSUPPORTED)
 
     def _parse_dotted_name(self) -> str:
         parts = [self.cur.expect_id().text]
@@ -592,7 +598,7 @@ def parse_rtl(source: str, filename: str = "<input>"):
     """Parse RTL source.
 
     Returns a DesignModel on success, a Diagnostics on any error. Statement
-    ids are assigned in source order (see analyze.statement_index).
+    ids are assigned in source order (see analyze.assign_statement_ids).
     """
     from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 

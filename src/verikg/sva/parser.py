@@ -30,37 +30,35 @@ class SvaExprParser(ExprParser):
         if t.kind == "MACRO":
             self.cur.next()
             return S.MacroRef(t.text)
-        if t.kind == "SYSID":
-            name = t.text
-            if name == "$past":
+        name = t.text
+        if name == "$past":
+            self.cur.next()
+            self.cur.expect("(")
+            inner = self.parse_expr()
+            depth = 1
+            if self.cur.accept(","):
+                dt = self.cur.peek()
+                if dt.kind != "NUMBER" or dt.width is not None:
+                    raise ParseError(dt.line, dt.col,
+                                     "$past depth must be a plain integer")
                 self.cur.next()
-                self.cur.expect("(")
-                inner = self.parse_expr()
-                depth = 1
-                if self.cur.accept(","):
-                    dt = self.cur.peek()
-                    if dt.kind != "NUMBER" or dt.width is not None:
-                        raise ParseError(dt.line, dt.col,
-                                         "$past depth must be a plain integer")
-                    self.cur.next()
-                    depth = dt.value
-                self.cur.expect(")")
-                if depth < 1:
-                    raise ParseError(t.line, t.col, "$past depth must be >= 1")
-                if depth > S.MAX_DELAY_BOUND:
-                    raise ParseError(t.line, t.col,
-                                     f"$past depth {depth} exceeds bound {S.MAX_DELAY_BOUND}",
-                                     DiagCode.BOUND_EXCEEDED)
-                return S.Past(inner, depth)
-            if name in ("$rose", "$fell", "$stable"):
-                self.cur.next()
-                self.cur.expect("(")
-                inner = self.parse_expr()
-                self.cur.expect(")")
-                return {"$rose": S.Rose, "$fell": S.Fell, "$stable": S.Stable}[name](inner)
-            raise ParseError(t.line, t.col, f"unsupported system function {name!r}",
-                             DiagCode.UNSUPPORTED)
-        return None
+                depth = dt.value
+            self.cur.expect(")")
+            if depth < 1:
+                raise ParseError(t.line, t.col, "$past depth must be >= 1")
+            if depth > S.MAX_DELAY_BOUND:
+                raise ParseError(t.line, t.col,
+                                 f"$past depth {depth} exceeds bound {S.MAX_DELAY_BOUND}",
+                                 DiagCode.BOUND_EXCEEDED)
+            return S.Past(inner, depth)
+        if name in ("$rose", "$fell", "$stable"):
+            self.cur.next()
+            self.cur.expect("(")
+            inner = self.parse_expr()
+            self.cur.expect(")")
+            return {"$rose": S.Rose, "$fell": S.Fell, "$stable": S.Stable}[name](inner)
+        raise ParseError(t.line, t.col, f"unsupported system function {name!r}",
+                         DiagCode.UNSUPPORTED)
 
 
 class _PropParser:

@@ -9,6 +9,8 @@ oracles are plain recursive searches.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import itertools
 import random
 
@@ -622,6 +624,185 @@ def evidence_reachable(g, prop_id: str) -> set[str]:
 
     visit(prop_id)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference front end: a character-at-a-time tokenizer and a parser with one
+# recursion per precedence level (the unoptimised lexer and binary-operator
+# parser the shared front end is checked against)
+# ---------------------------------------------------------------------------
+
+_REF_PUNCT = [
+    "|->", "|=>", "##", "&&", "||", "==", "!=", "<=", ">=",
+    "(", ")", "[", "]", "{", "}", ",", ";", ":", "@", "#", "?",
+    ".", "=", "<", ">", "&", "|", "^", "~", "!", "+", "-", "*", "/",
+]
+_REF_ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_ID_CHARS = _REF_ID_START | set("0123456789$")
+
+
+def ref_tokenize(source: str) -> list:
+    """Scan one character at a time, trying each punctuator in turn.
+
+    Known to crash (ValueError, OverflowError) or take seconds on oversized
+    literal widths and values, and to read non-ASCII digits as digits."""
+    from verikg.rtl.lexer import LexError, Token
+
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("//", i):
+            j = source.find("\n", i)
+            advance((j - i) if j != -1 else (n - i))
+            continue
+        if source.startswith("/*", i):
+            j = source.find("*/", i + 2)
+            if j == -1:
+                raise LexError(line, col, "unterminated block comment")
+            advance(j + 2 - i)
+            continue
+        if c == "`":
+            start_line, start_col = line, col
+            j = i + 1
+            if j >= n or source[j] not in _REF_ID_START:
+                raise LexError(line, col, "expected macro name after '`'")
+            k = j
+            while k < n and source[k] in _REF_ID_CHARS:
+                k += 1
+            text = source[j:k]
+            advance(k - i)
+            tokens.append(Token("MACRO", text, start_line, start_col))
+            continue
+        if c == "$":
+            start_line, start_col = line, col
+            k = i + 1
+            while k < n and source[k] in _REF_ID_CHARS:
+                k += 1
+            if k == i + 1:
+                raise LexError(line, col, "expected name after '$'")
+            text = source[i:k]
+            advance(k - i)
+            tokens.append(Token("SYSID", text, start_line, start_col))
+            continue
+        if c.isdigit():
+            start_line, start_col = line, col
+            k = i
+            while k < n and (source[k].isdigit() or source[k] == "_"):
+                k += 1
+            if k < n and source[k] == "'":
+                base_ch = source[k + 1] if k + 1 < n else ""
+                if base_ch not in "bdhBDH":
+                    raise LexError(line, col, f"bad literal base {base_ch!r}")
+                width = int(source[i:k].replace("_", ""))
+                j = k + 2
+                digits_start = j
+                while j < n and (source[j].isalnum() or source[j] == "_"):
+                    j += 1
+                digits = source[digits_start:j].replace("_", "")
+                if not digits:
+                    raise LexError(line, col, "literal has no digits")
+                base = {"b": 2, "d": 10, "h": 16}[base_ch.lower()]
+                try:
+                    value = int(digits, base)
+                except ValueError:
+                    raise LexError(line, col, f"bad digits {digits!r} for base {base}")
+                if width <= 0:
+                    raise LexError(line, col, "literal width must be positive")
+                if value >= (1 << width):
+                    raise LexError(line, col,
+                                   f"literal value {value} does not fit in {width} bits")
+                text = source[i:j]
+                advance(j - i)
+                tokens.append(Token("NUMBER", text, start_line, start_col, value, width))
+            else:
+                text = source[i:k]
+                advance(k - i)
+                tokens.append(Token("NUMBER", text, start_line, start_col,
+                                    int(text.replace("_", "")), None))
+            continue
+        if c in _REF_ID_START:
+            start_line, start_col = line, col
+            k = i
+            while k < n and source[k] in _REF_ID_CHARS:
+                k += 1
+            text = source[i:k]
+            advance(k - i)
+            tokens.append(Token("ID", text, start_line, start_col))
+            continue
+        matched = False
+        for p in _REF_PUNCT:
+            if source.startswith(p, i):
+                tokens.append(Token("PUNCT", p, line, col))
+                advance(len(p))
+                matched = True
+                break
+        if not matched:
+            raise LexError(line, col, f"unexpected character {c!r}")
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+_REF_BINARY_LEVELS = [
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["==", "!="],
+    ["<", "<=", ">", ">="],
+    ["+", "-"],
+]
+
+
+def ref_parse_binary(self, level: int):
+    """`ExprParser._parse_binary` with one recursion per precedence level."""
+    if level >= len(_REF_BINARY_LEVELS):
+        return self._parse_unary()
+    left = ref_parse_binary(self, level + 1)
+    ops = _REF_BINARY_LEVELS[level]
+    while self.cur.peek().kind == "PUNCT" and self.cur.peek().text in ops:
+        op = self.cur.next().text
+        right = ref_parse_binary(self, level + 1)
+        left = rtl.Binary(op, left, right)
+    return left
+
+
+@contextlib.contextmanager
+def reference_front_end():
+    """Run `parse_rtl`, `parse_properties_with_recovery` and macro expansion
+    on `ref_tokenize` and `ref_parse_binary` while the block runs."""
+    # Imported here: the benchmark loads this module for its generators, and
+    # `unittest.mock` (with asyncio) adds megabytes to its peak RSS.
+    from unittest import mock
+
+    # By module object: `verikg.sva.bind` as a dotted path reaches the
+    # package's `bind` function on some Python versions.
+    rtl_parser, sva_parser, sva_bind = (importlib.import_module(name) for name in (
+        "verikg.rtl.parser", "verikg.sva.parser", "verikg.sva.bind"))
+    with contextlib.ExitStack() as stack:
+        for module in (rtl_parser, sva_parser, sva_bind):
+            stack.enter_context(mock.patch.object(module, "tokenize", ref_tokenize))
+        stack.enter_context(mock.patch.object(
+            rtl_parser.ExprParser, "_parse_binary", ref_parse_binary))
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""The shared front end: the tokenizer and the expression parser under the
+RTL parser, the property parser and macro expansion.
+
+Hostile literals must give a diagnostic, never a traceback. Byte-mutated
+RTL and property files must give the same tokens, the same ASTs and the
+same diagnostics as the reference front end in `oracles.py`.
+"""
+
+import random
+import re
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    gen_design_source,
+    gen_property_source,
+    ref_tokenize,
+    reference_front_end,
+)
+from verikg.diagnostics import DiagCode, Diagnostics
+from verikg.rtl.lexer import MAX_LITERAL_WIDTH, LexError, tokenize
+from verikg.rtl.parser import parse_rtl
+from verikg.sva.parser import parse_properties_with_recovery
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# ---------------------------------------------------------------------------
+# Hostile literals
+# ---------------------------------------------------------------------------
+
+_RTL_PREFIX = "module m(input clk, output y);\n  assign y = "
+_RTL = _RTL_PREFIX + "{lit};\nendmodule\n"
+_PROP_PREFIX = "assert property (@(posedge clk) y == "
+_PROP = _PROP_PREFIX + "{lit});\n"
+
+
+@pytest.mark.parametrize("lit, message", [
+    ("²", "unexpected character '²'"),
+    ("١", "unexpected character '١'"),
+    pytest.param("1" * 5000, "decimal literal of 5000 digits is too long",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no int-string conversion limit")),
+    ("99999999999999999999'd1", f"literal width exceeds {MAX_LITERAL_WIDTH} bits"),
+    ("9999999999'd1", f"literal width exceeds {MAX_LITERAL_WIDTH} bits"),
+    (f"{MAX_LITERAL_WIDTH + 1}'d1", f"literal width exceeds {MAX_LITERAL_WIDTH} bits"),
+    ("2'd4", "literal value 4 does not fit in 2 bits"),
+    ("8'h" + "f" * 3000, "literal value of 12000 bits does not fit in 8 bits"),
+])
+@pytest.mark.parametrize("parser", ["rtl", "property"])
+def test_hostile_literal_is_a_diagnostic(parser, lit, message):
+    if parser == "rtl":
+        result = parse_rtl(_RTL.format(lit=lit))
+        col = len(_RTL_PREFIX.split("\n")[-1]) + 1
+        assert isinstance(result, Diagnostics)
+        diags = result
+        line = 2
+    else:
+        _, diags = parse_properties_with_recovery(_PROP.format(lit=lit))
+        col = len(_PROP_PREFIX) + 1
+        line = 1
+    assert [(d.line, d.col, d.message, d.code) for d in diags.errors] == \
+        [(line, col, message, DiagCode.SYNTAX)]
+
+
+def test_widest_literal_is_accepted():
+    (tok, _eof) = tokenize(f"{MAX_LITERAL_WIDTH}'d1")
+    assert (tok.kind, tok.value, tok.width) == ("NUMBER", 1, MAX_LITERAL_WIDTH)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the front end against the reference on byte-mutated sources
+# ---------------------------------------------------------------------------
+
+_PROPERTY_HEADER = (
+    "// generated property file\n"
+    "default clocking @(posedge clk); endclocking\n"
+    "`define BUSY (r0 && !i0)\n"
+    "/* a block\n   comment */\n"
+)
+
+
+# Operator chains without parentheses, across and within precedence levels.
+_CHAINS = """module chains(input clk, input [3:0] a, input [3:0] b, output y);
+  reg [3:0] r;
+  wire w;
+  assign w = a - b - 4'd1 + r == b & a | r ^ b && a < b || !a >= ~b;
+  assign y = a + b < r - 1 ? a == b != w : a | b | r & a & b ^ r ^ a;
+  always @(posedge clk)
+    if (a <= b - r + a && r > 2'b1_0 || w)
+      r <= {a[1:0], b[3]} - 4'hA + 8'd3;
+endmodule
+"""
+
+
+def _rtl_corpus() -> list[str]:
+    rng = random.Random(6)
+    return [p.read_text() for p in sorted(FIXTURES.glob("*.v"))] + [_CHAINS] + \
+        [gen_design_source(rng) for _ in range(6)]
+
+
+def _property_corpus() -> list[str]:
+    rng = random.Random(6)
+    sources = []
+    for _ in range(6):
+        lines = [_PROPERTY_HEADER]
+        for k in range(4):
+            if rng.random() < 0.5:
+                lines.append(f"// property: R{k}\n")
+            lines.append(gen_property_source(rng, ["r0", "i0", "`BUSY"], ["r1"]))
+        lines.append("c: cover property (r0 ##[1:2] $past(i0, 2) == 1'b1 || r1 - 1 - r1"
+                     " < 2'd2 && r0 | i0 & r0 ^ i0);\n")
+        sources.append("".join(lines))
+    return sources
+
+
+_RTL_CORPUS = _rtl_corpus()
+_PROPERTY_CORPUS = _property_corpus()
+_CORPUS = _RTL_CORPUS + _PROPERTY_CORPUS
+# Bytes that start, end or split tokens, plus the first byte of a non-ASCII
+# character; any other byte is drawn too.
+_INTERESTING = b" \n\t'_/*`$#|-=<>()[]{};:,.?!~^&+0123456789bdhxzBDH\xc2"
+
+
+def _mutate(source: str, edits: list[tuple[int, int, int]]) -> str:
+    data = bytearray(source.encode())
+    for where, op, byte in edits:
+        i = where % (len(data) + 1)
+        if op == 0:
+            data.insert(i, byte)
+        elif op == 1 and i < len(data):
+            data[i] = byte
+        elif i < len(data):
+            del data[i]
+    return data.decode("utf-8", errors="replace")
+
+
+def _documented_difference(source: str) -> bool:
+    """Inputs on which the reference is wrong by design: it reads non-ASCII
+    digits as digits, and it crashes or stalls on oversized literals."""
+    if any(c.isdigit() and not c.isascii() for c in source):
+        return True
+    if re.search(r"[0-9]{4000}", source):
+        return True
+    return any(int(w.replace("_", "")) > MAX_LITERAL_WIDTH
+               for w in re.findall(r"([0-9][0-9_]*)'", source))
+
+
+def _lex(lex, source):
+    try:
+        return [tuple(t) for t in lex(source)]
+    except LexError as le:
+        return ("LexError", le.line, le.col, le.message)
+
+
+def _parse_all(source):
+    return parse_rtl(source), parse_properties_with_recovery(source)
+
+
+_edits = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 2),
+                            st.one_of(st.sampled_from(list(_INTERESTING)),
+                                      st.integers(0, 255))),
+                  min_size=1, max_size=2)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(0, len(_CORPUS) - 1), _edits)
+def test_front_end_matches_reference(which, edits):
+    source = _mutate(_CORPUS[which], edits)
+    if _documented_difference(source):
+        return
+    assert _lex(tokenize, source) == _lex(ref_tokenize, source)
+    got = _parse_all(source)
+    with reference_front_end():
+        want = _parse_all(source)
+    assert got == want
+
+
+def test_corpus_parses_clean_and_matches_reference():
+    for source in _CORPUS:
+        assert _lex(tokenize, source) == _lex(ref_tokenize, source)
+        got = _parse_all(source)
+        with reference_front_end():
+            want = _parse_all(source)
+        assert got == want
+    for source in _RTL_CORPUS:
+        assert not isinstance(parse_rtl(source), Diagnostics)
+    for source in _PROPERTY_CORPUS:
+        assert not parse_properties_with_recovery(source)[1].has_errors()

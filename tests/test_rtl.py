@@ -5,7 +5,7 @@ import pytest
 from oracles import RefDesign, gen_design_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast as rtl
-from verikg.rtl.analyze import statement_index
+from verikg.rtl.analyze import assign_statement_ids
 from verikg.rtl.compile import Compiler, WidthError
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
@@ -99,7 +99,7 @@ class TestStatementIndex:
         again = parse_rtl(fifo_source)
         assert [s.id for s in again.statements] == \
             [s.id for s in fifo_model.statements]
-        assert [s.id for s in statement_index(fifo_model)] == \
+        assert [s.id for s in assign_statement_ids(fifo_model)] == \
             [s.id for s in fifo_model.statements]
 
 
@@ -202,6 +202,22 @@ class TestElaborate:
         assert isinstance(diags, Diagnostics)
         assert [(d.code, d.line, d.message) for d in diags.errors] == \
             [(code, 7, message)]
+
+    @pytest.mark.parametrize("stmt, line, name", [
+        ("assign y = d[q];", 4, "d"),
+        ("assign y = d[q:0];", 4, "d"),
+        ("always @(posedge clk)\n    r <= d[q];", 5, "d"),
+        ("always @(posedge clk)\n    r[q] <= d[0];", 5, "r"),
+        ("always @(posedge clk)\n    if (r[q]) r <= 2'd0;", 5, "r"),
+    ])
+    def test_non_constant_select_is_a_diagnostic(self, stmt, line, name):
+        diags = elaborate(parse_ok(
+            "module t (input clk, input [1:0] d, input q, output y);\n"
+            "  reg [1:0] r;\n  assign y = r[0];\n"
+            f"  {stmt}\nendmodule\n"), "t")
+        assert isinstance(diags, Diagnostics)
+        assert [(d.code, d.line, d.message) for d in diags.errors] == \
+            [(DiagCode.UNSUPPORTED, line, f"non-constant select on {name!r}")]
 
     def test_unresolved_instance(self):
         m = parse_ok("module t (input a);\n  ghost u0 (.p(a));\nendmodule\n")
