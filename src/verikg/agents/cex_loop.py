@@ -62,7 +62,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
     causes are patched and re-checked in isolation before reintegration.
     """
     report = CexLoopReport()
-    idx = build_signal_index(kg)
+    idx = build_signal_index(kg, net.readable)
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)
     next_cex = cex_id_start

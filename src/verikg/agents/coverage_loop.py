@@ -1,6 +1,6 @@
 """Coverage-directed augmentation: gap prioritization, enabling-condition
 analysis with blocking-assumption lookup in the graph, requirement linking
-via trace paths, and targeted cover/assert emission."""
+by graph connectivity, and targeted cover/assert emission."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from verikg.kg import (
     RetrievalBounds,
     TaskKind,
     build_signal_index,
+    connected,
     neighborhood,
-    trace_path,
 )
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
@@ -181,9 +181,10 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
             continue
         classifications[sid] = T.DeadCodeClass.GAP
 
-        # cov_processor role: link the gap to requirements via trace paths
-        linked = [rid for rid in requirements
-                  if sid in kg.nodes and trace_path(kg, sid, rid) is not None]
+        # cov_processor role: link the gap to the requirements it has a
+        # trace path to, that is, those in its connected component
+        reachable = connected(kg, sid) if sid in kg.nodes else set()
+        linked = [rid for rid in requirements if rid in reachable]
         if not linked:
             result.unlinked.append(sid)
 

@@ -144,11 +144,14 @@ def _isolated_ok(decl: S.PropertyDecl, pf: S.PropertyFile, dm: DesignModel,
 
 def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
                     backend: Backend, records: list[T.PropertyRecord],
-                    rulebook: str = "") -> SyntaxLoopReport:
+                    rulebook: str = "", readable: frozenset[str] | None = None
+                    ) -> SyntaxLoopReport:
     """Repair until fixpoint. Deterministic rules R1-R3 never call the
     backend; each repair try counts as one attempt; a property exceeding
-    three attempts is disabled with a logged note."""
-    idx = build_signal_index(kg)
+    three attempts is disabled with a logged note. `readable` is the
+    design's `NetModel.readable`: a property that reads another name fails
+    to bind."""
+    idx = build_signal_index(kg, readable)
     report = SyntaxLoopReport()
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)

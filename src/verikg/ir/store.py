@@ -68,13 +68,16 @@ def timestamp_now() -> str:
 
 def save_run(bundle: T.RunBundle, root: str | Path,
              attachments: dict[str, bytes] | None = None,
-             validate: bool = True) -> T.RunContext:
-    """Persist a validated bundle under root/<run_id>/.
+             validate: bool = True, run_id: str | None = None) -> T.RunContext:
+    """Persist a validated bundle under root/<run_id>/, with its graph
+    exported to nodes.csv and edges.csv.
 
     Returns the updated context (run_id recomputed from content, artifact
     paths filled with run-directory-relative names). Attachments are extra
     files (relative path -> bytes) written alongside the documents.
     validate=False is for crash-path preservation of partial bundles.
+    `run_id` is the bundle's `make_run_id` when the caller has already
+    computed it; the content is then not hashed a second time.
     """
     if validate:
         report = validate_bundle(bundle)
@@ -82,7 +85,7 @@ def save_run(bundle: T.RunBundle, root: str | Path,
             raise StoreError(f"bundle validation failed:\n{report}")
 
     root = Path(root)
-    run_id = make_run_id(bundle, bundle.context.created_at or None)
+    run_id = run_id or make_run_id(bundle, bundle.context.created_at or None)
     ctx = bundle.context
     ctx.run_id = run_id
     if not ctx.created_at:

@@ -1,5 +1,11 @@
 """Knowledge-graph runtime: typed graph store, task-bounded context
-retrieval, signal resolution, downstream invalidation, and trace paths."""
+retrieval, signal resolution, downstream invalidation, connected
+components and trace paths.
+
+A run keeps one `Graph` from the front end to the end: the pipeline builds
+it once and updates it in place with `put_node`/`drop_node`/`put_edge`/
+`drop_edge` at each stage boundary. `build_graph` loads the rows a saved
+run wrote; it is not used during a run."""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 TRACE_EDGES = frozenset({"derives_from", "validates"})
 CONTAINMENT_EDGES = frozenset({"has_signal", "has_statement", "next_chunk"})
@@ -55,35 +62,74 @@ class Node:
     id: str
     type: str
     attrs: dict
-    run_id: str
     stale: bool = False
 
 
-@dataclass
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     type: str
-    attrs: dict
-    run_id: str
 
 
 @dataclass
 class Graph:
+    """A run's knowledge graph, queried and updated in place.
+
+    Edges are keyed by their (src, dst, type) triple, so putting one twice
+    keeps one and dropping one is O(1). `out_adj` and `in_adj` hold each
+    node's outgoing and incoming edges as insertion-ordered key sets.
+    """
     nodes: dict[str, Node] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
-    out_adj: dict[str, list[int]] = field(default_factory=dict)
-    in_adj: dict[str, list[int]] = field(default_factory=dict)
+    edges: dict[Edge, None] = field(default_factory=dict)
+    out_adj: dict[str, dict[Edge, None]] = field(default_factory=dict)
+    in_adj: dict[str, dict[Edge, None]] = field(default_factory=dict)
     duplicate_edge_count: int = 0
+
+    def put_node(self, node_id: str, node_type: str, attrs: dict) -> None:
+        """Add the node, or give it a new type and attributes while keeping
+        its edges. Either way it is not stale."""
+        node = self.nodes.get(node_id)
+        if node is None:
+            self.nodes[node_id] = Node(node_id, node_type, attrs)
+            self.out_adj[node_id] = {}
+            self.in_adj[node_id] = {}
+        else:
+            node.type, node.attrs, node.stale = node_type, attrs, False
+
+    def drop_node(self, node_id: str) -> None:
+        """Remove the node and every edge incident to it."""
+        if node_id not in self.nodes:
+            raise GraphError(f"unknown node {node_id!r}")
+        for e in {**self.out_adj[node_id], **self.in_adj[node_id]}:
+            self.drop_edge(*e)
+        del self.nodes[node_id], self.out_adj[node_id], self.in_adj[node_id]
+
+    def put_edge(self, src: str, dst: str, edge_type: str) -> bool:
+        """Add the edge; False when it is already there."""
+        e = Edge(src, dst, edge_type)
+        if e in self.edges:
+            return False
+        for end in (src, dst):
+            if end not in self.nodes:
+                raise GraphError(f"edge {src!r} -{edge_type}-> {dst!r}: "
+                                 f"unknown node {end!r}")
+        self.edges[e] = None
+        self.out_adj[src][e] = None
+        self.in_adj[dst][e] = None
+        return True
+
+    def drop_edge(self, src: str, dst: str, edge_type: str) -> None:
+        e = Edge(src, dst, edge_type)
+        if e not in self.edges:
+            raise GraphError(f"unknown edge {src!r} -{edge_type}-> {dst!r}")
+        del self.edges[e], self.out_adj[src][e], self.in_adj[dst][e]
 
     def neighbors(self, node_id: str, admitted: frozenset[str] | None = None):
         """(neighbor id, edge type) pairs over both directions."""
-        for idx in self.out_adj.get(node_id, ()):
-            e = self.edges[idx]
+        for e in self.out_adj.get(node_id, ()):
             if admitted is None or e.type in admitted:
                 yield e.dst, e.type
-        for idx in self.in_adj.get(node_id, ()):
-            e = self.edges[idx]
+        for e in self.in_adj.get(node_id, ()):
             if admitted is None or e.type in admitted:
                 yield e.src, e.type
 
@@ -116,6 +162,9 @@ class SignalIndex:
     # suffix token sequence -> full hierarchical paths carrying that suffix
     entries: dict[tuple[str, ...], set[str]] = field(default_factory=dict)
     path_widths: dict[str, int] = field(default_factory=dict)
+    # the paths that have a value every cycle (`NetModel.readable`); None
+    # when the index was built without a net model
+    readable: frozenset[str] | None = None
 
     def add(self, path: str, width: int = 1) -> None:
         tokens = tuple(path.split("."))
@@ -124,15 +173,10 @@ class SignalIndex:
         self.path_widths[path] = width
 
 
-def _parse_attrs(raw: str) -> dict:
-    if not raw:
-        return {}
-    return json.loads(raw)
-
-
 def build_graph(node_rows: list[tuple[str, ...]],
                 edge_rows: list[tuple[str, ...]]) -> Graph:
-    """Materialize a Graph from exported rows (header rows are skipped).
+    """Load a Graph from exported rows (header rows are skipped), as saved
+    in a run directory's nodes.csv and edges.csv.
 
     Duplicate edges collapse to one with the duplicate count reported on the
     graph; a duplicate node id with conflicting attributes or a dangling
@@ -144,41 +188,30 @@ def build_graph(node_rows: list[tuple[str, ...]],
             continue
         if len(row) != 4:
             raise GraphError(f"node row needs 4 columns: {row!r}")
-        node_id, node_type, run_id, attrs_raw = row
-        attrs = _parse_attrs(attrs_raw)
-        if node_id in g.nodes:
-            prior = g.nodes[node_id]
+        node_id, node_type, _run_id, attrs_raw = row
+        attrs = json.loads(attrs_raw) if attrs_raw else {}
+        prior = g.nodes.get(node_id)
+        if prior is not None:
             if prior.type != node_type or prior.attrs != attrs:
                 raise GraphError(
                     f"duplicate node id {node_id!r} with conflicting attributes")
             continue
-        g.nodes[node_id] = Node(node_id, node_type, attrs, run_id)
-        g.out_adj[node_id] = []
-        g.in_adj[node_id] = []
+        g.put_node(node_id, node_type, attrs)
 
-    dangling: list[tuple[str, ...]] = []
-    seen_triples: set[tuple[str, str, str]] = set()
+    edges = []
     for row in edge_rows:
         if row and row[0] == "src":
             continue
         if len(row) != 5:
             raise GraphError(f"edge row needs 5 columns: {row!r}")
-        src, dst, edge_type, run_id, attrs_raw = row
-        if src not in g.nodes or dst not in g.nodes:
-            dangling.append(row)
-            continue
-        triple = (src, dst, edge_type)
-        if triple in seen_triples:
-            g.duplicate_edge_count += 1
-            continue
-        seen_triples.add(triple)
-        idx = len(g.edges)
-        g.edges.append(Edge(src, dst, edge_type, _parse_attrs(attrs_raw), run_id))
-        g.out_adj[src].append(idx)
-        g.in_adj[dst].append(idx)
+        edges.append(row)
+    dangling = [r for r in edges if r[0] not in g.nodes or r[1] not in g.nodes]
     if dangling:
         raise GraphError("dangling edge endpoints: "
                          + "; ".join(repr(r[:3]) for r in dangling))
+    for src, dst, edge_type, _run_id, _attrs in edges:
+        if not g.put_edge(src, dst, edge_type):
+            g.duplicate_edge_count += 1
     return g
 
 
@@ -236,8 +269,9 @@ def neighborhood(g: Graph, anchor: str, task: TaskKind,
     return ContextBundle(anchor, task, members, truncated)
 
 
-def build_signal_index(g: Graph) -> SignalIndex:
-    idx = SignalIndex()
+def build_signal_index(g: Graph, readable: frozenset[str] | None = None
+                       ) -> SignalIndex:
+    idx = SignalIndex(readable=readable)
     for node in g.nodes.values():
         if node.type == "rtl_signal":
             idx.add(node.id, int(node.attrs.get("width", 1)))
@@ -277,6 +311,21 @@ def invalidate_downstream(g: Graph, prop_id: str) -> set[str]:
     for node_id in out:
         g.nodes[node_id].stale = True
     return out
+
+
+def connected(g: Graph, node_id: str) -> set[str]:
+    """Every node joined to node_id by an undirected path over edges of
+    any type, node_id included: the nodes trace_path can reach from it."""
+    if node_id not in g.nodes:
+        raise GraphError(f"unknown node {node_id!r}")
+    seen = {node_id}
+    frontier = [node_id]
+    while frontier:
+        for nbr, _etype in g.neighbors(frontier.pop()):
+            if nbr not in seen:
+                seen.add(nbr)
+                frontier.append(nbr)
+    return seen
 
 
 def trace_path(g: Graph, src: str, dst: str) -> list[str] | None:

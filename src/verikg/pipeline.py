@@ -1,5 +1,12 @@
 """End-to-end driver: ingest -> parse/elaborate -> graph -> generation ->
-syntax loop -> formal -> CEX loop -> coverage loop -> persisted run."""
+syntax loop -> formal -> CEX loop -> coverage loop -> persisted run.
+
+A run has one knowledge graph. It is built once from the records after
+the RTL front end, and `sync_graph` brings its verification part in line
+with the bundle at each stage boundary; the agents query it and the CEX
+stage marks invalidated evidence stale in it. It is serialised only when
+the run is saved (nodes.csv, edges.csv, graph.html).
+"""
 
 from __future__ import annotations
 
@@ -26,12 +33,19 @@ from verikg.engine.check import CheckConfig, check
 from verikg.engine.coverage import coverage
 from verikg.htmlview import render_html
 from verikg.ir import types as T
-from verikg.ir.export import export_graph
+from verikg.ir.export import (
+    VERIFICATION_NODE_TYPES,
+    design_items,
+    verification_edges,
+    verification_nodes,
+)
 from verikg.ir.store import StoreError, make_run_id, save_run, timestamp_now
 from verikg.kg import (
+    CONTAINMENT_EDGES,
+    Edge,
     Graph,
+    GraphError,
     RetrievalBounds,
-    build_graph,
     build_signal_index,
     invalidate_downstream,
     resolve_signal,
@@ -269,8 +283,49 @@ def parse_rtl_files(paths: list[str]) -> DesignModel:
 
 
 def rebuild_graph(bundle: T.RunBundle) -> Graph:
-    nodes, edges = export_graph(bundle)
-    return build_graph(nodes, edges)
+    """The bundle's knowledge graph, built straight from its records."""
+    kg = Graph()
+    nodes, edges = design_items(bundle)
+    for node_id, (node_type, attrs) in _unique(nodes).items():
+        kg.put_node(node_id, node_type, attrs)
+    for e in edges:
+        kg.put_edge(*e)
+    sync_graph(kg, bundle)
+    return kg
+
+
+def sync_graph(kg: Graph, bundle: T.RunBundle) -> None:
+    """Bring the verification part of the graph (properties, results, CEX
+    cases, coverage records, result-to-CEX and trace-link edges) in line
+    with the bundle: put every current node and edge, drop the ones that
+    are gone. The spec and RTL part is left alone."""
+    want = _unique(verification_nodes(bundle))
+    for node_id in [n.id for n in kg.nodes.values()
+                    if n.type in VERIFICATION_NODE_TYPES and n.id not in want]:
+        kg.drop_node(node_id)
+    for node_id, (node_type, attrs) in want.items():
+        prior = kg.nodes.get(node_id)
+        if prior is not None and prior.type not in VERIFICATION_NODE_TYPES:
+            raise GraphError(
+                f"duplicate node id {node_id!r} with conflicting attributes")
+        kg.put_node(node_id, node_type, attrs)
+    edges = {Edge(*e): None for e in verification_edges(bundle, kg.nodes)}
+    for e in [e for e in kg.edges
+              if e.type not in CONTAINMENT_EDGES and e not in edges]:
+        kg.drop_edge(*e)
+    for e in edges:
+        kg.put_edge(*e)
+
+
+def _unique(nodes) -> dict[str, tuple[str, dict]]:
+    """id -> (type, attributes); a repeated id must repeat both."""
+    out: dict[str, tuple[str, dict]] = {}
+    for node_id, node_type, attrs in nodes:
+        prior = out.setdefault(node_id, (node_type, attrs))
+        if prior != (node_type, attrs):
+            raise GraphError(
+                f"duplicate node id {node_id!r} with conflicting attributes")
+    return out
 
 
 _MENTION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -371,8 +426,8 @@ def run_all(cfg: RunConfig) -> RunReport:
     iteration_counts = {"syntax": 0, "cex": 0, "coverage": 0}
 
     try:
-        report = _run_stages(cfg, backend, rulebook, bundle, artifacts,
-                             iteration_counts)
+        kg = _run_stages(cfg, backend, rulebook, bundle, artifacts,
+                         iteration_counts)
     except Exception:
         # crash safety: preserve whatever the stages produced, plus transcript
         ctx.iteration_counts = iteration_counts
@@ -390,19 +445,18 @@ def run_all(cfg: RunConfig) -> RunReport:
     backend.transcript.run_id = run_id
     backend.transcript.created_at = created_at
     artifacts["transcript.json"] = backend.transcript.render_bytes()
-    kg = rebuild_graph(bundle)
+    sync_graph(kg, bundle)
     artifacts["graph.html"] = render_html(kg).encode("utf-8")
-    report.run_id = run_id
-    report.kg_nodes = kg.node_count()
-    report.kg_edges = kg.edge_count()
+    report = report_from_bundle(bundle, kg)
     artifacts["report.txt"] = report.render().encode("utf-8")
-    save_run(bundle, cfg.out_root, artifacts)
+    save_run(bundle, cfg.out_root, artifacts, run_id=run_id)
     return report
 
 
 def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
                 bundle: T.RunBundle, artifacts: dict[str, bytes],
-                iteration_counts: dict[str, int]) -> RunReport:
+                iteration_counts: dict[str, int]) -> Graph:
+    """Run the stages on one live graph, which is returned."""
     # 1. ingest
     chunks, reqs, links = ingest_spec(cfg.spec_path, backend)
     bundle.spec_chunks = chunks
@@ -422,9 +476,9 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
     rtl_source = "\n".join(Path(p).read_text(encoding="utf-8")
                            for p in cfg.rtl_paths)
 
-    # 3. initial graph + signal index + testplan
+    # 3. the run's graph + signal index + testplan
     kg = rebuild_graph(bundle)
-    idx = build_signal_index(kg)
+    idx = build_signal_index(kg, net.readable)
     bundle.testplan = make_testplan(reqs, idx)
     clock_leaf = (net.clock or f"{top}.clk").split(".")[-1]
 
@@ -437,9 +491,10 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
 
     # 5. syntax loop until fixpoint; its last compile binds the whole file,
     # and the file is compiled again only after it changes
-    kg = rebuild_graph(bundle)
+    sync_graph(kg, bundle)
     bound = active_bound(
-        run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook).bound,
+        run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook,
+                        net.readable).bound,
         bundle)
     iteration_counts["syntax"] += 1
 
@@ -457,7 +512,7 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         if not failing:
             break
         iteration_counts["cex"] += 1
-        kg = rebuild_graph(bundle)
+        sync_graph(kg, bundle)
         loop = run_cex_loop(failing, kg, net, rtl_source, backend, pf,
                             bundle.properties, artifacts,
                             cfg.check_config(_assumptions(bound)), dm,
@@ -466,10 +521,9 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
         if not loop.patched:
             break
-        for pid in loop.patched:
-            invalidate_downstream(kg, pid)
         bound = active_bound(compile_properties(pf, dm, idx).bound, bundle)
-        recheck_properties(loop.patched, net, bound, bundle, cfg, artifacts)
+        recheck_properties(_invalidate(kg, loop.patched), net, bound, bundle,
+                           cfg, artifacts)
 
     # 8. coverage + coverage loop
     cov = _coverage(net, bound, cfg)
@@ -478,7 +532,7 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         if not cov.unreachable_statements:
             break
         iteration_counts["coverage"] += 1
-        kg = rebuild_graph(bundle)
+        sync_graph(kg, bundle)
         loop = run_coverage_loop(cov, kg, dm, backend, rulebook, cfg.bounds(),
                                  id_start=_next_id(
                                      (p.prop_id for p in bundle.properties), "PROP"))
@@ -488,9 +542,10 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         pf.properties.extend(loop.new_decls)
         bundle.properties.extend(loop.new_records)
         bundle.tracelinks.extend(loop.new_links)
-        kg = rebuild_graph(bundle)
+        sync_graph(kg, bundle)
         bound = active_bound(
-            run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook).bound,
+            run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook,
+                            net.readable).bound,
             bundle)
         iteration_counts["syntax"] += 1
         recheck_properties([r.prop_id for r in loop.new_records], net, bound,
@@ -500,7 +555,17 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         cov = cov_new
         bundle.coverage_metrics = [cov]
 
-    return report_from_bundle(bundle)
+    return kg
+
+
+def _invalidate(kg: Graph, prop_ids) -> list[str]:
+    """Mark the evidence downstream of each patched property stale; the
+    properties whose formal results went stale are the ones to re-check."""
+    stale: set[str] = set()
+    for pid in prop_ids:
+        stale |= invalidate_downstream(kg, pid)
+    return sorted({kg.nodes[n].attrs["prop_id"] for n in stale
+                   if kg.nodes[n].type == "formal_result"})
 
 
 def _next_id(ids, prefix: str) -> int:
@@ -595,8 +660,9 @@ def _merge_dead_code(prior: list[tuple[str, T.DeadCodeClass]],
 # Reporting
 # ---------------------------------------------------------------------------
 
-def report_from_bundle(bundle: T.RunBundle) -> RunReport:
-    """Tallies recomputed from the bundle; nothing is cached."""
+def report_from_bundle(bundle: T.RunBundle, kg: Graph | None = None) -> RunReport:
+    """Tallies recomputed from the bundle; nothing is cached. The graph
+    counts come from `kg`, the bundle's graph (built here when not given)."""
     report = RunReport(run_id=bundle.context.run_id)
     checked = {r.prop_id: r for r in bundle.formal_results or []}
     assumption_ids = {p.prop_id for p in bundle.properties or []
@@ -630,7 +696,8 @@ def report_from_bundle(bundle: T.RunBundle) -> RunReport:
     report.cex_not_corrected = len((attempted - corrected) | rtl_bug_props)
     if bundle.coverage_metrics:
         report.reachable_pct = bundle.coverage_metrics[-1].reachable_pct
-    nodes, edges = export_graph(bundle)
-    report.kg_nodes = len(nodes) - 1
-    report.kg_edges = len(edges) - 1
+    if kg is None:
+        kg = rebuild_graph(bundle)
+    report.kg_nodes = kg.node_count()
+    report.kg_edges = kg.edge_count()
     return report

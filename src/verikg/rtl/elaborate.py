@@ -44,10 +44,16 @@ class NetModel:
     code: dict = field(init=False, repr=False, compare=False)
     _step: object = field(init=False, repr=False, compare=False)
     guard_fns: dict = field(init=False, repr=False, compare=False)
+    # The names with a value every cycle: the state bits, the data inputs
+    # and the wires over them. A property may read only these.
+    readable: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _w in self.state_bits + self.inputs]
         self.slots = {name: i for i, name in enumerate(names)}
+        slots = frozenset(self.slots)
+        self.readable = slots | frozenset(
+            w for w, e in self.comb.items() if ast.expr_ids(e) <= slots)
         self.code = {}
         # step reads locals unpacked from its two tuples; a guard reads x
         local = Compiler(self.widths, self.slots, read="v{}")

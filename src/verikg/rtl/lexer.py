@@ -37,6 +37,7 @@ _PUNCT = [
 MAX_LITERAL_WIDTH = 1 << 16
 
 _BASES = {"b": 2, "d": 10, "h": 16}
+_SHOWN_DIGITS = 32  # a "bad digits" message quotes at most this many
 
 
 _TOKEN_RE = re.compile("|".join([
@@ -133,7 +134,12 @@ def _number(text: str, line: int, col: int) -> tuple[int, int | None]:
     except ValueError:
         value = None
     if value is None:
-        raise LexError(line, col, f"bad digits {digits!r} for base {base}")
+        if digits.isascii() and digits.isdigit() and base == 10:
+            # valid, but over Python's int-string conversion limit
+            raise LexError(line, col, f"literal of {len(digits)} digits is too long")
+        shown = digits if len(digits) <= _SHOWN_DIGITS else \
+            digits[:_SHOWN_DIGITS] + f"... ({len(digits)} digits)"
+        raise LexError(line, col, f"bad digits {shown!r} for base {base}")
     if width <= 0:
         raise LexError(line, col, "literal width must be positive")
     if value.bit_length() > width:

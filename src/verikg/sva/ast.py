@@ -124,6 +124,7 @@ class BindErrorKind(Enum):
     UNDEFINED_MACRO = "undefined_macro"
     WIDTH_MISMATCH = "width_mismatch"
     AMBIGUOUS_PATH = "ambiguous_path"
+    UNREADABLE_SIGNAL = "unreadable_signal"
 
 
 @dataclass

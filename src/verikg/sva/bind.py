@@ -58,6 +58,16 @@ class _Binder:
         self.prop_id = prop_id
         self.line = line
 
+    def resolve_data_name(self, name: str) -> str:
+        """resolve_name for a value the property reads each cycle, which
+        the design must drive: not the clock, not an undriven net."""
+        full = self.resolve_name(name)
+        if self.idx.readable is not None and full not in self.idx.readable:
+            raise _BindFail(S.BindErrorItem(
+                self.prop_id, name, self.line, S.BindErrorKind.UNREADABLE_SIGNAL,
+                ["no value each cycle: the clock or an undriven net"]))
+        return full
+
     def resolve_name(self, name: str) -> str:
         if name in self.idx.path_widths:
             return name
@@ -103,9 +113,9 @@ class _Binder:
                                                 ["recursive macro expansion"]))
             return self.resolve_expr(expansion)
         if isinstance(e, rtl.Id):
-            return rtl.Id(self.resolve_name(e.name))
+            return rtl.Id(self.resolve_data_name(e.name))
         if isinstance(e, rtl.Select):
-            return rtl.Select(self.resolve_name(e.name), e.msb, e.lsb)
+            return rtl.Select(self.resolve_data_name(e.name), e.msb, e.lsb)
         return None
 
     def resolve_sequence(self, seq: S.Sequence) -> S.Sequence:

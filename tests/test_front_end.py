@@ -50,6 +50,14 @@ _PROP = _PROP_PREFIX + "{lit});\n"
     (f"{MAX_LITERAL_WIDTH + 1}'d1", f"literal width exceeds {MAX_LITERAL_WIDTH} bits"),
     ("2'd4", "literal value 4 does not fit in 2 bits"),
     ("8'h" + "f" * 3000, "literal value of 12000 bits does not fit in 8 bits"),
+    pytest.param("8'd" + "1" * 5000, "literal of 5000 digits is too long",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no int-string conversion limit"),
+                 id="based-5000-digits"),
+    pytest.param("8'd" + "1x" * 5000,
+                 "bad digits '" + "1x" * 16 + "... (10000 digits)' for base 10",
+                 id="based-10000-bad-digits"),
+    ("8'd1x", "bad digits '1x' for base 10"),
 ])
 @pytest.mark.parametrize("parser", ["rtl", "property"])
 def test_hostile_literal_is_a_diagnostic(parser, lit, message):
@@ -65,6 +73,17 @@ def test_hostile_literal_is_a_diagnostic(parser, lit, message):
         line = 1
     assert [(d.line, d.col, d.message, d.code) for d in diags.errors] == \
         [(line, col, message, DiagCode.SYNTAX)]
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "1x" * 5000, "f" * 9000],
+                         ids=["decimal", "bad", "hex"])
+def test_based_literal_message_is_bounded(digits):
+    """However long the digit string, the diagnostic quotes a bounded part
+    of it and keeps the literal's line:col."""
+    result = parse_rtl("module m(output y); assign y = 8'd" + digits + "; endmodule")
+    [d] = result.errors
+    assert (d.line, d.col) == (1, 32)
+    assert len(d.message) < 100, d.message
 
 
 def test_widest_literal_is_accepted():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,12 +7,15 @@ from oracles import bfs_ball, evidence_reachable
 from verikg.htmlview import render_html
 from verikg.kg import (
     ADMITTED_EDGES,
+    Edge,
+    Graph,
     GraphError,
     RetrievalBounds,
     SignalIndex,
     TaskKind,
     build_graph,
     build_signal_index,
+    connected,
     invalidate_downstream,
     neighborhood,
     resolve_signal,
@@ -63,6 +67,14 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(node_rows, [])
 
+    def test_duplicate_node_rows(self):
+        header = ("id", "type", "run_id", "attributes")
+        same = [header, ("a", "x", "r", '{"k":1}'), ("a", "x", "r", '{"k":1}')]
+        assert build_graph(same, []).node_count() == 1
+        with pytest.raises(GraphError):
+            build_graph([header, ("a", "x", "r", '{"k":1}'),
+                         ("a", "x", "r", '{"k":2}')], [])
+
     def test_counts_match_export(self, fifo_model):
         from verikg.ir.export import export_graph
         from test_ir_store import make_bundle
@@ -73,6 +85,82 @@ class TestBuildGraph:
         g = build_graph(nodes, edges)
         assert g.node_count() == len(nodes) - 1
         assert g.edge_count() == len(edges) - 1
+
+
+class TestInPlaceUpdates:
+    def test_put_node_replaces_attributes_and_clears_stale(self):
+        g = chain_graph()
+        invalidate_downstream(g, "PROP-001")
+        assert g.nodes["RES-001"].stale
+        g.put_node("RES-001", "formal_result", {"status": "proven"})
+        node = g.nodes["RES-001"]
+        assert (node.type, node.attrs, node.stale) == \
+            ("formal_result", {"status": "proven"}, False)
+        # the node keeps its edges
+        assert sorted(g.neighbors("RES-001")) == \
+            [("CEX-001", "has_cex"), ("PROP-001", "fails")]
+
+    def test_drop_node_removes_incident_edges(self):
+        g = chain_graph()
+        g.put_edge("RES-001", "RES-001", "self")  # a loop is dropped once
+        g.drop_node("RES-001")
+        assert "RES-001" not in g.nodes
+        assert set(g.edges) == {Edge("REQ-001", "CHUNK-001", "derives_from"),
+                                Edge("PROP-001", "REQ-001", "validates")}
+        assert list(g.neighbors("CEX-001")) == []
+        assert list(g.neighbors("PROP-001")) == [("REQ-001", "validates")]
+        with pytest.raises(GraphError):
+            g.drop_node("RES-001")
+
+    def test_put_edge_dedupes_and_checks_endpoints(self):
+        g = Graph()
+        g.put_node("a", "x", {})
+        g.put_node("b", "y", {})
+        assert g.put_edge("a", "b", "t") is True
+        assert g.put_edge("a", "b", "t") is False
+        assert g.put_edge("b", "a", "t") is True  # another direction
+        assert g.put_edge("a", "b", "u") is True  # another type
+        assert g.edge_count() == 3
+        with pytest.raises(GraphError) as err:
+            g.put_edge("a", "ghost", "t")
+        assert "ghost" in str(err.value)
+        assert g.edge_count() == 3
+
+    def test_drop_edge(self):
+        g = chain_graph()
+        g.drop_edge("RES-001", "CEX-001", "has_cex")
+        assert list(g.neighbors("CEX-001")) == []
+        assert g.edge_count() == 3
+        with pytest.raises(GraphError):
+            g.drop_edge("RES-001", "CEX-001", "has_cex")
+
+    def test_updates_match_a_fresh_build(self):
+        """Random puts and drops leave the graph that a build of the
+        surviving rows gives."""
+        rng = random.Random(3)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 30))
+            for _ in range(40):
+                ids = sorted(g.nodes)
+                op = rng.randrange(4)
+                if op == 0:
+                    g.put_node(f"N{rng.randrange(40):03d}", "property", {"k": 1})
+                elif op == 1 and ids:
+                    g.drop_node(rng.choice(ids))
+                elif op == 2 and ids:
+                    g.put_edge(rng.choice(ids), rng.choice(ids), "covers")
+                elif op == 3 and g.edges:
+                    g.drop_edge(*rng.choice(sorted(g.edges)))
+            fresh = build_graph(
+                [("id", "type", "run_id", "attributes")]
+                + [(n.id, n.type, "r", json.dumps(n.attrs)) for n in g.nodes.values()],
+                [("src", "dst", "type", "run_id", "attributes")]
+                + [(*e, "r", "{}") for e in g.edges])
+            assert {n: (v.type, v.attrs) for n, v in g.nodes.items()} == \
+                {n: (v.type, v.attrs) for n, v in fresh.nodes.items()}
+            assert set(g.edges) == set(fresh.edges)
+            for n in g.nodes:
+                assert sorted(g.neighbors(n)) == sorted(fresh.neighbors(n))
 
 
 class TestNeighborhood:
@@ -218,6 +306,24 @@ class TestInvalidation:
             anchor = rng.choice(sorted(props))
             expected = evidence_reachable(g, anchor)
             assert invalidate_downstream(g, anchor) == expected
+
+
+class TestConnected:
+    def test_component(self):
+        g = build_graph(*rows([("a", "x"), ("b", "y"), ("c", "z")],
+                              [("b", "a", "t")]))
+        assert connected(g, "a") == {"a", "b"}
+        assert connected(g, "c") == {"c"}
+        with pytest.raises(GraphError):
+            connected(g, "ghost")
+
+    def test_matches_trace_path_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 40))
+            src = sorted(g.nodes)[rng.randrange(g.node_count())]
+            assert connected(g, src) == {
+                n for n in g.nodes if trace_path(g, src, n) is not None}
 
 
 class TestTracePath:

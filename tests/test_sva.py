@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verikg.diagnostics import DiagCode, Diagnostics
+from verikg.engine.check import check
 from verikg.kg import SignalIndex
 from verikg.rtl.ast import DesignModel, Id
 from verikg.rtl.parser import parse_rtl
@@ -244,6 +246,47 @@ class TestBind:
         pf = parse_ok("// property: PROP-001\nassert property (full);")
         _bound, errs = bind(pf, fifo_model, fifo_index)
         assert errs.for_prop("PROP-001")
+
+
+# `a` is declared but never driven; `clk` is the clock, not data.
+UNDRIVEN = """module t(input clk, input d, output y);
+  reg a, b;
+  assign y = b;
+  always @(posedge clk) b <= d;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("expr, name", [
+    ("a == 1'd0", "a"),
+    ("clk == 1'd0", "clk"),
+    ("$rose(clk)", "clk"),
+])
+def test_property_reading_a_name_with_no_value_fails_to_bind(expr, name):
+    """Binding against the net's readable names: the property is a bind
+    error at its own line instead of reaching the engine, and a property
+    that reads a register, a data input and a wire still checks."""
+    from verikg.rtl.elaborate import elaborate
+
+    dm = parse_rtl(UNDRIVEN)
+    net = elaborate(dm, "t")
+    idx = SignalIndex(readable=net.readable)
+    for path, width in net.widths.items():
+        idx.add(path, width)
+    pf = parse_ok(CLOCKED
+                  + "// property: PROP-001\n"
+                  + "assert property (y == b || d);\n"
+                  + "// property: PROP-002\n"
+                  + f"assert property ({expr});\n")
+    bound, errs = bind(pf, dm, idx)
+    assert [b.prop_id for b in bound] == ["PROP-001"]
+    [item] = errs.items
+    assert (item.prop_id, item.identifier, item.line, item.kind) == \
+        ("PROP-002", name, 5, S.BindErrorKind.UNREADABLE_SIGNAL)
+    assert item.candidates == ["no value each cycle: the clock or an undriven net"]
+    assert "at line 5" in str(item)
+    result, _trace = check(net, bound[0])
+    assert result.status.value == "proven"
 
 
 class TestCompile:
