@@ -80,9 +80,7 @@ class Transcript:
                     for e in doc["entries"]])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        Path(path).write_bytes(self.render_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":

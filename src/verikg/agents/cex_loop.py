@@ -11,11 +11,12 @@ from verikg.agents.common import render_signal_table, requirement_text, send_ste
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.engine.check import CheckConfig, check
 from verikg.ir import types as T
-from verikg.kg import Graph, SignalIndex, build_signal_index
+from verikg.kg import Graph, SignalIndex
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
 from verikg.sva.bind import compile_properties
 from verikg.sva.emit import render_statement
+from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 from verikg.vcd import failure_window, parse_vcd
 
@@ -51,18 +52,19 @@ def _render_window(summary) -> str:
     return "\n".join(lines)
 
 
-def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
-                 rtl_source: str, backend: Backend,
+def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
+                 net: NetModel, rtl_source: str, backend: Backend,
                  pf: S.PropertyFile, records: list[T.PropertyRecord],
                  artifacts: dict[str, bytes], cfg: CheckConfig,
-                 dm, pre_cycles: int = 3, cex_id_start: int = 1) -> CexLoopReport:
+                 dm, pre_cycles: int = 3, cex_id_start: int = 1,
+                 memo: StatementMemo | None = None) -> CexLoopReport:
     """Process every failing result in prop_id order.
 
     RTL bugs are documented and the property left failing; property-side
     causes are patched and re-checked in isolation before reintegration.
+    `idx` is the run's signal index, `memo` its statement memo.
     """
     report = CexLoopReport()
-    idx = build_signal_index(kg, net.readable)
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)
     next_cex = cex_id_start
@@ -137,7 +139,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
                 requirement=req_text, signal_table=signal_table,
                 prior_code=render_statement(decl), diagnostics=window_text))
             ok, candidate = _isolated_recheck(str(patch.payload), pid, decl,
-                                              pf, dm, idx, net, cfg)
+                                              pf, dm, idx, net, cfg, memo)
             note = T.AttemptNote(
                 loop_kind=T.LoopKind.CEX,
                 attempt_no=attempt_no,
@@ -166,9 +168,9 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, net: NetModel,
 
 def _isolated_recheck(patch_text: str, pid: str, decl: S.PropertyDecl,
                       pf: S.PropertyFile, dm, idx: SignalIndex,
-                      net: NetModel, cfg: CheckConfig):
+                      net: NetModel, cfg: CheckConfig, memo: StatementMemo | None):
     """Parse, bind, and engine-check the patched property alone."""
-    block, _diags = parse_properties_with_recovery(patch_text)
+    block, _diags = parse_properties_with_recovery(patch_text, memo=memo)
     candidate = next((p for p in block.properties if p.body is not None), None)
     if candidate is None:
         return False, None
@@ -176,7 +178,7 @@ def _isolated_recheck(patch_text: str, pid: str, decl: S.PropertyDecl,
         S.PropertyFile(macros=list(pf.macros),
                        properties=[S.PropertyDecl(pid, candidate.kind, candidate.body,
                                                   decl.line, candidate.raw_source)],
-                       default_clock=pf.default_clock), dm, idx)
+                       default_clock=pf.default_clock), dm, idx, memo)
     if c.diags.has_errors() or c.errors or not c.bound:
         return False, None
     bp = c.bound[0]

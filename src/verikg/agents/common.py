@@ -9,6 +9,7 @@ from verikg.agents.backend import Backend, ProtocolError
 from verikg.agents.envelope import AgentResponse, PromptEnvelope
 from verikg.kg import ContextBundle, Graph, SignalIndex
 from verikg.sva import ast as S
+from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 
 
@@ -70,8 +71,8 @@ class ParsedBlock:
     parse_errors: int
 
 
-def parse_property_block(text: str) -> ParsedBlock:
+def parse_property_block(text: str, memo: StatementMemo | None = None) -> ParsedBlock:
     """Parse an agent-produced block of property statements (no file
     header); broken statements are kept with their raw source."""
-    pf, diags = parse_properties_with_recovery(text)
+    pf, diags = parse_properties_with_recovery(text, memo=memo)
     return ParsedBlock(pf.properties, len(diags.errors))

@@ -14,14 +14,15 @@ from verikg.ir import types as T
 from verikg.kg import (
     Graph,
     RetrievalBounds,
+    SignalIndex,
     TaskKind,
-    build_signal_index,
     connected,
     neighborhood,
 )
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
+from verikg.sva.memo import StatementMemo
 
 _CLASS_RE = re.compile(r"classification:\s*(defensive|gap)")
 _BLOCKED_RE = re.compile(r"blocked_by:\s*(\S+)")
@@ -137,16 +138,17 @@ def already_targeted(kg: Graph, stmt_id: str) -> bool:
     return False
 
 
-def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
-                      backend: Backend, rulebook: str = "",
+def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, idx: SignalIndex,
+                      dm: DesignModel, backend: Backend, rulebook: str = "",
                       bounds: RetrievalBounds | None = None,
-                      id_start: int = 1) -> CoverageLoopResult:
+                      id_start: int = 1,
+                      memo: StatementMemo | None = None) -> CoverageLoopResult:
     """Walk the prioritized gaps; defensive verdicts reclassify dead code
     and emit nothing, gap verdicts get targeted cover directives (and any
     assertions the improver adds). New properties still flow through the
-    syntax loop and engine downstream."""
+    syntax loop and engine downstream. `idx` is the run's signal index,
+    `memo` its statement memo."""
     result = CoverageLoopResult()
-    idx = build_signal_index(kg)
     signal_table = render_signal_table(idx)
     classifications = dict(cov.dead_code)
     next_id = id_start
@@ -193,7 +195,7 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, dm: DesignModel,
             signal_table=signal_table, rulebook=rulebook,
             prior_code=f"// unreachable statement {sid}\n"
                        f"// enabling condition: {guard_text}"))
-        block = parse_property_block(str(block_resp.payload))
+        block = parse_property_block(str(block_resp.payload), memo)
         for decl in block.decls:
             if decl.body is None and not decl.raw_source.strip():
                 continue

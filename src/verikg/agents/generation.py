@@ -20,6 +20,7 @@ from verikg.kg import Graph, RetrievalBounds, SignalIndex, TaskKind, neighborhoo
 from verikg.rtl.ast import DesignModel, Id
 from verikg.sva import ast as S
 from verikg.sva.emit import emit_properties, render_statement
+from verikg.sva.memo import StatementMemo
 
 MAX_REVIEW_ROUNDS = 3
 
@@ -40,11 +41,13 @@ _KIND_FROM_DECL = {"assertion": T.PropKind.ASSERTION,
 def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
                    rulebook: str, backend: Backend, idx: SignalIndex,
                    clock_name: str, bounds: RetrievalBounds | None = None,
-                   id_start: int = 1) -> GenerationResult:
+                   id_start: int = 1,
+                   memo: StatementMemo | None = None) -> GenerationResult:
     """Generate properties for every requirement (req_id order).
 
     Review rejections cycle through sva_patcher up to three rounds; a
     deadlock emits the last block with status=disabled and an attempt note.
+    Blocks are parsed through `memo`, the run's statement memo, if given.
     """
     pf = S.PropertyFile(default_clock=S.ClockSpec("posedge", Id(clock_name)))
     out = GenerationResult(pf)
@@ -89,7 +92,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
                 diagnostics="; ".join(reject_reasons)))
             block_text = patched.payload
 
-        block = parse_property_block(block_text)
+        block = parse_property_block(block_text, memo)
         for decl in block.decls:
             prop_id = T.make_id("PROP", next_id)
             next_id += 1

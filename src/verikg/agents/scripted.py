@@ -15,9 +15,11 @@ fixer adds `disable iff (rst)`. Tests may prepend their own rules.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from verikg.agents.backend import ScriptedRule
 from verikg.agents.envelope import PromptEnvelope
+from verikg.rtl.ast import Id
 from verikg.sva import ast as S
 from verikg.sva.emit import render_statement
 from verikg.sva.parser import parse_properties_with_recovery
@@ -70,9 +72,7 @@ def _fix_cex(env: PromptEnvelope) -> str:
     if not any("rst" in path.split(".")[-1] for path in
                section(env, "signal_table").split()):
         return ""
-    from verikg.rtl.ast import Id
-
-    decl.body.disable = Id("rst")
+    decl.body = replace(decl.body, disable=Id("rst"))
     return render_statement(decl)
 
 

@@ -5,18 +5,19 @@ three attempts per property then disable."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from verikg.agents.backend import Backend
 from verikg.agents.common import render_signal_table, requirement_text, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
-from verikg.kg import Graph, SignalIndex, build_signal_index, resolve_signal
+from verikg.kg import Graph, SignalIndex, resolve_signal
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
 from verikg.sva.bind import Compiled, compile_properties
 from verikg.sva.emit import emit_properties, render_statement
+from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 
 MAX_ATTEMPTS = 3
@@ -59,6 +60,9 @@ def _failures(compiled: Compiled) -> dict[str, PropFailure]:
 
 
 def _rewrite_identifier(decl: S.PropertyDecl, old: str, new_expr) -> None:
+    """Give `decl` a new body with `old` read as `new_expr`; bodies are
+    shared (a run's memo hands one out for every parse of its text), so
+    the old body is left as it is."""
     def leaf(e):
         if isinstance(e, rtl.Id) and e.name == old:
             return new_expr
@@ -79,12 +83,13 @@ def _rewrite_identifier(decl: S.PropertyDecl, old: str, new_expr) -> None:
         return S.Sequence(tuple(S.SeqStep(s.delay_lo, s.delay_hi, rw(s.expr))
                                 for s in seq.steps))
 
-    body.antecedent = rw_seq(body.antecedent)
-    body.consequent = rw_seq(body.consequent)
-    if body.disable is not None:
-        body.disable = rw(body.disable)
-    if body.clock is not None:
-        body.clock = S.ClockSpec(body.clock.edge, rw(body.clock.signal))
+    decl.body = replace(
+        body,
+        antecedent=rw_seq(body.antecedent),
+        consequent=rw_seq(body.consequent),
+        disable=rw(body.disable) if body.disable is not None else None,
+        clock=(S.ClockSpec(body.clock.edge, rw(body.clock.signal))
+               if body.clock is not None else None))
 
 
 def _try_rules(pf: S.PropertyFile, decl: S.PropertyDecl,
@@ -134,24 +139,25 @@ def _try_rules(pf: S.PropertyFile, decl: S.PropertyDecl,
 
 
 def _isolated_ok(decl: S.PropertyDecl, pf: S.PropertyFile, dm: DesignModel,
-                 idx: SignalIndex) -> bool:
+                 idx: SignalIndex, memo: StatementMemo | None) -> bool:
     """syntax_validator role: the property compiles alone, with the file's
     macros and default clock."""
     c = compile_properties(S.PropertyFile(macros=list(pf.macros), properties=[decl],
-                                          default_clock=pf.default_clock), dm, idx)
+                                          default_clock=pf.default_clock),
+                           dm, idx, memo)
     return not c.diags.has_errors() and not c.errors and bool(c.bound)
 
 
 def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
-                    backend: Backend, records: list[T.PropertyRecord],
-                    rulebook: str = "", readable: frozenset[str] | None = None
-                    ) -> SyntaxLoopReport:
+                    idx: SignalIndex, backend: Backend,
+                    records: list[T.PropertyRecord], rulebook: str = "",
+                    memo: StatementMemo | None = None) -> SyntaxLoopReport:
     """Repair until fixpoint. Deterministic rules R1-R3 never call the
     backend; each repair try counts as one attempt; a property exceeding
-    three attempts is disabled with a logged note. `readable` is the
-    design's `NetModel.readable`: a property that reads another name fails
-    to bind."""
-    idx = build_signal_index(kg, readable)
+    three attempts is disabled with a logged note. `idx` is the run's
+    signal index; when built with the design's `NetModel.readable`, a
+    property that reads another name fails to bind. Every compile goes
+    through `memo`, the run's statement memo, when one is given."""
     report = SyntaxLoopReport()
     records_by_id = {r.prop_id: r for r in records}
     signal_table = render_signal_table(idx)
@@ -162,7 +168,7 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
             report.attempts[r.prop_id] = used
 
     while True:
-        compiled = compile_properties(pf, dm, idx)
+        compiled = compile_properties(pf, dm, idx, memo)
         pf.properties = compiled.parsed.properties
         pf.line_map = compiled.parsed.line_map
         active_failures = {pid: f for pid, f in _failures(compiled).items()
@@ -189,7 +195,7 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
 
             summary = _try_rules(pf, decl, failure, idx)
             if summary is not None:
-                ok = _isolated_ok(decl, pf, dm, idx)
+                ok = _isolated_ok(decl, pf, dm, idx, memo)
                 report.rule_fixes += 1
                 outcome = T.AttemptOutcome.FIXED if ok else T.AttemptOutcome.RETRY
                 _note(record, attempt_no, failure, summary, outcome)
@@ -216,13 +222,15 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
                     _disable(pf, pid, record, failure, report)
                 continue
             report.backend_fixes += 1
-            patched_block, _pd = parse_properties_with_recovery(fix.payload)
+            patched_block, _pd = parse_properties_with_recovery(fix.payload,
+                                                                memo=memo)
             candidate = next((p for p in patched_block.properties), None)
             ok = False
             if candidate is not None and candidate.body is not None:
                 trial = S.PropertyDecl(pid, candidate.kind, candidate.body,
                                        decl.line, candidate.raw_source)
-                if _isolated_ok(trial, patched_with_macros(pf, patched_block), dm, idx):
+                if _isolated_ok(trial, patched_with_macros(pf, patched_block),
+                                dm, idx, memo):
                     decl.body = candidate.body
                     decl.kind = candidate.kind
                     decl.raw_source = candidate.raw_source

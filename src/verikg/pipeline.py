@@ -56,6 +56,7 @@ from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
 from verikg.sva.bind import compile_properties
+from verikg.sva.memo import StatementMemo
 from verikg.vcd import write_vcd
 
 
@@ -476,15 +477,17 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
     rtl_source = "\n".join(Path(p).read_text(encoding="utf-8")
                            for p in cfg.rtl_paths)
 
-    # 3. the run's graph + signal index + testplan
+    # 3. the run's graph, signal index and statement memo, plus the testplan;
+    # every property parse and compile of the run goes through the memo
     kg = rebuild_graph(bundle)
     idx = build_signal_index(kg, net.readable)
+    memo = StatementMemo()
     bundle.testplan = make_testplan(reqs, idx)
     clock_leaf = (net.clock or f"{top}.clk").split(".")[-1]
 
     # 4. property generation
     gen = run_generation(reqs, kg, dm, rulebook, backend, idx, clock_leaf,
-                         cfg.bounds())
+                         cfg.bounds(), memo=memo)
     pf = gen.property_file
     bundle.properties = gen.records
     bundle.tracelinks.extend(gen.links)
@@ -493,8 +496,8 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
     # and the file is compiled again only after it changes
     sync_graph(kg, bundle)
     bound = active_bound(
-        run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook,
-                        net.readable).bound,
+        run_syntax_loop(pf, dm, kg, idx, backend, bundle.properties, rulebook,
+                        memo).bound,
         bundle)
     iteration_counts["syntax"] += 1
 
@@ -513,15 +516,16 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
             break
         iteration_counts["cex"] += 1
         sync_graph(kg, bundle)
-        loop = run_cex_loop(failing, kg, net, rtl_source, backend, pf,
+        loop = run_cex_loop(failing, kg, idx, net, rtl_source, backend, pf,
                             bundle.properties, artifacts,
                             cfg.check_config(_assumptions(bound)), dm,
                             cex_id_start=_next_id(
-                                (c.cex_id for c in bundle.cex_cases), "CEX"))
+                                (c.cex_id for c in bundle.cex_cases), "CEX"),
+                            memo=memo)
         bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
         if not loop.patched:
             break
-        bound = active_bound(compile_properties(pf, dm, idx).bound, bundle)
+        bound = active_bound(compile_properties(pf, dm, idx, memo).bound, bundle)
         recheck_properties(_invalidate(kg, loop.patched), net, bound, bundle,
                            cfg, artifacts)
 
@@ -533,9 +537,10 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
             break
         iteration_counts["coverage"] += 1
         sync_graph(kg, bundle)
-        loop = run_coverage_loop(cov, kg, dm, backend, rulebook, cfg.bounds(),
+        loop = run_coverage_loop(cov, kg, idx, dm, backend, rulebook, cfg.bounds(),
                                  id_start=_next_id(
-                                     (p.prop_id for p in bundle.properties), "PROP"))
+                                     (p.prop_id for p in bundle.properties), "PROP"),
+                                 memo=memo)
         cov.dead_code = loop.dead_code
         if not loop.new_decls:
             break
@@ -544,8 +549,8 @@ def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
         bundle.tracelinks.extend(loop.new_links)
         sync_graph(kg, bundle)
         bound = active_bound(
-            run_syntax_loop(pf, dm, kg, backend, bundle.properties, rulebook,
-                            net.readable).bound,
+            run_syntax_loop(pf, dm, kg, idx, backend, bundle.properties, rulebook,
+                            memo).bound,
             bundle)
         iteration_counts["syntax"] += 1
         recheck_properties([r.prop_id for r in loop.new_records], net, bound,

@@ -40,8 +40,11 @@ _BASES = {"b": 2, "d": 10, "h": 16}
 _SHOWN_DIGITS = 32  # a "bad digits" message quotes at most this many
 
 
+# Whitespace and comments; `STATEMENT_RE` uses it too.
+_SKIP = r"(?:[ \t\r\n]|//[^\n]*|/\*(?s:.*?)\*/)+"
+
 _TOKEN_RE = re.compile("|".join([
-    r"(?P<SKIP>(?:[ \t\r\n]|//[^\n]*|/\*(?s:.*?)\*/)+)",
+    rf"(?P<SKIP>{_SKIP})",
     r"(?P<ID>[A-Za-z_][A-Za-z0-9_$]*)",
     # A '/' that opens a block comment is never an operator: an unterminated
     # `/*` falls through to ERR and is reported as such.
@@ -54,6 +57,19 @@ _TOKEN_RE = re.compile("|".join([
     r"(?P<ERR>(?s:.))",
 ]))
 
+# One statement, for callers that look statements up without tokenizing
+# them: whitespace and comments, then the text through the next `;`,
+# provided that nothing in that text can make a token hold the `;` or
+# start a comment (a based literal takes the character after its `'`).
+# Then `tokenize` from the same start ends its first `;` token at the end
+# of the match, unless it fails before it. The leading comments are one
+# `SKIP` match, taken whole (a lookahead, then a backreference), so
+# backtracking cannot end the statement at a `;` inside a comment. Where
+# the pattern does not match, the caller must tokenize.
+STATEMENT_RE = re.compile(
+    f"(?:(?=(?P<lead>{_SKIP}))(?P=lead))?"
+    r"(?P<stmt>[^;/']*(?:(?:'(?!;)|/(?![/*]))[^;/']*)*;)")
+
 
 class LexError(Exception):
     def __init__(self, line: int, col: int, message: str):
@@ -63,14 +79,20 @@ class LexError(Exception):
         self.message = message
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, start: int = 0, end: int | None = None,
+             line: int = 1) -> list[Token]:
     """Tokenize; lexical problems are raised as LexError (callers convert
-    them to diagnostics so parsing never crashes on malformed input)."""
+    them to diagnostics so parsing never crashes on malformed input).
+
+    `source[start:end]` alone is tokenized, with `line` the line number at
+    `start`; line and column stay those of the whole source. The slice must
+    start where a token of the whole source could start."""
+    if end is None:
+        end = len(source)
     tokens: list[Token] = []
     append = tokens.append
-    line = 1
-    line_start = 0  # offset of the first character of `line`
-    for m in _TOKEN_RE.finditer(source):
+    line_start = source.rfind("\n", 0, start) + 1  # offset of the first character of `line`
+    for m in _TOKEN_RE.finditer(source, start, end):
         kind = m.lastgroup
         if kind == "SKIP":
             text = m.group()
@@ -90,18 +112,18 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "MACRO":
             append(Token("MACRO", m.group()[1:], line, col))
         else:
-            raise LexError(line, col, _error_message(source, start))
-    append(Token("EOF", "", line, len(source) - line_start + 1))
+            raise LexError(line, col, _error_message(source, start, end))
+    append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
-def _error_message(source: str, pos: int) -> str:
+def _error_message(source: str, pos: int, end: int) -> str:
     c = source[pos]
     if c == "`":
         return "expected macro name after '`'"
     if c == "$":
         return "expected name after '$'"
-    if source.startswith("/*", pos):
+    if source.startswith("/*", pos, end):
         return "unterminated block comment"
     return f"unexpected character {c!r}"
 

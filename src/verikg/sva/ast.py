@@ -72,7 +72,7 @@ class ClockSpec:
     signal: SvaExpr
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropBody:
     impl: ImplKind
     antecedent: Sequence | None  # None unless impl is set

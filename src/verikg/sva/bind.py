@@ -19,6 +19,7 @@ from verikg.rtl.lexer import LexError, tokenize
 from verikg.rtl.parser import Cursor, ParseError
 from verikg.sva import ast as S
 from verikg.sva.emit import emit_properties
+from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import SvaExprParser, parse_properties_with_recovery
 
 
@@ -51,9 +52,9 @@ def _parse_macro_expansion(name: str, text: str, prop_id: str, line: int):
 
 
 class _Binder:
-    def __init__(self, pf: S.PropertyFile, idx: SignalIndex,
+    def __init__(self, macros: dict[str, str], idx: SignalIndex,
                  prop_id: str, line: int):
-        self.macros = pf.macro_map()
+        self.macros = macros
         self.idx = idx
         self.prop_id = prop_id
         self.line = line
@@ -124,58 +125,94 @@ class _Binder:
             for s in seq.steps))
 
 
-def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
+def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex,
+         memo: StatementMemo | None = None
          ) -> tuple[list[S.BoundProperty], S.BindErrors]:
     """Resolve every parseable property; returns the bound list alongside
-    per-property errors (a property appears in exactly one of the two)."""
+    per-property errors (a property appears in exactly one of the two).
+
+    With a `memo`, a body that came from it is bound once per macro table
+    and default clock; later binds copy that outcome under their own
+    property id and line."""
     bound: list[S.BoundProperty] = []
     errors = S.BindErrors()
+    macros = pf.macro_map()
+    context = memo.context(pf, idx) if memo is not None else None
     for decl in pf.properties:
         if decl.body is None:
             continue
         line = pf.line_map.get(decl.prop_id, (decl.line, decl.line))[0]
-        binder = _Binder(pf, idx, decl.prop_id, decl.line)
-        try:
-            clock_spec = decl.body.clock or pf.default_clock
-            if clock_spec is None:
-                raise _BindFail(S.BindErrorItem(
-                    decl.prop_id, "(missing clock)", decl.line,
-                    S.BindErrorKind.UNDECLARED_IDENTIFIER,
-                    ["property has no clock and the file sets no default"]))
-            if not isinstance(clock_spec.signal, rtl.Id):
-                raise _BindFail(S.BindErrorItem(
-                    decl.prop_id, S.render_sva_expr(clock_spec.signal), decl.line,
-                    S.BindErrorKind.UNDECLARED_IDENTIFIER,
-                    ["clock must be a plain signal"]))
-            clock_expr = rtl.Id(binder.resolve_clock_name(clock_spec.signal.name))
-            ante = (binder.resolve_sequence(decl.body.antecedent)
-                    if decl.body.antecedent is not None else None)
-            cons = binder.resolve_sequence(decl.body.consequent)
-            disable = (binder.resolve_expr(decl.body.disable)
-                       if decl.body.disable is not None else None)
-            widths = idx.path_widths
-            try:
-                for seq in filter(None, (ante, cons)):
-                    for step in seq.steps:
-                        width_of(step.expr, widths)
-                if disable is not None:
-                    width_of(disable, widths)
-            except WidthError as we:
-                raise _BindFail(S.BindErrorItem(decl.prop_id, we.message, decl.line,
-                                                S.BindErrorKind.WIDTH_MISMATCH))
-            bound.append(S.BoundProperty(
-                prop_id=decl.prop_id,
-                kind=decl.kind,
-                impl=decl.body.impl,
-                antecedent=ante,
-                consequent=cons,
-                clock_net=clock_expr.name,
-                disable_net=disable,
-                line=line,
-            ))
-        except _BindFail as bf:
-            errors.items.append(bf.item)
+        stmt = memo.statement_of(decl.body) if memo is not None else None
+        if stmt is None:
+            outcome = _bind_one(decl, line, pf.default_clock, macros, idx)
+        else:
+            outcome = stmt.binds.get(context)
+            if outcome is None:
+                outcome = stmt.binds[context] = _bind_one(
+                    decl, line, pf.default_clock, macros, idx)
+            outcome = _as(outcome, decl, line)
+        if isinstance(outcome, S.BoundProperty):
+            bound.append(outcome)
+        else:
+            errors.items.append(outcome)
     return bound, errors
+
+
+def _as(outcome: S.BoundProperty | S.BindErrorItem, decl: S.PropertyDecl,
+        line: int) -> S.BoundProperty | S.BindErrorItem:
+    """A memoised bind outcome, made for `decl` (bound at `line`)."""
+    if isinstance(outcome, S.BoundProperty):
+        return S.BoundProperty(decl.prop_id, decl.kind, outcome.impl,
+                               outcome.antecedent, outcome.consequent,
+                               outcome.clock_net, outcome.disable_net, line)
+    return S.BindErrorItem(decl.prop_id, outcome.identifier, decl.line,
+                           outcome.kind, list(outcome.candidates))
+
+
+def _bind_one(decl: S.PropertyDecl, line: int, default_clock: S.ClockSpec | None,
+              macros: dict[str, str], idx: SignalIndex
+              ) -> S.BoundProperty | S.BindErrorItem:
+    binder = _Binder(macros, idx, decl.prop_id, decl.line)
+    try:
+        clock_spec = decl.body.clock or default_clock
+        if clock_spec is None:
+            raise _BindFail(S.BindErrorItem(
+                decl.prop_id, "(missing clock)", decl.line,
+                S.BindErrorKind.UNDECLARED_IDENTIFIER,
+                ["property has no clock and the file sets no default"]))
+        if not isinstance(clock_spec.signal, rtl.Id):
+            raise _BindFail(S.BindErrorItem(
+                decl.prop_id, S.render_sva_expr(clock_spec.signal), decl.line,
+                S.BindErrorKind.UNDECLARED_IDENTIFIER,
+                ["clock must be a plain signal"]))
+        clock_expr = rtl.Id(binder.resolve_clock_name(clock_spec.signal.name))
+        ante = (binder.resolve_sequence(decl.body.antecedent)
+                if decl.body.antecedent is not None else None)
+        cons = binder.resolve_sequence(decl.body.consequent)
+        disable = (binder.resolve_expr(decl.body.disable)
+                   if decl.body.disable is not None else None)
+        widths = idx.path_widths
+        try:
+            for seq in filter(None, (ante, cons)):
+                for step in seq.steps:
+                    width_of(step.expr, widths)
+            if disable is not None:
+                width_of(disable, widths)
+        except WidthError as we:
+            raise _BindFail(S.BindErrorItem(decl.prop_id, we.message, decl.line,
+                                            S.BindErrorKind.WIDTH_MISMATCH))
+    except _BindFail as bf:
+        return bf.item
+    return S.BoundProperty(
+        prop_id=decl.prop_id,
+        kind=decl.kind,
+        impl=decl.body.impl,
+        antecedent=ante,
+        consequent=cons,
+        clock_net=clock_expr.name,
+        disable_net=disable,
+        line=line,
+    )
 
 
 @dataclass
@@ -186,16 +223,18 @@ class Compiled:
     errors: S.BindErrors
 
 
-def compile_properties(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex
-                       ) -> Compiled:
+def compile_properties(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex,
+                       memo: StatementMemo | None = None) -> Compiled:
     """Compile a property file as a tool sees it: emit the canonical text,
     parse it back, keep the file's default clock, and bind every property.
 
     Re-emitting first keeps line maps and diagnostics consistent with what
     a tool (or agent) reads. Emission also rewrites `pf.line_map`. To
-    compile one property in isolation, pass a file holding only it.
+    compile one property in isolation, pass a file holding only it. With
+    a `memo`, statements compiled before in the run are not lexed, parsed
+    or bound again; the result is the same.
     """
-    parsed, diags = parse_properties_with_recovery(emit_properties(pf))
+    parsed, diags = parse_properties_with_recovery(emit_properties(pf), memo=memo)
     parsed.default_clock = parsed.default_clock or pf.default_clock
-    bound, errors = bind(parsed, dm, idx)
+    bound, errors = bind(parsed, dm, idx, memo)
     return Compiled(parsed, diags, bound, errors)

@@ -12,12 +12,16 @@ import re
 
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast as rtl
-from verikg.rtl.lexer import LexError, tokenize
+from verikg.rtl.lexer import STATEMENT_RE, LexError, Token, tokenize
 from verikg.rtl.parser import Cursor, ExprParser, ParseError
 from verikg.sva import ast as S
+from verikg.sva.memo import StatementMemo
 
 _DEFINE_RE = re.compile(r"^\s*`define\s+([A-Za-z_][A-Za-z0-9_$]*)\s+(.*?)\s*$")
 _MARKER_RE = re.compile(r"^\s*//\s*property:\s*(\S+)\s*$")
+
+# `endclocking` as the next token, after whitespace only
+_ENDCLOCKING_RE = re.compile(r"[ \t\r\n]*endclocking(?![A-Za-z0-9_$])")
 
 _KIND_BY_KEYWORD = {"assert": "assertion", "assume": "assumption", "cover": "cover"}
 
@@ -150,89 +154,180 @@ def _statement_source(source_lines: list[str], start_line: int, end_line: int) -
     return "\n".join(source_lines[start_line - 1:end_line]).strip()
 
 
-def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOUND
+def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOUND,
+                                   memo: StatementMemo | None = None
                                    ) -> tuple[S.PropertyFile, Diagnostics]:
     """Parse with per-statement error recovery.
 
     Properties whose statement failed to parse are kept with body=None and
     their raw source retained so repair agents can see it. Diagnostics carry
     the enclosing property id when determinable.
+
+    With a `memo`, a statement found in it is neither lexed nor parsed, and
+    a statement that parses cleanly on its own is added to it. The result is
+    the same as without one.
     """
-    diags = Diagnostics()
-    pf = S.PropertyFile()
-    source_lines = source.split("\n")
-
-    markers: dict[int, str] = {}
-    macro_def_lines: dict[str, int] = {}
-    stripped_lines: list[str] = []
-    for i, line in enumerate(source_lines, start=1):
-        dm = _DEFINE_RE.match(line)
-        if dm:
-            name, replacement = dm.group(1), dm.group(2)
-            if name in dict(pf.macros):
-                diags.error(i, 1, f"duplicate macro {name!r}", DiagCode.DUPLICATE)
-            else:
-                pf.macros.append((name, replacement))
-                macro_def_lines[name] = i
-            stripped_lines.append("")
-            continue
-        mm = _MARKER_RE.match(line)
-        if mm:
-            markers[i] = mm.group(1)
-        stripped_lines.append(line)
-    stripped = "\n".join(stripped_lines)
-
+    fp = _FileParse(source, max_delay)
     try:
-        tokens = tokenize(stripped)
+        if memo is None:
+            fp.parse_region(tokenize(fp.stripped))
+        else:
+            fp.parse_with_memo(memo)
     except LexError as le:
+        # the whole file fails: only the line pre-pass stands
+        diags = Diagnostics(fp.diags.items[:fp.prepass_errors])
         diags.error(le.line, le.col, le.message, DiagCode.SYNTAX)
-        return pf, diags
-    cur = Cursor(tokens)
-    pp = _PropParser(cur, max_delay)
-    serial = 0
-    # A marker attributes the next property statement after it; when several
-    # markers precede one statement, the nearest wins.
-    marker_list = sorted(markers.items())
-    marker_pos = 0
+        return S.PropertyFile(macros=fp.pf.macros), diags
+    fp.check_whole_file()
+    return fp.pf, fp.diags
 
-    def take_marker(line: int) -> tuple[str | None, int | None]:
-        nonlocal marker_pos
+
+class _FileParse:
+    """The parse of one file. The line pre-pass takes out macro definitions
+    and finds `// property:` markers; then statements are taken in order,
+    from tokens or from a memo, and share the file-wide state: property ids
+    (markers, labels, serial numbers) and the default clock."""
+
+    def __init__(self, source: str, max_delay: int):
+        self.max_delay = max_delay
+        self.pf = S.PropertyFile()
+        self.diags = Diagnostics()
+        self.source_lines = source.split("\n")
+        self.macro_def_lines: dict[str, int] = {}
+        # A marker attributes the next property statement after it; when
+        # several markers precede one statement, the nearest wins.
+        self.markers: list[tuple[int, str]] = []
+        self.marker_pos = 0
+        self.serial = 0
+        stripped_lines: list[str] = []
+        for i, line in enumerate(self.source_lines, start=1):
+            dm = _DEFINE_RE.match(line)
+            if dm:
+                name, replacement = dm.group(1), dm.group(2)
+                if name in self.macro_def_lines:
+                    self.diags.error(i, 1, f"duplicate macro {name!r}", DiagCode.DUPLICATE)
+                else:
+                    self.pf.macros.append((name, replacement))
+                    self.macro_def_lines[name] = i
+                stripped_lines.append("")
+                continue
+            mm = _MARKER_RE.match(line)
+            if mm:
+                self.markers.append((i, mm.group(1)))
+            stripped_lines.append(line)
+        self.stripped = "\n".join(stripped_lines)
+        self.prepass_errors = len(self.diags.items)
+        # where the statements not yet taken start (memo path only)
+        self.pos = 0
+        self.line = 1
+
+    def pending_id(self, line: int, label: str | None) -> tuple[str, int]:
+        """The id of the property statement starting at `line`, and the
+        line its span starts at (its marker's, when it has one)."""
         chosen: tuple[int, str] | None = None
-        while marker_pos < len(marker_list) and marker_list[marker_pos][0] <= line:
-            chosen = marker_list[marker_pos]
-            marker_pos += 1
-        if chosen is None:
-            return None, None
-        return chosen[1], chosen[0]
-
-    def pending_id(line: int, label: str | None) -> tuple[str, int]:
-        nonlocal serial
-        marked, marker_line = take_marker(line)
-        if marked is not None:
-            return marked, marker_line
+        while self.marker_pos < len(self.markers) \
+                and self.markers[self.marker_pos][0] <= line:
+            chosen = self.markers[self.marker_pos]
+            self.marker_pos += 1
+        if chosen is not None:
+            return chosen[1], chosen[0]
         if label:
             return label, line
-        serial += 1
-        return f"P{serial:03d}", line
+        self.serial += 1
+        return f"P{self.serial:03d}", line
 
-    while cur.peek().kind != "EOF":
+    def add(self, prop_id: str, span_start: int, kind: str, body: S.PropBody | None,
+            start_line: int, end_line: int) -> None:
+        self.pf.properties.append(S.PropertyDecl(
+            prop_id, kind, body, start_line,
+            _statement_source(self.source_lines, start_line, end_line)))
+        self.pf.line_map[prop_id] = (min(span_start, start_line), end_line)
+
+    def parse_with_memo(self, memo: StatementMemo) -> None:
+        text = self.stripped
+        while self.pos < len(text):
+            m = STATEMENT_RE.match(text, self.pos)
+            if m is None:  # the rest is lexed and parsed as one region
+                self.parse_region(self.next_region(None))
+                break
+            known = memo.statements.get((m["stmt"], self.max_delay))
+            if known is not None:
+                self.line += text.count("\n", self.pos, m.start("stmt"))
+                self.add(*self.pending_id(self.line, known.label), known.kind,
+                         known.body, self.line, self.line + known.newlines)
+                self.line += known.newlines
+                self.pos = m.end()
+                continue
+            tokens = self.next_region(m)
+            if tokens[0].text == "default":
+                self.parse_region(tokens, self.extend)
+                continue
+            # one property statement, ending at the region's end
+            cur = Cursor(tokens)
+            clean = self.property_statement(cur, _PropParser(cur, self.max_delay))
+            if clean is not None:
+                memo.remember(m["stmt"], self.max_delay, *clean)
+
+    def next_region(self, m: re.Match | None) -> list[Token]:
+        """The tokens from `pos` through the end of `m`, or of the file."""
+        end = m.end() if m is not None else len(self.stripped)
+        tokens = tokenize(self.stripped, self.pos, end, self.line)
+        self.line += self.stripped.count("\n", self.pos, end)
+        self.pos = end
+        return tokens
+
+    def extend(self, tokens: list[Token], first: Token) -> None:
+        """Put in place of the EOF token what the statement starting with
+        `first` may read beyond the tokens, which end at a `;` or at an
+        `endclocking`: a property statement reads through a `;`, and a
+        default clocking statement reads the token after its `;`, which
+        should be `endclocking`."""
+        text = self.stripped
+        if self.pos == len(text):
+            return
+        if first.text == "default":
+            m = _ENDCLOCKING_RE.match(text, self.pos) or STATEMENT_RE.match(text, self.pos)
+        elif tokens[-2].text != ";":
+            m = STATEMENT_RE.match(text, self.pos)
+        else:
+            return
+        tokens[-1:] = self.next_region(m)
+
+    def parse_region(self, tokens: list[Token], extend=None) -> None:
+        """Parse statements up to the EOF token. When the tokens are not the
+        rest of the file, `extend(tokens, first)` adds what the statement
+        starting with token `first` needs."""
+        cur = Cursor(tokens)
+        pp = _PropParser(cur, self.max_delay)
+        while cur.peek().kind != "EOF":
+            first = cur.peek()
+            if extend is not None:
+                extend(tokens, first)
+            if first.text == "default":
+                self.default_clocking(cur, pp)
+            else:
+                self.property_statement(cur, pp)
+
+    def default_clocking(self, cur: Cursor, pp: _PropParser) -> None:
+        t = cur.next()
+        try:
+            cur.expect("clocking")
+            clock = pp.parse_clock()
+            cur.expect(";")
+            cur.expect("endclocking")
+            if self.pf.default_clock is not None:
+                self.diags.error(t.line, t.col, "duplicate default clocking",
+                                 DiagCode.DUPLICATE)
+            self.pf.default_clock = clock
+        except ParseError as pe:
+            self.diags.error(pe.line, pe.col, pe.message, pe.code)
+            _resync(cur)
+
+    def property_statement(self, cur: Cursor, pp: _PropParser
+                           ) -> tuple[str | None, str, S.PropBody] | None:
+        """Parse one property statement; returns its label, kind and body
+        when it parsed cleanly."""
         t = cur.peek()
-        if t.text == "default":
-            try:
-                cur.next()
-                cur.expect("clocking")
-                clock = pp.parse_clock()
-                cur.expect(";")
-                cur.expect("endclocking")
-                if pf.default_clock is not None:
-                    diags.error(t.line, t.col, "duplicate default clocking",
-                                DiagCode.DUPLICATE)
-                pf.default_clock = clock
-            except ParseError as pe:
-                diags.error(pe.line, pe.col, pe.message, pe.code)
-                _resync(cur)
-            continue
-
         label = None
         start_line = t.line
         prop_id = None
@@ -248,52 +343,47 @@ def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOU
                 raise ParseError(t.line, t.col,
                                  f"expected assert/assume/cover, found {t.text!r}")
             kind = _KIND_BY_KEYWORD[cur.next().text]
-            prop_id, span_start = pending_id(start_line, label)
+            prop_id, span_start = self.pending_id(start_line, label)
             cur.expect("property")
             cur.expect("(")
             body = pp.parse_body(kind)
             cur.expect(")")
             end_tok = cur.expect(";")
-            decl = S.PropertyDecl(prop_id, kind, body, start_line,
-                                  _statement_source(source_lines, start_line,
-                                                    end_tok.line))
-            pf.properties.append(decl)
-            pf.line_map[prop_id] = (min(span_start, start_line), end_tok.line)
         except ParseError as pe:
             if prop_id is None:
-                prop_id, span_start = pending_id(start_line, label)
-            diags.error(pe.line, pe.col, pe.message, pe.code, prop_id=prop_id)
+                prop_id, span_start = self.pending_id(start_line, label)
+            self.diags.error(pe.line, pe.col, pe.message, pe.code, prop_id=prop_id)
             end_line = _resync(cur)
-            pf.properties.append(S.PropertyDecl(
-                prop_id, kind, None, start_line,
-                _statement_source(source_lines, start_line, max(end_line, start_line))))
-            pf.line_map[prop_id] = (min(span_start, start_line),
-                                    max(end_line, start_line))
+            self.add(prop_id, span_start, kind, None, start_line,
+                     max(end_line, start_line))
+            return None
+        self.add(prop_id, span_start, kind, body, start_line, end_tok.line)
+        return label, kind, body
 
-    seen: set[str] = set()
-    for p in pf.properties:
-        if p.prop_id in seen:
-            diags.error(p.line, 1, f"duplicate property id {p.prop_id!r}",
-                        DiagCode.DUPLICATE, prop_id=p.prop_id)
-        seen.add(p.prop_id)
-        # backtick defines are sequential: a use before the definition line
-        # is an error, attributed to the enclosing property
-        if p.body is not None and macro_def_lines:
-            body = p.body
-            exprs = [st.expr for seq in (body.antecedent, body.consequent)
-                     if seq is not None for st in seq.steps]
-            if body.disable is not None:
-                exprs.append(body.disable)
-            used = {n.name for e in exprs for n in rtl.walk(e)
-                    if isinstance(n, S.MacroRef)}
-            for name in sorted(used):
-                def_line = macro_def_lines.get(name)
-                if def_line is not None and def_line > p.line:
-                    diags.error(p.line, 1,
-                                f"macro {name!r} used before its definition "
-                                f"(line {def_line})",
-                                DiagCode.UNDEFINED_MACRO, prop_id=p.prop_id)
-    return pf, diags
+    def check_whole_file(self) -> None:
+        seen: set[str] = set()
+        for p in self.pf.properties:
+            if p.prop_id in seen:
+                self.diags.error(p.line, 1, f"duplicate property id {p.prop_id!r}",
+                                 DiagCode.DUPLICATE, prop_id=p.prop_id)
+            seen.add(p.prop_id)
+            # backtick defines are sequential: a use before the definition line
+            # is an error, attributed to the enclosing property
+            if p.body is not None and self.macro_def_lines:
+                body = p.body
+                exprs = [st.expr for seq in (body.antecedent, body.consequent)
+                         if seq is not None for st in seq.steps]
+                if body.disable is not None:
+                    exprs.append(body.disable)
+                used = {n.name for e in exprs for n in rtl.walk(e)
+                        if isinstance(n, S.MacroRef)}
+                for name in sorted(used):
+                    def_line = self.macro_def_lines.get(name)
+                    if def_line is not None and def_line > p.line:
+                        self.diags.error(p.line, 1,
+                                         f"macro {name!r} used before its definition "
+                                         f"(line {def_line})",
+                                         DiagCode.UNDEFINED_MACRO, prop_id=p.prop_id)
 
 
 def _resync(cur: Cursor) -> int:

@@ -4,6 +4,7 @@ from verikg.agents.cex_loop import run_cex_loop
 from verikg.agents.scripted import default_rules
 from verikg.engine import CheckConfig, check
 from verikg.ir import types as T
+from verikg.kg import build_signal_index
 from verikg.pipeline import rebuild_graph
 from verikg.rtl.elaborate import elaborate
 from verikg.rtl.parser import parse_rtl
@@ -46,8 +47,9 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (count <= 2'd2);")
         assert results[0].status is T.ResultStatus.PROVEN
         backend = ScriptedBackend([])
-        report = run_cex_loop(results, kg, fifo_net, "", backend, pf, records,
-                              artifacts, CheckConfig(), fifo_model)
+        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
+                              fifo_net, "", backend, pf, records, artifacts,
+                              CheckConfig(), fifo_model)
         assert backend.calls == 0
         assert not report.cases and not report.corrected
 
@@ -56,8 +58,9 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (full |-> ##1 !empty);")
         assert results[0].status is T.ResultStatus.CEX
         backend = ScriptedBackend(default_rules())
-        report = run_cex_loop(results, kg, fifo_net, "", backend, pf, records,
-                              artifacts, CheckConfig(), fifo_model)
+        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
+                              fifo_net, "", backend, pf, records, artifacts,
+                              CheckConfig(), fifo_model)
         assert report.corrected == ["PROP-001"]
         assert report.patched == ["PROP-001"]
         case = report.cases[0]
@@ -75,8 +78,9 @@ class TestCexLoop:
         assert results[0].status is T.ResultStatus.CEX
         backend = ScriptedBackend(default_rules())
         before = records[0].sva_text
-        report = run_cex_loop(results, kg, net, src, backend, pf, records,
-                              artifacts, CheckConfig(), dm)
+        report = run_cex_loop(results, kg, build_signal_index(kg, net.readable),
+                              net, src, backend, pf, records, artifacts,
+                              CheckConfig(), dm)
         case = report.cases[0]
         assert case.root_cause is T.RootCause.RTL_BUG
         assert case.note  # rtl_analyzer documentation retained
@@ -90,8 +94,9 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (full |-> ##1 !empty);")
         artifacts.clear()
         backend = ScriptedBackend([])
-        report = run_cex_loop(results, kg, fifo_net, "", backend, pf, records,
-                              artifacts, CheckConfig(), fifo_model)
+        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
+                              fifo_net, "", backend, pf, records, artifacts,
+                              CheckConfig(), fifo_model)
         assert backend.calls == 0
         case = report.cases[0]
         assert case.note == "missing_artifact"
@@ -108,8 +113,9 @@ class TestCexLoop:
                          lambda e: "assert property (full |-> ##1 !empty);"),
         ]
         backend = ScriptedBackend(rules)
-        report = run_cex_loop(results, kg, fifo_net, "", backend, pf, records,
-                              artifacts, CheckConfig(), fifo_model)
+        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
+                              fifo_net, "", backend, pf, records, artifacts,
+                              CheckConfig(), fifo_model)
         assert report.manual_review == ["PROP-001"]
         assert len(report.cases[0].attempts) == 3
         assert all(n.outcome is T.AttemptOutcome.RETRY
@@ -123,7 +129,8 @@ class TestCexLoop:
             for i in (1, 2, 3)
         ]
         backend = ScriptedBackend(default_rules())
-        report = run_cex_loop(results, kg, fifo_net, "", backend, pf, records,
-                              artifacts, CheckConfig(), fifo_model)
+        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
+                              fifo_net, "", backend, pf, records, artifacts,
+                              CheckConfig(), fifo_model)
         assert report.manual_review == ["PROP-001"]
         assert report.cases[0].attempts == []

@@ -9,6 +9,7 @@ from verikg.agents.coverage_loop import (
 from verikg.agents.scripted import default_rules
 from verikg.engine import CheckConfig, coverage
 from verikg.ir import types as T
+from verikg.kg import build_signal_index
 from verikg.pipeline import link_assumptions_to_statements, rebuild_graph
 from verikg.rtl.elaborate import elaborate
 from verikg.rtl.parser import parse_rtl
@@ -56,7 +57,7 @@ class TestCoverageLoop:
         _b, kg, _idx, _r = generation_setup(fifo_model, [])
         cov = T.CoverageMetrics("self", 100.0, ["S1"], [], [], 0)
         backend = ScriptedBackend([])
-        out = run_coverage_loop(cov, kg, fifo_model, backend)
+        out = run_coverage_loop(cov, kg, build_signal_index(kg), fifo_model, backend)
         assert backend.calls == 0
         assert out.new_decls == []
 
@@ -69,7 +70,7 @@ class TestCoverageLoop:
                            if s.detail == "case_default")
         assert default_arm in cov.unreachable_statements
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, dm, backend)
+        out = run_coverage_loop(cov, kg, build_signal_index(kg), dm, backend)
         classes = dict(out.dead_code)
         assert classes[default_arm] is T.DeadCodeClass.DEFENSIVE
         covered_by_props = {l.dst_id for l in out.new_links
@@ -83,7 +84,7 @@ class TestCoverageLoop:
         cov = coverage(net, [], run_ref="self")
         then_arm = next(s.id for s in dm.statements if s.detail == "if_then")
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, dm, backend)
+        out = run_coverage_loop(cov, kg, build_signal_index(kg), dm, backend)
         cover_targets = {l.dst_id for l in out.new_links
                          if l.link_kind is T.LinkKind.COVERS}
         assert then_arm in cover_targets
@@ -115,6 +116,6 @@ class TestCoverageLoop:
         assert candidates == ["PROP-001"]
 
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, fifo_model, backend)
+        out = run_coverage_loop(cov, kg, build_signal_index(kg), fifo_model, backend)
         blocked = {sid: blocker for sid, blocker in out.blockers.items()}
         assert any(b == "PROP-001" for b in blocked.values())

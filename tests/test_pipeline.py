@@ -130,9 +130,9 @@ class TestRunAll:
 
         compiled = []
 
-        def counting(pf, dm, idx):
+        def counting(pf, dm, idx, memo=None):
             compiled.append(len(pf.properties))
-            return compile_properties(pf, dm, idx)
+            return compile_properties(pf, dm, idx, memo)
 
         for module in (pipeline, syntax_loop, cex_loop):
             monkeypatch.setattr(module, "compile_properties", counting)

@@ -2,6 +2,7 @@ from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
 from verikg.agents.syntax_loop import run_syntax_loop
 from verikg.ir import types as T
+from verikg.kg import build_signal_index
 from verikg.sva import ast as S
 from verikg.sva.emit import emit_properties
 from verikg.sva.parser import parse_properties_with_recovery
@@ -34,7 +35,8 @@ class TestSyntaxLoop:
             fifo_model, ["assert property (count <= 2'd2);"])
         before = emit_properties(pf)
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert backend.calls == 0
         assert report.attempts == {}
         assert report.emitted_text == before
@@ -43,7 +45,8 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (bogus.count <= 2'd2);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert backend.calls == 0
         assert report.attempts == {"PROP-001": 1}
         assert records[0].status is T.PropStatus.ACTIVE
@@ -56,7 +59,8 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (FULL |-> count != 2'd0);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert backend.calls == 0
         assert ("FULL", "fifo.full") in pf.macros
         assert "`define FULL fifo.full" in report.emitted_text
@@ -67,7 +71,8 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (`WR_EN |-> !full);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert backend.calls == 0
         assert ("WR_EN", "fifo.wr_en") in pf.macros
         assert records[0].attempt_history[0].patch_summary.startswith("R3:")
@@ -76,7 +81,8 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert records[0].status is T.PropStatus.DISABLED
         assert report.disabled == ["PROP-001"]
         notes = records[0].attempt_history
@@ -96,7 +102,8 @@ class TestSyntaxLoop:
         backend = ScriptedBackend([ScriptedRule("syntax_fixer", "syntax/*", fixer)])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert fixes == ["syntax/PROP-001/attempt/1"]
         assert records[0].status is T.PropStatus.ACTIVE
         assert records[0].attempt_history[0].outcome is T.AttemptOutcome.FIXED
@@ -107,7 +114,8 @@ class TestSyntaxLoop:
             ScriptedRule("syntax_fixer", "*", lambda e: "assert garbage ((;")])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
-        run_syntax_loop(pf, fifo_model, kg, backend, records)
+        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                        backend, records)
         assert records[0].status is T.PropStatus.DISABLED
         assert len(records[0].attempt_history) == 3
 
@@ -117,7 +125,8 @@ class TestSyntaxLoop:
                          lambda e: "assert property (count <= 2'd2);")])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (count <= |-> 2'd2);"])
-        report = run_syntax_loop(pf, fifo_model, kg, backend, records)
+        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                                 backend, records)
         assert records[0].status is T.PropStatus.ACTIVE
         assert report.backend_fixes == 1
 
@@ -129,7 +138,8 @@ class TestSyntaxLoop:
             for i in (1, 2)
         ]
         backend = refusing_backend()
-        run_syntax_loop(pf, fifo_model, kg, backend, records)
+        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                        backend, records)
         notes = [n for n in records[0].attempt_history
                  if n.loop_kind is T.LoopKind.SYNTAX]
         assert len(notes) == 3  # only one more attempt was available
@@ -145,7 +155,8 @@ class TestInvariants:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
         original = records[0].sva_text
-        run_syntax_loop(pf, fifo_model, kg, backend, records)
+        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                        backend, records)
         # disabled in the end, and the bad patch never replaced the source
         assert records[0].status is T.PropStatus.DISABLED
         assert "still_bogus" not in records[0].sva_text
@@ -176,7 +187,8 @@ class TestInvariants:
 
             backend = ScriptedBackend(
                 [ScriptedRule("syntax_fixer", "*", flaky)])
-            run_syntax_loop(pf, fifo_model, kg, backend, records)
+            run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
+                            backend, records)
             for record in records:
                 for kind in T.LoopKind:
                     notes = [n for n in record.attempt_history
