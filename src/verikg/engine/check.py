@@ -83,18 +83,26 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
              stop_on: str, guard_hook=None) -> _Exploration:
     """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
     (cover). guard_hook(x) is called for every admitted valuation, with the
-    slot tuple `state + inputs` the monitors read."""
+    slot tuple `state + inputs` the monitors read, until it returns True:
+    nothing is left for it to see. A successor that takes the product past
+    `cfg.max_states` stops the search bounded at the last completed cycle."""
     space = _InputSpace(net)
-    init_design = net.init_state()
+    vectors = space.vectors
+    step = net.step
+    max_states = cfg.max_states
+    stop_on_violation = stop_on == "violation"
+    found = ResultStatus.CEX if stop_on_violation else ResultStatus.PROVEN
+    n_target = 1 if target is not None else 0
+    n_assumptions = len(assumptions)
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
-    init_node = (init_design, init_monitors)
+    init_node = (net.init_state(), init_monitors)
 
-    visited = {init_node}
-    parents: dict = {init_node: None}
+    parents: dict = {init_node: None}  # also the visited set
     frontier = [init_node]
     depth = 0
     ante_matched = False
     deepest = 0
+    kept = ()  # the successor's assumption states
 
     def reconstruct(node, vec, cycle) -> CexTrace:
         chain = []
@@ -110,57 +118,48 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
 
     while frontier:
         if depth >= cfg.max_depth:
-            return _Exploration(ResultStatus.BOUNDED, depth - 1, len(visited),
+            return _Exploration(ResultStatus.BOUNDED, depth - 1, len(parents),
                                 ante_matched, None)
         next_frontier = []
         for node in frontier:
             design_state, monitor_states = node
-            n_target = 1 if target else 0
-            for vec, net_vec in space.vectors:
+            assume_states = monitor_states[n_target:]
+            for vec, net_vec in vectors:
                 x = design_state + net_vec
-                # assumptions prune the branch before the target sees it
-                new_assume = []
-                pruned = False
-                for mi, mon in enumerate(assumptions):
-                    mstate = monitor_states[n_target + mi]
-                    ns, ev = mon.step(mstate, x)
-                    if ev.violated:
-                        pruned = True
-                        break
-                    new_assume.append(ns)
-                if pruned:
-                    continue
-                if guard_hook is not None:
-                    guard_hook(x)
-                new_target = ()
+                if assumptions:
+                    kept = []
+                    for mon, mstate in zip(assumptions, assume_states):
+                        mstate, ev = mon.step(mstate, x)
+                        if ev.violated:
+                            break
+                        kept.append(mstate)
+                    if len(kept) < n_assumptions:
+                        continue  # pruned before the target sees it
+                    kept = tuple(kept)
+                if guard_hook is not None and guard_hook(x):
+                    guard_hook = None
+                monitors = kept
                 if target is not None:
                     tstate, ev = target.step(monitor_states[0], x)
                     if ev.ante_matched:
                         ante_matched = True
-                    if stop_on == "violation" and ev.violated:
+                    if (ev.violated if stop_on_violation else ev.completed):
                         return _Exploration(
-                            ResultStatus.CEX, depth, len(visited), ante_matched,
+                            found, depth, len(parents),
+                            ante_matched or not stop_on_violation,
                             reconstruct(node, vec, depth))
-                    if stop_on == "completion" and ev.completed:
-                        return _Exploration(
-                            ResultStatus.PROVEN, depth, len(visited), True,
-                            reconstruct(node, vec, depth))
-                    new_target = (tstate,)
-                succ = (net.step(design_state, net_vec),
-                        new_target + tuple(new_assume))
-                if succ not in visited:
-                    visited.add(succ)
+                    monitors = (tstate, *kept)
+                succ = (step(design_state, net_vec), monitors)
+                if succ not in parents:
                     parents[succ] = (node, vec)
+                    if len(parents) > max_states:
+                        return _Exploration(ResultStatus.BOUNDED, deepest,
+                                            len(parents), ante_matched, None)
                     next_frontier.append(succ)
         deepest = depth
         depth += 1
         frontier = next_frontier
-        # a closed product is a full proof even if the last layer nudged the
-        # visited count past the budget
-        if frontier and len(visited) > cfg.max_states:
-            return _Exploration(ResultStatus.BOUNDED, deepest, len(visited),
-                                ante_matched, None)
-    return _Exploration(ResultStatus.PROVEN, deepest, len(visited),
+    return _Exploration(ResultStatus.PROVEN, deepest, len(parents),
                         ante_matched, None)
 
 

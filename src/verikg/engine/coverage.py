@@ -29,11 +29,14 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     uncovered = set(net.guard_fns)
     covered: set[str] = set()
 
-    def hook(x: tuple) -> None:
+    def hook(x: tuple) -> bool:
+        """Cover the statements whose guards hold at `x`; True once every
+        statement is covered, so the exploration stops asking."""
         hit = [sid for sid in uncovered if net.guard_fns[sid](x)]
         for sid in hit:
             uncovered.discard(sid)
             covered.add(sid)
+        return not uncovered
 
     ex = _explore(net, None, monitors, cfg, "", 0, "violation", guard_hook=hook)
     partial = ex.status is ResultStatus.BOUNDED

@@ -3,6 +3,7 @@ sampled-value functions, macros, and line maps."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,6 +80,12 @@ class PropBody:
     consequent: Sequence
     disable: SvaExpr | None = None
     clock: ClockSpec | None = None  # None: inherit the file default
+
+    @functools.cached_property
+    def text(self) -> str:
+        """`render_body(self)`, rendered once per body: bodies are frozen,
+        and parses share them."""
+        return render_body(self)
 
 
 @dataclass

@@ -14,7 +14,7 @@ def render_statement(decl: S.PropertyDecl) -> str:
     for one that failed to parse."""
     if decl.body is None:
         return decl.raw_source.strip() or "// (unparsed property)"
-    return f"{_KEYWORD_BY_KIND[decl.kind]} property ({S.render_body(decl.body)});"
+    return f"{_KEYWORD_BY_KIND[decl.kind]} property ({decl.body.text});"
 
 
 def emit_properties(pf: S.PropertyFile) -> str:

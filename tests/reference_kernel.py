@@ -1,0 +1,104 @@
+"""The exploration kernel as it was before its rewrite as one lean loop.
+
+`reference_explore` is `engine.check._explore` kept verbatim as the
+reference the rewrite is compared against (`tests/test_exploration.py`):
+a `visited` set beside `parents`, a guard hook called for every admitted
+valuation, and `max_states` checked only between BFS layers.
+
+It lives outside `oracles.py` because the benchmark imports that module
+for its generators: with no bytecode cache, every import compiles it, and
+this copy there raised the benchmark's peak RSS by about 0.8 MB.
+"""
+
+from __future__ import annotations
+
+from verikg.engine.check import CexTrace, CheckConfig, _Exploration, _InputSpace
+from verikg.engine.monitor import Monitor
+from verikg.ir.types import ResultStatus
+from verikg.rtl.elaborate import NetModel
+
+
+def reference_explore(net: NetModel, target: Monitor | None,
+                      assumptions: list[Monitor], cfg: CheckConfig, prop_id: str,
+                      line: int, stop_on: str, guard_hook=None) -> _Exploration:
+    """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
+    (cover). guard_hook(x) is called for every admitted valuation, with the
+    slot tuple `state + inputs` the monitors read."""
+    space = _InputSpace(net)
+    init_design = net.init_state()
+    init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
+    init_node = (init_design, init_monitors)
+
+    visited = {init_node}
+    parents: dict = {init_node: None}
+    frontier = [init_node]
+    depth = 0
+    ante_matched = False
+    deepest = 0
+
+    def reconstruct(node, vec, cycle) -> CexTrace:
+        chain = []
+        cur = node
+        while parents[cur] is not None:
+            parent, pvec = parents[cur]
+            chain.append((parent, pvec))
+            cur = parent
+        chain.reverse()
+        cycles = [(space.as_dict(pv), net.values(pn[0], ())) for pn, pv in chain]
+        cycles.append((space.as_dict(vec), net.values(node[0], ())))
+        return CexTrace(prop_id, cycles, cycle, line)
+
+    while frontier:
+        if depth >= cfg.max_depth:
+            return _Exploration(ResultStatus.BOUNDED, depth - 1, len(visited),
+                                ante_matched, None)
+        next_frontier = []
+        for node in frontier:
+            design_state, monitor_states = node
+            n_target = 1 if target else 0
+            for vec, net_vec in space.vectors:
+                x = design_state + net_vec
+                # assumptions prune the branch before the target sees it
+                new_assume = []
+                pruned = False
+                for mi, mon in enumerate(assumptions):
+                    mstate = monitor_states[n_target + mi]
+                    ns, ev = mon.step(mstate, x)
+                    if ev.violated:
+                        pruned = True
+                        break
+                    new_assume.append(ns)
+                if pruned:
+                    continue
+                if guard_hook is not None:
+                    guard_hook(x)
+                new_target = ()
+                if target is not None:
+                    tstate, ev = target.step(monitor_states[0], x)
+                    if ev.ante_matched:
+                        ante_matched = True
+                    if stop_on == "violation" and ev.violated:
+                        return _Exploration(
+                            ResultStatus.CEX, depth, len(visited), ante_matched,
+                            reconstruct(node, vec, depth))
+                    if stop_on == "completion" and ev.completed:
+                        return _Exploration(
+                            ResultStatus.PROVEN, depth, len(visited), True,
+                            reconstruct(node, vec, depth))
+                    new_target = (tstate,)
+                succ = (net.step(design_state, net_vec),
+                        new_target + tuple(new_assume))
+                if succ not in visited:
+                    visited.add(succ)
+                    parents[succ] = (node, vec)
+                    next_frontier.append(succ)
+        deepest = depth
+        depth += 1
+        frontier = next_frontier
+        # a closed product is a full proof even if the last layer nudged the
+        # visited count past the budget
+        if frontier and len(visited) > cfg.max_states:
+            return _Exploration(ResultStatus.BOUNDED, deepest, len(visited),
+                                ante_matched, None)
+    return _Exploration(ResultStatus.PROVEN, deepest, len(visited),
+                        ante_matched, None)

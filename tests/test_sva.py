@@ -1,7 +1,11 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gen_property_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.engine.check import check
 from verikg.kg import SignalIndex
@@ -154,6 +158,27 @@ def test_roundtrip_random_asts(bodies, kinds):
     back = parse_properties(text)
     assert isinstance(back, S.PropertyFile), getattr(back, "render", lambda: back)()
     assert canon(back) == canon(pf)
+
+
+def test_body_text_is_rendered_once_and_matches_a_fresh_render():
+    """`PropBody.text` keeps its body's rendering; it equals a fresh
+    `render_body`, and a body made by `dataclasses.replace` has its own."""
+    rng = random.Random(77)
+    statements = []
+    for _ in range(60):
+        text = gen_property_source(rng, ["a", "b", "`BUSY"], ["c"])
+        statements.append(text.replace("assert", rng.choice(["assert", "assume"]), 1))
+    pf = parse_ok(CLOCKED + "`define BUSY a\n" + "".join(statements))
+    assert len(pf.properties) == 60
+    for decl in pf.properties:
+        body = decl.body
+        assert body.text == S.render_body(body)
+        assert body.text is body.text  # kept on the body
+        clocked = dataclasses.replace(body, clock=S.ClockSpec("posedge", Id("clk2")))
+        assert clocked.text == S.render_body(clocked) != body.text
+        assert clocked.text.startswith("@(posedge clk2) ")
+        fresh = dataclasses.replace(clocked)
+        assert fresh == clocked and hash(fresh) == hash(clocked)  # the text is no field
 
 
 TWIN = """
