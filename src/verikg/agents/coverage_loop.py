@@ -91,7 +91,7 @@ def _guard_in(body, stmt_id: str, conds: list) -> list | None:
                     return hit
         elif isinstance(stmt, rtl.CaseStmt):
             prior = None
-            for arm in stmt.arms:
+            for arm in stmt.arms_by_priority():
                 if arm.labels is None:
                     cond = rtl.Unary("!", prior) if prior is not None else rtl.Lit(1, 1)
                 else:

@@ -122,13 +122,17 @@ class Sampled(Node):
     operand's own value ($past)."""
 
     expr: "Expr"
-    keeps_width = False  # a class attribute, not a field
+    keeps_width = False  # class attributes, not fields
+    func = ""  # the name it is called by in source, such as "$rose"
 
     def children(self):
         return (self.expr,)
 
     def rebuild(self, kids):
         return replace(self, expr=kids[0])
+
+    def source(self) -> str:
+        return f"{self.func}({render_expr(self.expr)})"
 
 
 Expr = Union[Lit, Id, Unary, Binary, Ternary, Concat, Select, SliceX]
@@ -212,8 +216,10 @@ def expr_from_json(doc: Any) -> Expr:
     raise ValueError(f"unknown expression tag: {tag!r}")
 
 
-def render_expr(e: Expr) -> str:
-    """Source form; fully parenthesized so reparsing is associativity-proof."""
+def render_expr(e: Node) -> str:
+    """Source form; fully parenthesized so reparsing is associativity-proof.
+    Property-file nodes (sampled calls, macro references) print through
+    their own `source`."""
     if isinstance(e, Lit):
         if e.width is None:
             return str(e.value)
@@ -221,8 +227,10 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, Id):
         return e.name
     if isinstance(e, Unary):
-        return f"{e.op}{render_expr(e.operand)}" if isinstance(e.operand, (Id, Lit)) \
-            else f"{e.op}({render_expr(e.operand)})"
+        inner = render_expr(e.operand)
+        if isinstance(e.operand, (Id, Lit)) or hasattr(e.operand, "source"):
+            return f"{e.op}{inner}"
+        return f"{e.op}({inner})"
     if isinstance(e, Binary):
         return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
     if isinstance(e, Ternary):
@@ -235,6 +243,8 @@ def render_expr(e: Expr) -> str:
         return f"{e.name}[{render_expr(e.msb)}:{render_expr(e.lsb)}]"
     if isinstance(e, SliceX):
         return f"({render_expr(e.base)})[{e.msb}:{e.lsb}]"
+    if hasattr(e, "source"):
+        return e.source()
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -279,8 +289,62 @@ class CaseStmt:
     arms: list[CaseArm]
     line: int
 
+    def arms_by_priority(self) -> list[CaseArm]:
+        """The arms in the order they are tried: the labelled items in
+        source order, then the default, which is taken only when no item
+        matches, wherever it stands (IEEE 1800-2017 12.5)."""
+        return sorted(self.arms, key=lambda a: a.labels is None)
+
 
 AlwaysStmt = Union[SeqAssign, IfStmt, CaseStmt]
+
+
+@dataclass(frozen=True)
+class BranchArm:
+    """A branch arm as `walk_stmts` yields it: its statement id is the
+    attribute `slot` of `node` (an IfStmt's then_id or else_id, a CaseArm's
+    arm_id)."""
+
+    node: Union[IfStmt, CaseArm]
+    slot: str
+    line: int
+    detail: str  # if_then | if_else | case_item | case_default
+
+
+def walk_stmts(body: list[AlwaysStmt]):
+    """Every statement of an always-block body in source order, parent
+    before children: each `if` and `case` is followed by its `BranchArm`s,
+    and each arm by the statements it runs."""
+    stack = body[::-1]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, IfStmt):
+            kids = [BranchArm(s, "then_id", s.line, "if_then"), *s.then_body]
+            if s.else_body is not None:
+                else_line = s.else_line or s.line
+                kids += [BranchArm(s, "else_id", else_line, "if_else"), *s.else_body]
+        elif isinstance(s, CaseStmt):
+            kids = []
+            for a in s.arms:
+                detail = "case_default" if a.labels is None else "case_item"
+                kids += [BranchArm(a, "arm_id", a.line, detail), *a.body]
+        else:
+            continue
+        stack += kids[::-1]
+
+
+def stmt_exprs(s: AlwaysStmt) -> tuple:
+    """The expressions a statement reads itself, not through the statements
+    it runs: an assignment's right side and part-select bounds, an `if`'s
+    condition, a `case`'s subject and labels."""
+    if isinstance(s, SeqAssign):
+        return (s.rhs, *(s.sel or ()))
+    if isinstance(s, IfStmt):
+        return (s.cond,)
+    if isinstance(s, CaseStmt):
+        return (s.subject, *(lab for a in s.arms for lab in a.labels or ()))
+    return ()
 
 
 @dataclass

@@ -225,10 +225,8 @@ class _Elaborator:
             raise _ElabError(inst_line, f"unresolved instance of module {module_name!r}")
         env = self._param_env(m, overrides)
 
-        assigned_in_always: set[str] = set()
-        for b in m.always_blocks:
-            for s in _seq_targets(b.body):
-                assigned_in_always.add(s)
+        assigned_in_always = {s.target for b in m.always_blocks for s in ast.walk_stmts(b.body)
+                              if isinstance(s, ast.SeqAssign)}
 
         for s in m.signals:
             full = f"{prefix}.{s.name}"
@@ -381,7 +379,7 @@ class _Elaborator:
                     pending = _merge(cond, t_pending, e_pending)
                 elif isinstance(stmt, ast.CaseStmt):
                     subj = subst(read(stmt.subject, stmt.line))
-                    run_arms(stmt.arms, subj, guard, None)
+                    run_arms(stmt.arms_by_priority(), subj, guard, None)
                 else:
                     raise _ElabError(getattr(stmt, "line", block.line),
                                      f"unsupported statement {stmt!r}",
@@ -454,21 +452,20 @@ class _Elaborator:
 
     def _extract_init(self, prefix: str, block: ast.AlwaysBlock,
                       env: dict[str, int]) -> None:
-        # Reset idiom: single top-level `if` whose then-branch assigns only
-        # constants. Those constants become init values; the branch itself
-        # stays in the transition function, so semantics are unaffected.
+        # Reset idiom: a single top-level `if`. Each whole-register
+        # assignment of a constant directly in its then-branch gives an init
+        # value; the branch itself stays in the transition function, so
+        # semantics are unaffected.
         body = block.body
         if len(body) != 1 or not isinstance(body[0], ast.IfStmt):
             return
-        top_if = body[0]
-        for stmt in top_if.then_body:
+        for stmt in body[0].then_body:
             if not isinstance(stmt, ast.SeqAssign) or stmt.sel is not None:
-                return
-        for stmt in top_if.then_body:
+                continue
             try:
                 value = eval_const(self._prefix_expr(stmt.rhs, prefix, env, stmt.line), {})
             except (ParseError, _ElabError):
-                return
+                continue
             full = f"{prefix}.{stmt.target}"
             if full in self.reg_names:
                 self.init[full] = mask(value, self.widths[full])
@@ -525,18 +522,6 @@ class _Elaborator:
                         raise _ElabError(line, f"clock {leaf!r} read as data",
                                          DiagCode.UNSUPPORTED)
                     raise _ElabError(line, f"undriven net {leaf!r} read")
-
-
-def _seq_targets(body: list[ast.AlwaysStmt]):
-    for stmt in body:
-        if isinstance(stmt, ast.SeqAssign):
-            yield stmt.target
-        elif isinstance(stmt, ast.IfStmt):
-            yield from _seq_targets(stmt.then_body)
-            yield from _seq_targets(stmt.else_body or [])
-        elif isinstance(stmt, ast.CaseStmt):
-            for arm in stmt.arms:
-                yield from _seq_targets(arm.body)
 
 
 def _and(a: ast.Expr | None, b: ast.Expr) -> ast.Expr:

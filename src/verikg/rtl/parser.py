@@ -454,6 +454,9 @@ class _ModuleParser:
                 if at.kind == "EOF":
                     raise ParseError(at.line, at.col, "unexpected end of file in case")
                 if self.cur.accept("default"):
+                    if any(a.labels is None for a in arms):
+                        self.diags.error(at.line, at.col, "second default item in case",
+                                         DiagCode.DUPLICATE)
                     self.cur.accept(":")
                     body = self._parse_stmt_block()
                     arms.append(ast.CaseArm(None, body, "", at.line))

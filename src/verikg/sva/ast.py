@@ -14,32 +14,39 @@ MAX_DELAY_BOUND = 32  # largest accepted ##n / ##[m:n] bound
 
 # Sampled-value expression nodes; these extend the shared RTL expression
 # grammar inside property files only. `rtl.Sampled` gives their one operand,
-# `expr`, to the shared traversal and the width rule.
+# `expr`, to the shared traversal, the width rule and the printer.
 
 @dataclass(frozen=True)
 class Past(rtl.Sampled):
     depth: int  # cycles back, >= 1
     keeps_width = True
+    func = "$past"
+
+    def source(self) -> str:
+        return f"{self.func}({rtl.render_expr(self.expr)}, {self.depth})"
 
 
 @dataclass(frozen=True)
 class Rose(rtl.Sampled):
-    pass
+    func = "$rose"
 
 
 @dataclass(frozen=True)
 class Fell(rtl.Sampled):
-    pass
+    func = "$fell"
 
 
 @dataclass(frozen=True)
 class Stable(rtl.Sampled):
-    pass
+    func = "$stable"
 
 
 @dataclass(frozen=True)
 class MacroRef(rtl.Node):
     name: str
+
+    def source(self) -> str:
+        return f"`{self.name}"
 
 
 SvaExpr = object  # rtl.Expr | Past | Rose | Fell | Stable | MacroRef (nested)
@@ -158,32 +165,6 @@ class BindErrors:
         return bool(self.items)
 
 
-def render_sva_expr(e) -> str:
-    if isinstance(e, Past):
-        return f"$past({render_sva_expr(e.expr)}, {e.depth})"
-    if isinstance(e, Rose):
-        return f"$rose({render_sva_expr(e.expr)})"
-    if isinstance(e, Fell):
-        return f"$fell({render_sva_expr(e.expr)})"
-    if isinstance(e, Stable):
-        return f"$stable({render_sva_expr(e.expr)})"
-    if isinstance(e, MacroRef):
-        return f"`{e.name}"
-    if isinstance(e, rtl.Unary):
-        inner = render_sva_expr(e.operand)
-        if isinstance(e.operand, (rtl.Id, rtl.Lit, Past, Rose, Fell, Stable, MacroRef)):
-            return f"{e.op}{inner}"
-        return f"{e.op}({inner})"
-    if isinstance(e, rtl.Binary):
-        return f"({render_sva_expr(e.left)} {e.op} {render_sva_expr(e.right)})"
-    if isinstance(e, rtl.Ternary):
-        return (f"({render_sva_expr(e.cond)} ? {render_sva_expr(e.then)}"
-                f" : {render_sva_expr(e.other)})")
-    if isinstance(e, rtl.Concat):
-        return "{" + ", ".join(render_sva_expr(p) for p in e.parts) + "}"
-    return rtl.render_expr(e)
-
-
 def render_sequence(seq: Sequence) -> str:
     parts = []
     for i, step in enumerate(seq.steps):
@@ -192,16 +173,16 @@ def render_sequence(seq: Sequence) -> str:
                 parts.append(f"##{step.delay_lo}")
             else:
                 parts.append(f"##[{step.delay_lo}:{step.delay_hi}]")
-        parts.append(render_sva_expr(step.expr))
+        parts.append(rtl.render_expr(step.expr))
     return " ".join(parts)
 
 
 def render_body(body: PropBody) -> str:
     bits = []
     if body.clock is not None:
-        bits.append(f"@({body.clock.edge} {render_sva_expr(body.clock.signal)})")
+        bits.append(f"@({body.clock.edge} {rtl.render_expr(body.clock.signal)})")
     if body.disable is not None:
-        bits.append(f"disable iff ({render_sva_expr(body.disable)})")
+        bits.append(f"disable iff ({rtl.render_expr(body.disable)})")
     if body.impl is ImplKind.NONE:
         bits.append(render_sequence(body.consequent))
     else:

@@ -182,7 +182,7 @@ def _bind_one(decl: S.PropertyDecl, line: int, default_clock: S.ClockSpec | None
                 ["property has no clock and the file sets no default"]))
         if not isinstance(clock_spec.signal, rtl.Id):
             raise _BindFail(S.BindErrorItem(
-                decl.prop_id, S.render_sva_expr(clock_spec.signal), decl.line,
+                decl.prop_id, rtl.render_expr(clock_spec.signal), decl.line,
                 S.BindErrorKind.UNDECLARED_IDENTIFIER,
                 ["clock must be a plain signal"]))
         clock_expr = rtl.Id(binder.resolve_clock_name(clock_spec.signal.name))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from verikg.rtl.ast import render_expr
 from verikg.sva import ast as S
 
 HEADER = "// generated property file"
@@ -25,7 +26,7 @@ def emit_properties(pf: S.PropertyFile) -> str:
     if pf.default_clock is not None:
         lines.append(
             f"default clocking @({pf.default_clock.edge} "
-            f"{S.render_sva_expr(pf.default_clock.signal)}); endclocking")
+            f"{render_expr(pf.default_clock.signal)}); endclocking")
     if pf.macros:
         lines.append("")
         for name, replacement in sorted(pf.macros):

@@ -294,6 +294,23 @@ class TestElaborationSoundness:
                 next_ref, _executed = ref.step(dict(zip(names, state)), {"t.d": d})
                 assert net.step(state, (d,)) == tuple(next_ref[n] for n in names)
 
+    @pytest.mark.parametrize("then, init", [
+        ("a <= 1'd1; if (d) b <= 1'd1;", (1, 0, 0)),
+        ("a <= 1'd1; b <= d; c <= 1'd1;", (1, 0, 1)),
+    ])
+    def test_reset_branch_inits_agree_with_reference(self, then, init):
+        """Each constant assignment directly in a lone top-level `if`'s
+        then-branch gives an init value, whatever else the branch holds."""
+        dm = parse_ok(
+            "module t (input clk, input rst, input d);\n  reg a, b, c;\n"
+            f"  always @(posedge clk) if (rst) begin {then} end\n"
+            "    else begin a <= d; b <= d; c <= d; end\nendmodule\n")
+        net = elaborate(dm, "t")
+        assert isinstance(net, NetModel), net.render()
+        names = [n for n, _ in net.state_bits]
+        assert net.init_state() == init
+        assert dict(zip(names, init)) == RefDesign(dm, "t").init_state()
+
     def test_long_case_agrees_with_reference(self):
         """A 300-arm case elaborates to a 300-deep ?: chain and guards with
         300-deep priority chains; generated code must stay within the
