@@ -1,6 +1,6 @@
 """Backend boundary: scripted rules, recorded-transcript replay, and a live
-chat-completion client. Only the scripted and replay backends participate in
-the tested surface; the live backend is documented in the README."""
+chat-completion client (documented in the README) that posts through the
+standard library's `urllib.request`."""
 
 from __future__ import annotations
 
@@ -142,11 +142,14 @@ class LiveBackend:
         self.transport = transport or self._default_transport
 
     def _default_transport(self, url: str, payload: dict, headers: dict) -> dict:
-        import requests
+        """POST `payload` as JSON; an HTTP error status raises."""
+        import urllib.request  # here: it loads http and ssl, which only a live run needs
 
-        resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.json()
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode("utf-8"), headers=headers,
+            method="POST")
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            return json.loads(resp.read())
 
     def send(self, env: PromptEnvelope) -> AgentResponse:
         payload = {

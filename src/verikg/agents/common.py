@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 from verikg.agents.backend import Backend, ProtocolError
 from verikg.agents.envelope import AgentResponse, PromptEnvelope
+from verikg.ir import types as T
 from verikg.kg import ContextBundle, Graph, SignalIndex
 from verikg.sva import ast as S
+from verikg.sva.emit import render_statement
 from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 
@@ -56,6 +58,18 @@ def sibling_property_text(g: Graph, ctx: ContextBundle, exclude: set[str]) -> st
         if node.type == "property" and node_id not in exclude:
             parts.append(f"// {node_id}\n{node.attrs.get('sva_text', '')}")
     return "\n".join(parts)
+
+
+def sync_records(pf: S.PropertyFile, records: list[T.PropertyRecord]) -> None:
+    """Align each record of a property in `pf` with the file just emitted
+    from it: its statement text and its line span (`emit_properties` gives
+    every property one)."""
+    by_id = {p.prop_id: p for p in pf.properties}
+    for record in records:
+        decl = by_id.get(record.prop_id)
+        if decl is not None:
+            record.line_span = pf.line_map[record.prop_id]
+            record.sva_text = render_statement(decl)
 
 
 def requirement_text(g: Graph, req_id: str) -> str:

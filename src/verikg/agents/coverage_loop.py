@@ -206,9 +206,7 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, idx: SignalIndex,
             record = T.PropertyRecord(
                 prop_id=prop_id,
                 req_ids=linked,
-                kind={"assertion": T.PropKind.ASSERTION,
-                      "assumption": T.PropKind.ASSUMPTION,
-                      "cover": T.PropKind.COVER}[decl.kind],
+                kind=T.PropKind(decl.kind),
                 sva_text=decl.raw_source,
                 line_span=(1, 1),
             )

@@ -13,13 +13,14 @@ from verikg.agents.common import (
     send_step,
     sibling_property_text,
     spec_fragment_text,
+    sync_records,
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
 from verikg.kg import Graph, RetrievalBounds, SignalIndex, TaskKind, neighborhood
 from verikg.rtl.ast import DesignModel, Id
 from verikg.sva import ast as S
-from verikg.sva.emit import emit_properties, render_statement
+from verikg.sva.emit import emit_properties
 from verikg.sva.memo import StatementMemo
 
 MAX_REVIEW_ROUNDS = 3
@@ -31,11 +32,6 @@ class GenerationResult:
     records: list[T.PropertyRecord] = field(default_factory=list)
     links: list[T.TraceLink] = field(default_factory=list)
     emitted_text: str = ""
-
-
-_KIND_FROM_DECL = {"assertion": T.PropKind.ASSERTION,
-                   "assumption": T.PropKind.ASSUMPTION,
-                   "cover": T.PropKind.COVER}
 
 
 def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
@@ -101,7 +97,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
             record = T.PropertyRecord(
                 prop_id=prop_id,
                 req_ids=[req.req_id],
-                kind=_KIND_FROM_DECL[decl.kind],
+                kind=T.PropKind(decl.kind),
                 sva_text=decl.raw_source,
                 line_span=(1, 1),
                 status=T.PropStatus.ACTIVE if approved else T.PropStatus.DISABLED,
@@ -123,16 +119,5 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
     active_ids = {r.prop_id for r in out.records if r.status is T.PropStatus.ACTIVE}
     pf.properties = [p for p in pf.properties if p.prop_id in active_ids]
     out.emitted_text = emit_properties(pf)
-    _sync_records(pf, out.records)
+    sync_records(pf, out.records)
     return out
-
-
-def _sync_records(pf: S.PropertyFile, records: list[T.PropertyRecord]) -> None:
-    """Align record text and line spans with the assembled file."""
-    by_id = {p.prop_id: p for p in pf.properties}
-    for record in records:
-        decl = by_id.get(record.prop_id)
-        if decl is None:
-            continue
-        record.line_span = pf.line_map.get(record.prop_id, (1, 1))
-        record.sva_text = render_statement(decl)

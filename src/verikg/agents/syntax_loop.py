@@ -8,7 +8,12 @@ import re
 from dataclasses import dataclass, field, replace
 
 from verikg.agents.backend import Backend
-from verikg.agents.common import render_signal_table, requirement_text, send_step
+from verikg.agents.common import (
+    render_signal_table,
+    requirement_text,
+    send_step,
+    sync_records,
+)
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
 from verikg.kg import Graph, SignalIndex, resolve_signal
@@ -249,7 +254,7 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
                 record = records_by_id.get(pid)
                 _disable(pf, pid, record, active_failures[pid], report)
     report.emitted_text = emit_properties(pf)
-    _sync_spans(pf, records)
+    sync_records(pf, records)
     return report
 
 
@@ -296,13 +301,3 @@ def _disable(pf: S.PropertyFile, pid: str, record: T.PropertyRecord | None,
                 "no repair available", T.AttemptOutcome.DISABLED))
     if pid not in report.disabled:
         report.disabled.append(pid)
-
-
-def _sync_spans(pf: S.PropertyFile, records: list[T.PropertyRecord]) -> None:
-    by_id = {p.prop_id: p for p in pf.properties}
-    for record in records:
-        decl = by_id.get(record.prop_id)
-        if decl is None:
-            continue
-        record.line_span = pf.line_map.get(record.prop_id, record.line_span)
-        record.sva_text = render_statement(decl)

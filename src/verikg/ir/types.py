@@ -1,8 +1,9 @@
-"""Typed IR artifact records and their JSON document forms.
+"""Typed IR artifact records.
 
 One record class per artifact row; a RunBundle collects one collection per
-artifact kind plus the run context. All documents use snake_case keys and
-serialize deterministically.
+artifact kind plus the run context. Their JSON document form is
+`verikg.codec`'s: each field under its own (snake_case) name, an enum by
+its value.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from verikg.codec import Record, from_doc, to_doc
 from verikg.rtl.ast import DesignModel
 
 
@@ -83,99 +85,43 @@ class DeadCodeClass(Enum):
 
 
 @dataclass
-class AttemptNote:
+class AttemptNote(Record):
     loop_kind: LoopKind
     attempt_no: int  # 1..3
     diagnosis: str
     patch_summary: str
     outcome: AttemptOutcome
 
-    def to_doc(self) -> dict:
-        return {
-            "loop_kind": self.loop_kind.value,
-            "attempt_no": self.attempt_no,
-            "diagnosis": self.diagnosis,
-            "patch_summary": self.patch_summary,
-            "outcome": self.outcome.value,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "AttemptNote":
-        return cls(LoopKind(d["loop_kind"]), d["attempt_no"], d["diagnosis"],
-                   d["patch_summary"], AttemptOutcome(d["outcome"]))
-
 
 @dataclass
-class SpecChunk:
+class SpecChunk(Record):
     chunk_id: str
     heading_path: list[str]
     text: str
     semantic_tags: list[str]
     order_index: int
 
-    def to_doc(self) -> dict:
-        return {
-            "chunk_id": self.chunk_id,
-            "heading_path": self.heading_path,
-            "text": self.text,
-            "semantic_tags": self.semantic_tags,
-            "order_index": self.order_index,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "SpecChunk":
-        return cls(d["chunk_id"], list(d["heading_path"]), d["text"],
-                   list(d["semantic_tags"]), d["order_index"])
-
 
 @dataclass
-class Requirement:
+class Requirement(Record):
     req_id: str
     text: str
     category: Category
     priority: Priority
     source_chunks: list[str]
 
-    def to_doc(self) -> dict:
-        return {
-            "req_id": self.req_id,
-            "text": self.text,
-            "category": self.category.value,
-            "priority": self.priority.value,
-            "source_chunks": self.source_chunks,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "Requirement":
-        return cls(d["req_id"], d["text"], Category(d["category"]),
-                   Priority(d["priority"]), list(d["source_chunks"]))
-
 
 @dataclass
-class TestPlanEntry:
+class TestPlanEntry(Record):
     req_id: str
     observable_signals: list[str]
     stimulus: str
     expected_response: str
     timing_constraint: str | None = None
 
-    def to_doc(self) -> dict:
-        return {
-            "req_id": self.req_id,
-            "observable_signals": self.observable_signals,
-            "stimulus": self.stimulus,
-            "expected_response": self.expected_response,
-            "timing_constraint": self.timing_constraint,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "TestPlanEntry":
-        return cls(d["req_id"], list(d["observable_signals"]), d["stimulus"],
-                   d["expected_response"], d.get("timing_constraint"))
-
 
 @dataclass
-class PropertyRecord:
+class PropertyRecord(Record):
     prop_id: str
     req_ids: list[str]
     kind: PropKind
@@ -184,41 +130,16 @@ class PropertyRecord:
     status: PropStatus = PropStatus.ACTIVE
     attempt_history: list[AttemptNote] = field(default_factory=list)
 
-    def to_doc(self) -> dict:
-        return {
-            "prop_id": self.prop_id,
-            "req_ids": self.req_ids,
-            "kind": self.kind.value,
-            "sva_text": self.sva_text,
-            "line_span": list(self.line_span),
-            "status": self.status.value,
-            "attempt_history": [a.to_doc() for a in self.attempt_history],
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "PropertyRecord":
-        return cls(d["prop_id"], list(d["req_ids"]), PropKind(d["kind"]),
-                   d["sva_text"], tuple(d["line_span"]), PropStatus(d["status"]),
-                   [AttemptNote.from_doc(a) for a in d["attempt_history"]])
-
 
 @dataclass
-class TraceLink:
+class TraceLink(Record):
     src_id: str
     dst_id: str
     link_kind: LinkKind
 
-    def to_doc(self) -> dict:
-        return {"src_id": self.src_id, "dst_id": self.dst_id,
-                "link_kind": self.link_kind.value}
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "TraceLink":
-        return cls(d["src_id"], d["dst_id"], LinkKind(d["link_kind"]))
-
 
 @dataclass
-class FormalResult:
+class FormalResult(Record):
     result_id: str
     prop_id: str
     status: ResultStatus
@@ -228,28 +149,9 @@ class FormalResult:
     external: bool = False
     note: str | None = None  # e.g. an unmapped external status, retained
 
-    def to_doc(self) -> dict:
-        return {
-            "result_id": self.result_id,
-            "prop_id": self.prop_id,
-            "status": self.status.value,
-            "proof_depth": self.proof_depth,
-            "runtime_ms": self.runtime_ms,
-            "artifact_path": self.artifact_path,
-            "external": self.external,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "FormalResult":
-        return cls(d["result_id"], d["prop_id"], ResultStatus(d["status"]),
-                   d.get("proof_depth"), d.get("runtime_ms", 0),
-                   d.get("artifact_path"), d.get("external", False),
-                   d.get("note"))
-
 
 @dataclass
-class CexCase:
+class CexCase(Record):
     cex_id: str
     prop_id: str
     vcd_path: str
@@ -259,28 +161,9 @@ class CexCase:
     root_cause: RootCause | None = None
     note: str | None = None  # e.g. missing_artifact, consumes no attempt
 
-    def to_doc(self) -> dict:
-        return {
-            "cex_id": self.cex_id,
-            "prop_id": self.prop_id,
-            "vcd_path": self.vcd_path,
-            "failure_time": self.failure_time,
-            "failure_line": self.failure_line,
-            "attempts": [a.to_doc() for a in self.attempts],
-            "root_cause": self.root_cause.value if self.root_cause else None,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "CexCase":
-        return cls(d["cex_id"], d["prop_id"], d["vcd_path"], d["failure_time"],
-                   d["failure_line"], [AttemptNote.from_doc(a) for a in d["attempts"]],
-                   RootCause(d["root_cause"]) if d.get("root_cause") else None,
-                   d.get("note"))
-
 
 @dataclass
-class CoverageMetrics:
+class CoverageMetrics(Record):
     run_ref: str
     reachable_pct: float
     covered_statements: list[str]
@@ -290,51 +173,15 @@ class CoverageMetrics:
     proof_core_ratio: float | None = None  # pass-through only, never computed
     partial: bool = False
 
-    def to_doc(self) -> dict:
-        return {
-            "run_ref": self.run_ref,
-            "reachable_pct": self.reachable_pct,
-            "covered_statements": self.covered_statements,
-            "unreachable_statements": self.unreachable_statements,
-            "dead_code": [[sid, cls.value] for sid, cls in self.dead_code],
-            "vacuity_count": self.vacuity_count,
-            "proof_core_ratio": self.proof_core_ratio,
-            "partial": self.partial,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "CoverageMetrics":
-        return cls(d["run_ref"], d["reachable_pct"], list(d["covered_statements"]),
-                   list(d["unreachable_statements"]),
-                   [(sid, DeadCodeClass(c)) for sid, c in d["dead_code"]],
-                   d["vacuity_count"], d.get("proof_core_ratio"),
-                   d.get("partial", False))
-
 
 @dataclass
-class RunContext:
+class RunContext(Record):
     run_id: str
     artifact_paths: dict[str, str] = field(default_factory=dict)
     iteration_counts: dict[str, int] = field(default_factory=dict)
     tool_version: str = ""
     created_at: str = ""  # ISO-8601 UTC
     config_snapshot: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "artifact_paths": dict(sorted(self.artifact_paths.items())),
-            "iteration_counts": dict(sorted(self.iteration_counts.items())),
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "config_snapshot": self.config_snapshot,
-        }
-
-    @classmethod
-    def from_doc(cls, d: dict) -> "RunContext":
-        return cls(d["run_id"], dict(d["artifact_paths"]),
-                   dict(d["iteration_counts"]), d["tool_version"],
-                   d["created_at"], dict(d["config_snapshot"]))
 
 
 # Kind name -> Table-style artifact file name. The graph exports are included
@@ -357,14 +204,15 @@ ARTIFACT_FILE_NAMES = {
 ARTIFACT_KINDS = tuple(ARTIFACT_FILE_NAMES)
 
 _COLLECTION_TYPES = {
-    "spec_chunks": SpecChunk,
-    "requirements": Requirement,
-    "testplan": TestPlanEntry,
-    "properties": PropertyRecord,
-    "tracelinks": TraceLink,
-    "formal_results": FormalResult,
-    "cex_cases": CexCase,
-    "coverage_metrics": CoverageMetrics,
+    "spec_chunks": list[SpecChunk],
+    "requirements": list[Requirement],
+    "testplan": list[TestPlanEntry],
+    "design_model": DesignModel,
+    "properties": list[PropertyRecord],
+    "tracelinks": list[TraceLink],
+    "formal_results": list[FormalResult],
+    "cex_cases": list[CexCase],
+    "coverage_metrics": list[CoverageMetrics],
 }
 
 
@@ -387,26 +235,15 @@ class RunBundle:
     cex_cases: list[CexCase] | None = None
     coverage_metrics: list[CoverageMetrics] | None = None
 
-    COLLECTION_KINDS = (
-        "spec_chunks", "requirements", "testplan", "design_model",
-        "properties", "tracelinks", "formal_results", "cex_cases",
-        "coverage_metrics",
-    )
+    COLLECTION_KINDS = tuple(_COLLECTION_TYPES)  # the content hash's order
 
     def present_kinds(self) -> list[str]:
         return [k for k in self.COLLECTION_KINDS if getattr(self, k) is not None]
 
     def collection_doc(self, kind: str):
         value = getattr(self, kind)
-        if value is None:
-            return None
-        if kind == "design_model":
-            return value.to_doc()
-        return [item.to_doc() for item in value]
+        return None if value is None else to_doc(value)
 
     @staticmethod
     def collection_from_doc(kind: str, doc):
-        if kind == "design_model":
-            return DesignModel.from_doc(doc)
-        item_type = _COLLECTION_TYPES[kind]
-        return [item_type.from_doc(d) for d in doc]
+        return from_doc(_COLLECTION_TYPES[kind], doc)

@@ -53,7 +53,6 @@ class BundleIndex:
     coverage: set[str] = field(default_factory=set)
     statements: set[str] = field(default_factory=set)
     modules: set[str] = field(default_factory=set)
-    proven_props: set[str] = field(default_factory=set)
     cex_props: set[str] = field(default_factory=set)
 
     @classmethod
@@ -67,8 +66,6 @@ class BundleIndex:
             ix.props.add(p.prop_id)
         for r in b.formal_results or []:
             ix.results.add(r.result_id)
-            if r.status is T.ResultStatus.PROVEN:
-                ix.proven_props.add(r.prop_id)
         for c in b.cex_cases or []:
             ix.cexs.add(c.cex_id)
             ix.cex_props.add(c.prop_id)
@@ -134,7 +131,8 @@ def check_link_endpoints(link: T.TraceLink, ix: BundleIndex) -> str | None:
 
 # -- per-kind validators -----------------------------------------------------
 
-def _validate_spec_chunks(items: list[T.SpecChunk], rep: ValidationReport) -> None:
+def _validate_spec_chunks(items: list[T.SpecChunk], rep: ValidationReport,
+                          ix: BundleIndex | None) -> None:
     seen: set[str] = set()
     last_index = -1
     for i, c in enumerate(items):
@@ -193,7 +191,8 @@ def _validate_attempts(attempts: list[T.AttemptNote], path: str,
             rep.add(path, f"attempt_no not strictly increasing for {kind.value}")
 
 
-def _validate_properties(items: list[T.PropertyRecord], rep: ValidationReport) -> None:
+def _validate_properties(items: list[T.PropertyRecord], rep: ValidationReport,
+                         ix: BundleIndex | None) -> None:
     seen: set[str] = set()
     for i, p in enumerate(items):
         path = f"properties[{i}]"
@@ -235,7 +234,8 @@ def _validate_formal_results(items: list[T.FormalResult], rep: ValidationReport,
             rep.add(path, f"proven result for {r.prop_id!r} coexists with a CexCase")
 
 
-def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport) -> None:
+def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport,
+                        ix: BundleIndex | None) -> None:
     seen: set[str] = set()
     for i, c in enumerate(items):
         path = f"cex_cases[{i}]"
@@ -247,7 +247,8 @@ def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport) -> None:
         _validate_attempts(c.attempts, path + ".attempts", rep)
 
 
-def _validate_coverage(items: list[T.CoverageMetrics], rep: ValidationReport) -> None:
+def _validate_coverage(items: list[T.CoverageMetrics], rep: ValidationReport,
+                       ix: BundleIndex | None) -> None:
     for i, m in enumerate(items):
         path = f"coverage_metrics[{i}]"
         covered = set(m.covered_statements)
@@ -265,7 +266,8 @@ def _validate_coverage(items: list[T.CoverageMetrics], rep: ValidationReport) ->
             rep.add(path + ".vacuity_count", "must be nonnegative")
 
 
-def _validate_run_context(ctx: T.RunContext, rep: ValidationReport) -> None:
+def _validate_run_context(ctx: T.RunContext, rep: ValidationReport,
+                          ix: BundleIndex | None) -> None:
     if not ctx.run_id:
         rep.add("run_context.run_id", "empty run_id")
         return
@@ -281,7 +283,8 @@ def _validate_run_context(ctx: T.RunContext, rep: ValidationReport) -> None:
             rep.add("run_context.run_id", "hash suffix is not hex")
 
 
-def _validate_design_model(dm: DesignModel, rep: ValidationReport) -> None:
+def _validate_design_model(dm: DesignModel, rep: ValidationReport,
+                           ix: BundleIndex | None) -> None:
     module_names = {m.name for m in dm.modules}
     for m in dm.modules:
         names: set[str] = set()
@@ -322,21 +325,23 @@ def _validate_csv_rows(kind: str, rows, rep: ValidationReport) -> None:
             rep.add(f"{kind}[{i}]", "all columns must be strings")
 
 
-# -- public entry points -------------------------------------------------------
-
-_PARSERS = {
-    "spec_chunks": lambda doc: [T.SpecChunk.from_doc(d) for d in doc],
-    "requirements": lambda doc: [T.Requirement.from_doc(d) for d in doc],
-    "testplan": lambda doc: [T.TestPlanEntry.from_doc(d) for d in doc],
-    "design_model": DesignModel.from_doc,
-    "properties": lambda doc: [T.PropertyRecord.from_doc(d) for d in doc],
-    "tracelinks": lambda doc: [T.TraceLink.from_doc(d) for d in doc],
-    "formal_results": lambda doc: [T.FormalResult.from_doc(d) for d in doc],
-    "cex_cases": lambda doc: [T.CexCase.from_doc(d) for d in doc],
-    "coverage_metrics": lambda doc: [T.CoverageMetrics.from_doc(d) for d in doc],
-    "run_context": T.RunContext.from_doc,
+# Kind -> validator of its parsed collection; a validator given no index
+# skips the cross-reference checks.
+_VALIDATORS = {
+    "spec_chunks": _validate_spec_chunks,
+    "requirements": _validate_requirements,
+    "testplan": _validate_testplan,
+    "design_model": _validate_design_model,
+    "properties": _validate_properties,
+    "tracelinks": _validate_tracelinks,
+    "formal_results": _validate_formal_results,
+    "cex_cases": _validate_cex_cases,
+    "coverage_metrics": _validate_coverage,
+    "run_context": _validate_run_context,
 }
 
+
+# -- public entry points -------------------------------------------------------
 
 def validate_artifact(doc, kind: str, bundle: T.RunBundle | None = None) -> ValidationReport:
     """Validate one parsed document against its kind's schema and invariants.
@@ -356,31 +361,17 @@ def validate_artifact(doc, kind: str, bundle: T.RunBundle | None = None) -> Vali
         _validate_csv_rows(kind, doc, rep)
         return rep
     try:
-        parsed = _PARSERS[kind](doc) if not _already_typed(doc, kind) else doc
+        if _already_typed(doc, kind):
+            parsed = doc
+        elif kind == "run_context":
+            parsed = T.RunContext.from_doc(doc)
+        else:
+            parsed = T.RunBundle.collection_from_doc(kind, doc)
     except Exception as exc:  # malformed document, report instead of crash
         rep.add("$", f"parse: {exc}")
         return rep
     ix = BundleIndex.from_bundle(bundle) if bundle is not None else None
-    if kind == "spec_chunks":
-        _validate_spec_chunks(parsed, rep)
-    elif kind == "requirements":
-        _validate_requirements(parsed, rep, ix)
-    elif kind == "testplan":
-        _validate_testplan(parsed, rep, ix)
-    elif kind == "design_model":
-        _validate_design_model(parsed, rep)
-    elif kind == "properties":
-        _validate_properties(parsed, rep)
-    elif kind == "tracelinks":
-        _validate_tracelinks(parsed, rep, ix)
-    elif kind == "formal_results":
-        _validate_formal_results(parsed, rep, ix)
-    elif kind == "cex_cases":
-        _validate_cex_cases(parsed, rep)
-    elif kind == "coverage_metrics":
-        _validate_coverage(parsed, rep)
-    elif kind == "run_context":
-        _validate_run_context(parsed, rep)
+    _VALIDATORS[kind](parsed, rep, ix)
     return rep
 
 
@@ -396,25 +387,7 @@ def validate_bundle(bundle: T.RunBundle) -> ValidationReport:
     """Validate every present collection plus all cross-references."""
     rep = ValidationReport()
     ix = BundleIndex.from_bundle(bundle)
-    _validate_run_context(bundle.context, rep)
+    _validate_run_context(bundle.context, rep, ix)
     for kind in bundle.present_kinds():
-        value = getattr(bundle, kind)
-        if kind == "spec_chunks":
-            _validate_spec_chunks(value, rep)
-        elif kind == "requirements":
-            _validate_requirements(value, rep, ix)
-        elif kind == "testplan":
-            _validate_testplan(value, rep, ix)
-        elif kind == "design_model":
-            _validate_design_model(value, rep)
-        elif kind == "properties":
-            _validate_properties(value, rep)
-        elif kind == "tracelinks":
-            _validate_tracelinks(value, rep, ix)
-        elif kind == "formal_results":
-            _validate_formal_results(value, rep, ix)
-        elif kind == "cex_cases":
-            _validate_cex_cases(value, rep)
-        elif kind == "coverage_metrics":
-            _validate_coverage(value, rep)
+        _VALIDATORS[kind](getattr(bundle, kind), rep, ix)
     return rep

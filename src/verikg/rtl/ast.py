@@ -1,9 +1,17 @@
-"""Expression, statement, and design-model node types with JSON round-trip."""
+"""Expression, statement, and design-model node types.
+
+Their document form is `verikg.codec`'s: an expression node is a list
+headed by its `TAG` (`["bin", op, left, right]`), an always-block
+statement a dict that holds its `KIND`, and the design model a dict of
+its fields.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Union
+from typing import Union
+
+from verikg.codec import Record
 
 
 # ---------------------------------------------------------------------------
@@ -25,17 +33,20 @@ class Node:
 
 @dataclass(frozen=True)
 class Lit(Node):
+    TAG = "lit"
     value: int
     width: int | None = None  # None: unsized decimal literal, adapts to context
 
 
 @dataclass(frozen=True)
 class Id(Node):
+    TAG = "id"
     name: str
 
 
 @dataclass(frozen=True)
 class Unary(Node):
+    TAG = "un"
     op: str  # ~ ! -
     operand: "Expr"
 
@@ -48,6 +59,7 @@ class Unary(Node):
 
 @dataclass(frozen=True)
 class Binary(Node):
+    TAG = "bin"
     op: str  # & | ^ + - == != < <= > >= && ||
     left: "Expr"
     right: "Expr"
@@ -61,6 +73,7 @@ class Binary(Node):
 
 @dataclass(frozen=True)
 class Ternary(Node):
+    TAG = "cond"
     cond: "Expr"
     then: "Expr"
     other: "Expr"
@@ -74,6 +87,7 @@ class Ternary(Node):
 
 @dataclass(frozen=True)
 class Concat(Node):
+    TAG = "cat"
     parts: tuple["Expr", ...]
 
     def children(self):
@@ -87,6 +101,7 @@ class Concat(Node):
 class Select(Node):
     """Constant bit- or part-select. msb == lsb for a single bit."""
 
+    TAG = "sel"
     name: str
     msb: "Expr"
     lsb: "Expr"
@@ -179,43 +194,6 @@ BITWISE_OPS = {"&", "|", "^"}
 ARITH_OPS = {"+", "-"}
 
 
-def expr_to_json(e: Expr) -> Any:
-    if isinstance(e, Lit):
-        return ["lit", e.value, e.width]
-    if isinstance(e, Id):
-        return ["id", e.name]
-    if isinstance(e, Unary):
-        return ["un", e.op, expr_to_json(e.operand)]
-    if isinstance(e, Binary):
-        return ["bin", e.op, expr_to_json(e.left), expr_to_json(e.right)]
-    if isinstance(e, Ternary):
-        return ["cond", expr_to_json(e.cond), expr_to_json(e.then), expr_to_json(e.other)]
-    if isinstance(e, Concat):
-        return ["cat", [expr_to_json(p) for p in e.parts]]
-    if isinstance(e, Select):
-        return ["sel", e.name, expr_to_json(e.msb), expr_to_json(e.lsb)]
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def expr_from_json(doc: Any) -> Expr:
-    tag = doc[0]
-    if tag == "lit":
-        return Lit(doc[1], doc[2])
-    if tag == "id":
-        return Id(doc[1])
-    if tag == "un":
-        return Unary(doc[1], expr_from_json(doc[2]))
-    if tag == "bin":
-        return Binary(doc[1], expr_from_json(doc[2]), expr_from_json(doc[3]))
-    if tag == "cond":
-        return Ternary(expr_from_json(doc[1]), expr_from_json(doc[2]), expr_from_json(doc[3]))
-    if tag == "cat":
-        return Concat(tuple(expr_from_json(p) for p in doc[1]))
-    if tag == "sel":
-        return Select(doc[1], expr_from_json(doc[2]), expr_from_json(doc[3]))
-    raise ValueError(f"unknown expression tag: {tag!r}")
-
-
 def render_expr(e: Node) -> str:
     """Source form; fully parenthesized so reparsing is associativity-proof.
     Property-file nodes (sampled calls, macro references) print through
@@ -256,6 +234,7 @@ def render_expr(e: Node) -> str:
 class SeqAssign:
     """Assignment inside an always block (blocking or non-blocking)."""
 
+    KIND = "seq_assign"
     target: str
     sel: tuple[Expr, Expr] | None  # constant part-select on the LHS
     rhs: Expr
@@ -266,6 +245,7 @@ class SeqAssign:
 
 @dataclass
 class IfStmt:
+    KIND = "if"
     cond: Expr
     then_body: list["AlwaysStmt"]
     else_body: list["AlwaysStmt"] | None
@@ -285,6 +265,7 @@ class CaseArm:
 
 @dataclass
 class CaseStmt:
+    KIND = "case"
     subject: Expr
     arms: list[CaseArm]
     line: int
@@ -363,85 +344,6 @@ class AlwaysBlock:
     line: int
 
 
-def _stmt_to_json(s: AlwaysStmt) -> dict:
-    if isinstance(s, SeqAssign):
-        return {
-            "kind": "seq_assign",
-            "target": s.target,
-            "sel": [expr_to_json(s.sel[0]), expr_to_json(s.sel[1])] if s.sel else None,
-            "rhs": expr_to_json(s.rhs),
-            "blocking": s.blocking,
-            "stmt_id": s.stmt_id,
-            "line": s.line,
-        }
-    if isinstance(s, IfStmt):
-        return {
-            "kind": "if",
-            "cond": expr_to_json(s.cond),
-            "then_body": [_stmt_to_json(x) for x in s.then_body],
-            "else_body": [_stmt_to_json(x) for x in s.else_body] if s.else_body is not None else None,
-            "then_id": s.then_id,
-            "else_id": s.else_id,
-            "line": s.line,
-            "else_line": s.else_line,
-        }
-    if isinstance(s, CaseStmt):
-        return {
-            "kind": "case",
-            "subject": expr_to_json(s.subject),
-            "arms": [
-                {
-                    "labels": [expr_to_json(l) for l in a.labels] if a.labels is not None else None,
-                    "body": [_stmt_to_json(x) for x in a.body],
-                    "arm_id": a.arm_id,
-                    "line": a.line,
-                }
-                for a in s.arms
-            ],
-            "line": s.line,
-        }
-    raise TypeError(f"not a statement node: {s!r}")
-
-
-def _stmt_from_json(doc: dict) -> AlwaysStmt:
-    kind = doc["kind"]
-    if kind == "seq_assign":
-        sel = doc["sel"]
-        return SeqAssign(
-            target=doc["target"],
-            sel=(expr_from_json(sel[0]), expr_from_json(sel[1])) if sel else None,
-            rhs=expr_from_json(doc["rhs"]),
-            blocking=doc["blocking"],
-            stmt_id=doc["stmt_id"],
-            line=doc["line"],
-        )
-    if kind == "if":
-        return IfStmt(
-            cond=expr_from_json(doc["cond"]),
-            then_body=[_stmt_from_json(x) for x in doc["then_body"]],
-            else_body=[_stmt_from_json(x) for x in doc["else_body"]] if doc["else_body"] is not None else None,
-            then_id=doc["then_id"],
-            else_id=doc["else_id"],
-            line=doc["line"],
-            else_line=doc.get("else_line"),
-        )
-    if kind == "case":
-        return CaseStmt(
-            subject=expr_from_json(doc["subject"]),
-            arms=[
-                CaseArm(
-                    labels=[expr_from_json(l) for l in a["labels"]] if a["labels"] is not None else None,
-                    body=[_stmt_from_json(x) for x in a["body"]],
-                    arm_id=a["arm_id"],
-                    line=a["line"],
-                )
-                for a in doc["arms"]
-            ],
-            line=doc["line"],
-        )
-    raise ValueError(f"unknown statement kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Module-level declarations
 # ---------------------------------------------------------------------------
@@ -516,7 +418,7 @@ class StatementRef:
 
 
 @dataclass
-class DesignModel:
+class DesignModel(Record):
     modules: list[ModuleDecl] = field(default_factory=list)
     fsms: list[FsmDesc] = field(default_factory=list)
     statements: list[StatementRef] = field(default_factory=list)
@@ -527,155 +429,3 @@ class DesignModel:
             if m.name == name:
                 return m
         return None
-
-    # -- JSON round-trip ----------------------------------------------------
-
-    def to_doc(self) -> dict:
-        return {
-            "top": self.top,
-            "modules": [
-                {
-                    "name": m.name,
-                    "ports": [
-                        {
-                            "name": p.name, "direction": p.direction, "width": p.width,
-                            "line": p.line,
-                            "msb": expr_to_json(p.msb) if p.msb is not None else None,
-                            "lsb": expr_to_json(p.lsb) if p.lsb is not None else None,
-                        }
-                        for p in m.ports
-                    ],
-                    "signals": [
-                        {
-                            "name": s.name, "width": s.width, "kind": s.kind, "line": s.line,
-                            "msb": expr_to_json(s.msb) if s.msb is not None else None,
-                            "lsb": expr_to_json(s.lsb) if s.lsb is not None else None,
-                        }
-                        for s in m.signals
-                    ],
-                    "parameters": [
-                        {
-                            "name": p.name, "value": p.value, "local": p.local, "line": p.line,
-                            "expr": expr_to_json(p.expr) if p.expr is not None else None,
-                        }
-                        for p in m.parameters
-                    ],
-                    "instances": [
-                        {
-                            "name": i.name,
-                            "module": i.module,
-                            "ports": {k: expr_to_json(v) for k, v in sorted(i.ports.items())},
-                            "params": dict(sorted(i.params.items())),
-                            "line": i.line,
-                        }
-                        for i in m.instances
-                    ],
-                    "assigns": [
-                        {
-                            "target": a.target,
-                            "sel": [expr_to_json(a.sel[0]), expr_to_json(a.sel[1])] if a.sel else None,
-                            "rhs": expr_to_json(a.rhs),
-                            "stmt_id": a.stmt_id,
-                            "line": a.line,
-                        }
-                        for a in m.assigns
-                    ],
-                    "always_blocks": [
-                        {
-                            "clock": b.clock,
-                            "body": [_stmt_to_json(s) for s in b.body],
-                            "line": b.line,
-                        }
-                        for b in m.always_blocks
-                    ],
-                    "line": m.line,
-                }
-                for m in self.modules
-            ],
-            "fsms": [
-                {
-                    "state_reg": f.state_reg,
-                    "encoding": dict(sorted(f.encoding.items())),
-                    "transition_lines": f.transition_lines,
-                }
-                for f in self.fsms
-            ],
-            "statements": [
-                {"id": s.id, "module": s.module, "line": s.line, "kind": s.kind, "detail": s.detail}
-                for s in self.statements
-            ],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DesignModel":
-        modules = []
-        for md in doc["modules"]:
-            modules.append(
-                ModuleDecl(
-                    name=md["name"],
-                    ports=[
-                        Port(
-                            p["name"], p["direction"], p["width"], p["line"],
-                            expr_from_json(p["msb"]) if p.get("msb") is not None else None,
-                            expr_from_json(p["lsb"]) if p.get("lsb") is not None else None,
-                        )
-                        for p in md["ports"]
-                    ],
-                    signals=[
-                        Signal(
-                            s["name"], s["width"], s["kind"], s["line"],
-                            expr_from_json(s["msb"]) if s.get("msb") is not None else None,
-                            expr_from_json(s["lsb"]) if s.get("lsb") is not None else None,
-                        )
-                        for s in md["signals"]
-                    ],
-                    parameters=[
-                        Param(
-                            p["name"], p["value"], p["local"], p["line"],
-                            expr_from_json(p["expr"]) if p.get("expr") is not None else None,
-                        )
-                        for p in md["parameters"]
-                    ],
-                    instances=[
-                        Instance(
-                            name=i["name"],
-                            module=i["module"],
-                            ports={k: expr_from_json(v) for k, v in i["ports"].items()},
-                            params=dict(i["params"]),
-                            line=i["line"],
-                        )
-                        for i in md["instances"]
-                    ],
-                    assigns=[
-                        ContAssign(
-                            target=a["target"],
-                            sel=(expr_from_json(a["sel"][0]), expr_from_json(a["sel"][1])) if a["sel"] else None,
-                            rhs=expr_from_json(a["rhs"]),
-                            stmt_id=a["stmt_id"],
-                            line=a["line"],
-                        )
-                        for a in md["assigns"]
-                    ],
-                    always_blocks=[
-                        AlwaysBlock(
-                            clock=b["clock"],
-                            body=[_stmt_from_json(s) for s in b["body"]],
-                            line=b["line"],
-                        )
-                        for b in md["always_blocks"]
-                    ],
-                    line=md["line"],
-                )
-            )
-        return cls(
-            modules=modules,
-            fsms=[
-                FsmDesc(f["state_reg"], dict(f["encoding"]), list(f["transition_lines"]))
-                for f in doc["fsms"]
-            ],
-            statements=[
-                StatementRef(s["id"], s["module"], s["line"], s["kind"], s.get("detail"))
-                for s in doc["statements"]
-            ],
-            top=doc.get("top"),
-        )

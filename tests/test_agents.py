@@ -1,3 +1,9 @@
+import email.message
+import io
+import json
+import urllib.request
+import urllib.response
+
 import pytest
 
 from verikg.agents.backend import (
@@ -11,6 +17,7 @@ from verikg.agents.backend import (
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape, parse_payload
 from verikg.agents.generation import run_generation
+from verikg.agents.roles import system_instructions
 from verikg.agents.scripted import default_rules
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
@@ -144,6 +151,62 @@ class TestLive:
         with pytest.raises(ProtocolError) as err:
             backend.send(env())
         assert err.value.raw == "nah"
+
+
+@pytest.fixture
+def stub_http():
+    """Install an opener whose HTTP handler records each request and
+    answers with the next queued (status, body); it opens no socket."""
+    replies, requests = [], []
+
+    class StubHandler(urllib.request.HTTPHandler):
+        def http_open(self, req):
+            requests.append(req)
+            status, body = replies.pop(0)
+            resp = urllib.response.addinfourl(
+                io.BytesIO(body), email.message.Message(), req.full_url, status)
+            resp.msg = "stub"
+            return resp
+
+    urllib.request.install_opener(urllib.request.build_opener(StubHandler()))
+    yield replies, requests
+    urllib.request.install_opener(None)
+
+
+class TestLiveDefaultTransport:
+    URL = "http://example/v1/chat"
+
+    def _backend(self, sleeps):
+        return LiveBackend(self.URL, "m1", api_key="k", sleep=sleeps.append,
+                           timeout=7.0)
+
+    def _ok(self, text):
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+    def test_posts_the_json_body_and_headers(self, stub_http):
+        replies, requests = stub_http
+        replies.append(self._ok("approve"))
+        e = env()
+        out = self._backend([]).send(e)
+        assert out.payload["approve"] is True
+        [req] = requests
+        assert (req.full_url, req.get_method(), req.timeout) == (self.URL, "POST", 7.0)
+        assert json.loads(req.data) == {"model": "m1", "messages": [
+            {"role": "system", "content": system_instructions(e.role)},
+            {"role": "user", "content": e.render()}]}
+        assert req.get_header("Content-type") == "application/json"
+        assert req.get_header("Authorization") == "Bearer k"
+
+    def test_http_error_status_retries_then_protocol_error(self, stub_http):
+        replies, requests = stub_http
+        replies += [(500, b"down"), (503, b"down"), self._ok("approve")]
+        sleeps = []
+        assert self._backend(sleeps).send(env()).payload["approve"] is True
+        assert len(requests) == 3 and sleeps == [1, 2]
+        replies += [(500, b"down")] * 3
+        with pytest.raises(ProtocolError, match="transport failed after 3 tries"):
+            self._backend([]).send(env())
+        assert len(requests) == 6
 
 
 def generation_setup(fifo_model, annotations):
