@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from verikg.ir.types import FormalResult, ResultStatus
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.engine.monitor import Monitor
+from verikg.engine.monitor import Monitor, monitor_for
 
 
 class EngineError(Exception):
@@ -69,6 +69,14 @@ class _InputSpace:
         return dict(zip(self.sorted_names, vec))
 
 
+def _input_space(net: NetModel) -> _InputSpace:
+    """The net's input space, built once per net."""
+    space = net.engine.get("inputs")
+    if space is None:
+        space = net.engine["inputs"] = _InputSpace(net)
+    return space
+
+
 @dataclass
 class _Exploration:
     status: ResultStatus
@@ -86,7 +94,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     slot tuple `state + inputs` the monitors read, until it returns True:
     nothing is left for it to see. A successor that takes the product past
     `cfg.max_states` stops the search bounded at the last completed cycle."""
-    space = _InputSpace(net)
+    space = _input_space(net)
     vectors = space.vectors
     step = net.step
     max_states = cfg.max_states
@@ -167,7 +175,7 @@ def _bound_assumption_monitors(net: NetModel, cfg: CheckConfig) -> list[Monitor]
     for a in cfg.input_assumptions:
         if a.kind != "assumption":
             raise EngineError(f"{a.prop_id}: input_assumptions must be kind=assumption")
-    return [Monitor(a, net) for a in cfg.input_assumptions]
+    return [monitor_for(net, a) for a in cfg.input_assumptions]
 
 
 def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
@@ -189,7 +197,7 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     cfg = cfg or CheckConfig()
     cfg.validate()
     monitors = _bound_assumption_monitors(net, cfg)
-    target = Monitor(bp, net)
+    target = monitor_for(net, bp)
     cover = bp.kind == "cover"
     ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line,
                   "completion" if cover else "violation")

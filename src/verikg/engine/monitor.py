@@ -22,10 +22,6 @@ Slots = tuple  # this cycle's state bits then inputs, in NetModel.slots order
 History = tuple  # per-tap tuple of past values, most recent first
 
 
-def _truthy(v: int) -> bool:
-    return v != 0
-
-
 class _SampledCompiler(Compiler):
     """The shared RTL compiler plus the sampled-value functions, which read
     shift-register taps from the monitor history `h`."""
@@ -79,8 +75,10 @@ class _SampledCompiler(Compiler):
         return f"({hist})", depths
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepEvents:
+    """What one cycle's step saw; frozen, because transition table entries
+    share it."""
     violated: bool = False
     ante_matched: bool = False
     completed: bool = False  # any consequent/cover sequence completion
@@ -102,7 +100,29 @@ def _require_bound(e, net: NetModel, prop_id: str) -> None:
                 f"{prop_id}: unbound identifier {name!r} (bind contract violation)")
 
 
+def monitor_for(net: NetModel, bp: S.BoundProperty) -> Monitor:
+    """The monitor of `bp` on `net`, built once per net and property shape:
+    properties that differ only in id and line share one, with its
+    transition table. A property that does not bind leaves nothing cached."""
+    key = (bp.kind, bp.impl, bp.antecedent, bp.consequent, bp.disable_net)
+    mon = net.engine.get(key)
+    if mon is None:
+        mon = net.engine[key] = Monitor(bp, net)
+    return mon
+
+
 class Monitor:
+    """One property shape's monitor on one net.
+
+    A step evaluates every step condition and the disable condition once
+    and packs their truth into an int: bit i is antecedent step i, then
+    come the consequent steps, then the disable condition. The NFA move
+    for (truths, antecedent states, obligations) is computed once, by
+    `_transition`, and kept in `table`. Compiled expressions are pure and
+    total, so evaluating every condition gives the values a lazy
+    evaluation would.
+    """
+
     def __init__(self, bp: S.BoundProperty, net: NetModel):
         comp = _SampledCompiler(net.widths, net.slots)
 
@@ -113,22 +133,21 @@ class Monitor:
 
         self.kind = bp.kind
         self.impl = bp.impl
-        self.prop_id = bp.prop_id
-        self.line = bp.line
         ante = [] if bp.antecedent is None else bp.antecedent.steps
         cons = bp.consequent.steps
-        src = [source(st.expr) for st in [*ante, *cons]]
+        exprs = [st.expr for st in [*ante, *cons]]
         if bp.disable_net is not None:
-            src.append(source(bp.disable_net))
+            exprs.append(bp.disable_net)
+        src = [source(e) for e in exprs]
         hist, self.tap_depths = comp.finish_taps()
         src.append(comp.function("x, h", hist))
         # one compile for every function not already on the net
-        fns = net.load(src)
-        self.ante_steps = [(st.delay_lo, st.delay_hi, fn) for st, fn in zip(ante, fns)]
-        self.cons_steps = [(st.delay_lo, st.delay_hi, fn)
-                           for st, fn in zip(cons, fns[len(ante):])]
-        self.disable_fn = fns[-2] if bp.disable_net is not None else None
-        self.advance = fns[-1]
+        *conditions, self.advance = net.load(src)
+        self.conditions = [(1 << i, fn) for i, fn in enumerate(conditions)]
+        self.ante_steps = [(st.delay_lo, st.delay_hi) for st in ante]
+        self.cons_steps = [(st.delay_lo, st.delay_hi) for st in cons]
+        self.disable_bit = 1 << (len(exprs) - 1) if bp.disable_net is not None else 0
+        self.table: dict = {}  # (truths, ante, obls) -> (ante, obls, events)
 
     def initial(self):
         hist = tuple(tuple(0 for _ in range(depth)) for depth in self.tap_depths)
@@ -138,61 +157,65 @@ class Monitor:
 
     def step(self, mstate, x: Slots) -> tuple[object, StepEvents]:
         hist, ante, obls = mstate
-        ev = StepEvents()
-
-        disabled = self.disable_fn is not None and _truthy(self.disable_fn(x, hist))
-        if disabled:
-            new_ante: frozenset = frozenset()
-            new_obls: frozenset = frozenset()
-        else:
-            steps_cons = self.cons_steps
-            cons_truth = [None] * len(steps_cons)
-
-            def cons_true(i: int) -> bool:
-                if cons_truth[i] is None:
-                    cons_truth[i] = _truthy(steps_cons[i][2](x, hist))
-                return cons_truth[i]
-
-            spawned: set[frozenset] = set()
-            if self.impl is S.ImplKind.NONE:
-                # sequence property / cover: an attempt starts every cycle
-                spawned.add(frozenset({(0, 0)}))
-                new_ante = frozenset()
-            else:
-                steps_ante = self.ante_steps
-                ante_truth = [None] * len(steps_ante)
-
-                def ante_true(i: int) -> bool:
-                    if ante_truth[i] is None:
-                        ante_truth[i] = _truthy(steps_ante[i][2](x, hist))
-                    return ante_truth[i]
-
-                closed, matched = _closure(set(ante) | {(0, 0)}, steps_ante, ante_true)
-                if matched:
-                    ev.ante_matched = True
-                    if self.impl is S.ImplKind.OVERLAP:
-                        spawned.add(frozenset({(0, 0)}))
-                    else:
-                        spawned.add(frozenset({(0, _INCOMING)}))
-                new_ante = frozenset(_advance(closed, steps_ante))
-
-            surviving: set[frozenset] = set()
-            for obl in set(obls) | spawned:
-                incycle = {st for st in obl if st[1] != _INCOMING}
-                incoming = {st for st in obl if st[1] == _INCOMING}
-                closed, completed = _closure(incycle, steps_cons, cons_true)
-                if completed:
-                    ev.completed = True
-                    continue  # obligation satisfied
-                nxt = _advance(closed, steps_cons) | {(i, 0) for i, _c in incoming}
-                if not nxt:
-                    if self.kind != "cover":
-                        ev.violated = True
-                    continue  # a failed cover attempt just lapses
-                surviving.add(frozenset(nxt))
-            new_obls = frozenset(surviving)
-
+        truths = 0
+        for bit, fn in self.conditions:
+            if fn(x, hist):
+                truths |= bit
+        key = (truths, ante, obls)
+        move = self.table.get(key)
+        if move is None:
+            move = self.table[key] = self._transition(truths, ante, obls)
+        new_ante, new_obls, ev = move
         return (self.advance(x, hist), new_ante, new_obls), ev
+
+    def _transition(self, truths: int, ante: frozenset, obls: frozenset
+                    ) -> tuple[frozenset, frozenset, StepEvents]:
+        """The NFA move of one cycle whose conditions have the truth bits
+        `truths`: the next antecedent states and obligations, and events."""
+        if truths & self.disable_bit:
+            return frozenset(), frozenset(), StepEvents()
+        n_ante = len(self.ante_steps)
+        violated = ante_matched = completed = False
+        steps_cons = self.cons_steps
+
+        def cons_true(i: int) -> bool:
+            return truths >> (n_ante + i) & 1 == 1
+
+        spawned: set[frozenset] = set()
+        if self.impl is S.ImplKind.NONE:
+            # sequence property / cover: an attempt starts every cycle
+            spawned.add(frozenset({(0, 0)}))
+            new_ante = frozenset()
+        else:
+            steps_ante = self.ante_steps
+
+            def ante_true(i: int) -> bool:
+                return truths >> i & 1 == 1
+
+            closed, matched = _closure(set(ante) | {(0, 0)}, steps_ante, ante_true)
+            if matched:
+                ante_matched = True
+                if self.impl is S.ImplKind.OVERLAP:
+                    spawned.add(frozenset({(0, 0)}))
+                else:
+                    spawned.add(frozenset({(0, _INCOMING)}))
+            new_ante = frozenset(_advance(closed, steps_ante))
+
+        surviving: set[frozenset] = set()
+        for obl in set(obls) | spawned:
+            incycle = {st for st in obl if st[1] != _INCOMING}
+            incoming = {st for st in obl if st[1] == _INCOMING}
+            closed, done = _closure(incycle, steps_cons, cons_true)
+            if done:
+                completed = True
+                continue  # obligation satisfied
+            nxt = _advance(closed, steps_cons) | {(i, 0) for i, _c in incoming}
+            if not nxt:
+                if self.kind != "cover":
+                    violated = True
+                continue  # a failed cover attempt just lapses
+            surviving.add(frozenset(nxt))
+        return new_ante, frozenset(surviving), StepEvents(violated, ante_matched, completed)
 
 
 def _closure(states: set, steps, truth) -> tuple[set, bool]:
@@ -204,7 +227,7 @@ def _closure(states: set, steps, truth) -> tuple[set, bool]:
         i, c = work.pop()
         if c == _INCOMING:
             continue
-        dlo, dhi, _fn = steps[i]
+        dlo, dhi = steps[i]
         if dlo <= c <= dhi and truth(i):
             if i + 1 == len(steps):
                 completed = True

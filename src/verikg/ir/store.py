@@ -32,18 +32,21 @@ def pretty_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def content_hash(bundle: T.RunBundle) -> str:
+def collection_docs(bundle: T.RunBundle) -> dict:
+    """Kind -> document of every present collection, in the hash's order."""
+    return {kind: bundle.collection_doc(kind) for kind in bundle.present_kinds()}
+
+
+def content_hash(bundle: T.RunBundle, docs: dict | None = None) -> str:
     """First 8 hex digits of a hash over the sorted serialized collections.
 
     The run context is excluded: it embeds the run_id itself and the
     creation timestamp, either of which would make the hash circular or
-    time-dependent.
+    time-dependent. `docs` is the bundle's `collection_docs` when the
+    caller has already built them.
     """
     h = hashlib.sha256()
-    for kind in T.RunBundle.COLLECTION_KINDS:
-        doc = bundle.collection_doc(kind)
-        if doc is None:
-            continue
+    for kind, doc in (collection_docs(bundle) if docs is None else docs).items():
         h.update(kind.encode("utf-8"))
         h.update(b"\x00")
         h.update(canonical_json(doc).encode("utf-8"))
@@ -51,7 +54,8 @@ def content_hash(bundle: T.RunBundle) -> str:
     return h.hexdigest()[:8]
 
 
-def make_run_id(bundle: T.RunBundle, created_at: str | None = None) -> str:
+def make_run_id(bundle: T.RunBundle, created_at: str | None = None,
+                docs: dict | None = None) -> str:
     """UTC timestamp + '-' + 8-hex content hash."""
     if created_at:
         stamp = created_at.replace("-", "").replace(":", "")
@@ -59,7 +63,7 @@ def make_run_id(bundle: T.RunBundle, created_at: str | None = None) -> str:
             stamp += "Z"
     else:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return f"{stamp}-{content_hash(bundle)}"
+    return f"{stamp}-{content_hash(bundle, docs)}"
 
 
 def timestamp_now() -> str:
@@ -68,7 +72,8 @@ def timestamp_now() -> str:
 
 def save_run(bundle: T.RunBundle, root: str | Path,
              attachments: dict[str, bytes] | None = None,
-             validate: bool = True, run_id: str | None = None) -> T.RunContext:
+             validate: bool = True, run_id: str | None = None,
+             docs: dict | None = None) -> T.RunContext:
     """Persist a validated bundle under root/<run_id>/, with its graph
     exported to nodes.csv and edges.csv.
 
@@ -76,8 +81,9 @@ def save_run(bundle: T.RunBundle, root: str | Path,
     paths filled with run-directory-relative names). Attachments are extra
     files (relative path -> bytes) written alongside the documents.
     validate=False is for crash-path preservation of partial bundles.
-    `run_id` is the bundle's `make_run_id` when the caller has already
-    computed it; the content is then not hashed a second time.
+    `run_id` is the bundle's `make_run_id`, and `docs` its
+    `collection_docs`, when the caller has already computed them; they are
+    then not computed a second time.
     """
     if validate:
         report = validate_bundle(bundle)
@@ -85,7 +91,8 @@ def save_run(bundle: T.RunBundle, root: str | Path,
             raise StoreError(f"bundle validation failed:\n{report}")
 
     root = Path(root)
-    run_id = run_id or make_run_id(bundle, bundle.context.created_at or None)
+    docs = collection_docs(bundle) if docs is None else docs
+    run_id = run_id or make_run_id(bundle, bundle.context.created_at or None, docs)
     ctx = bundle.context
     ctx.run_id = run_id
     if not ctx.created_at:
@@ -104,8 +111,7 @@ def save_run(bundle: T.RunBundle, root: str | Path,
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
     try:
-        for kind in bundle.present_kinds():
-            doc = bundle.collection_doc(kind)
+        for kind, doc in docs.items():
             _write_text(staging / T.ARTIFACT_FILE_NAMES[kind], pretty_json(doc))
         _write_text(staging / T.ARTIFACT_FILE_NAMES["run_context"],
                     pretty_json(ctx.to_doc()))
@@ -119,9 +125,10 @@ def save_run(bundle: T.RunBundle, root: str | Path,
             nodes, edges = [NODE_HEADER], [EDGE_HEADER]
         _write_text(staging / T.ARTIFACT_FILE_NAMES["nodes"], render_csv(nodes))
         _write_text(staging / T.ARTIFACT_FILE_NAMES["edges"], render_csv(edges))
-        for rel, data in (attachments or {}).items():
-            target = staging / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
+        targets = {staging / rel: data for rel, data in (attachments or {}).items()}
+        for parent in dict.fromkeys(target.parent for target in targets):
+            parent.mkdir(parents=True, exist_ok=True)
+        for target, data in targets.items():
             target.write_bytes(data)
         final = root / run_id
         if final.exists():

@@ -39,7 +39,8 @@ from verikg.ir.export import (
     verification_edges,
     verification_nodes,
 )
-from verikg.ir.store import StoreError, make_run_id, save_run, timestamp_now
+from verikg.ir.store import (
+    StoreError, collection_docs, make_run_id, save_run, timestamp_now)
 from verikg.kg import (
     CONTAINMENT_EDGES,
     Edge,
@@ -441,7 +442,8 @@ def run_all(cfg: RunConfig) -> RunReport:
         raise
 
     ctx.iteration_counts = iteration_counts
-    run_id = make_run_id(bundle, created_at)
+    docs = collection_docs(bundle)
+    run_id = make_run_id(bundle, created_at, docs)
     ctx.run_id = run_id
     backend.transcript.run_id = run_id
     backend.transcript.created_at = created_at
@@ -450,7 +452,7 @@ def run_all(cfg: RunConfig) -> RunReport:
     artifacts["graph.html"] = render_html(kg).encode("utf-8")
     report = report_from_bundle(bundle, kg)
     artifacts["report.txt"] = report.render().encode("utf-8")
-    save_run(bundle, cfg.out_root, artifacts, run_id=run_id)
+    save_run(bundle, cfg.out_root, artifacts, run_id=run_id, docs=docs)
     return report
 
 

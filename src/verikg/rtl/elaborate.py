@@ -38,10 +38,13 @@ class NetModel:
         return tuple(self.init[name] for name, _ in self.state_bits)
 
     # Set on construction: each state bit and input's position in the slot
-    # tuple `state + inputs`, the compiled functions by their source, the
-    # next-state function, and the statement guards over `x`.
+    # tuple `state + inputs`, the compiled functions by their source, what
+    # the engine builds from this net by key (its input space, and one
+    # property monitor per property shape), the next-state function, and
+    # the statement guards over `x`.
     slots: dict = field(init=False, repr=False, compare=False)
     code: dict = field(init=False, repr=False, compare=False)
+    engine: dict = field(init=False, repr=False, compare=False)
     _step: object = field(init=False, repr=False, compare=False)
     guard_fns: dict = field(init=False, repr=False, compare=False)
     # The names with a value every cycle: the state bits, the data inputs
@@ -55,6 +58,7 @@ class NetModel:
         self.readable = slots | frozenset(
             w for w, e in self.comb.items() if ast.expr_ids(e) <= slots)
         self.code = {}
+        self.engine = {}
         # step reads locals unpacked from its two tuples; a guard reads x
         local = Compiler(self.widths, self.slots, read="v{}")
         nexts = "".join(f"{local.compile(self.next_state[name])} & {(1 << w) - 1}, "

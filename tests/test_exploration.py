@@ -15,7 +15,7 @@ from reference_kernel import reference_explore
 from verikg.agents.backend import RecordingBackend
 from verikg.engine import CheckConfig, check, coverage
 from verikg.engine.check import _bound_assumption_monitors, _explore
-from verikg.engine.monitor import Monitor
+from verikg.engine.monitor import monitor_for
 from verikg.ir.types import ResultStatus
 from verikg.kg import SignalIndex
 from verikg.pipeline import RunConfig, run_all
@@ -105,7 +105,7 @@ def test_kernel_agrees_with_reference_on_generated_checks():
     for net, bp, assume in _generated_cases(seed=9101, count=40):
         for cfg in BUDGETS:
             cfg = CheckConfig(cfg.max_states, cfg.max_depth, assume)
-            args = (net, Monitor(bp, net), _bound_assumption_monitors(net, cfg), cfg,
+            args = (net, monitor_for(net, bp), _bound_assumption_monitors(net, cfg), cfg,
                     bp.prop_id, bp.line,
                     "completion" if bp.kind == "cover" else "violation")
             new, ref = _explore(*args), reference_explore(*args)
@@ -169,7 +169,7 @@ def test_max_states_bounds_the_product_inside_a_layer():
     result, trace = check(net, bp, cfg)
     assert result.status is ResultStatus.BOUNDED and trace is None
     assert result.runtime_ms <= 17 and result.proof_depth == 0
-    ref = reference_explore(net, Monitor(bp, net), [], cfg, bp.prop_id, bp.line,
+    ref = reference_explore(net, monitor_for(net, bp), [], cfg, bp.prop_id, bp.line,
                             "violation")
     assert ref.explored == 256
     cm = coverage(net, [], cfg)
