@@ -13,6 +13,7 @@ from typing import Callable, Protocol
 
 from verikg.agents.envelope import AgentResponse, PromptEnvelope, parse_payload
 from verikg.agents.roles import ROLE_NAMES, system_instructions
+from verikg.codec import pretty_json
 
 
 class ProtocolError(Exception):
@@ -87,7 +88,7 @@ class Transcript:
         return cls.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def render_bytes(self) -> bytes:
-        return (json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (pretty_json(self.to_doc(), ascii=True) + "\n").encode("utf-8")
 
 
 class RecordingBackend:

@@ -8,9 +8,9 @@ are stable across runs.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 
 SECTION_ORDER = (
     "requirement",
@@ -64,15 +64,21 @@ class PromptEnvelope:
         return "\n\n".join(parts)
 
     def digest(self) -> str:
-        doc = {
-            "role": self.role,
-            "step_id": self.step_id,
-            "expected_shape": self.expected_shape.value,
-            "context": [[n, t] for n, t in self.context],
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 (hex) of the canonical JSON, UTF-8 encoded, of
+        {"context": [[name, text], ...], "expected_shape", "role", "step_id"},
+        built from pieces: each string quoted by the C string encoder."""
+        parts = [b'{"context":[']
+        for i, (name, text) in enumerate(self.context):
+            parts += (b",[" if i else b"[", _quoted(name), b",", _quoted(text), b"]")
+        parts += (b'],"expected_shape":', _quoted(self.expected_shape.value),
+                  b',"role":', _quoted(self.role),
+                  b',"step_id":', _quoted(self.step_id), b"}")
+        return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _quoted(s: str) -> bytes:
+    """`s` as a JSON string with non-ASCII kept, UTF-8 encoded."""
+    return encode_basestring(s).encode("utf-8")
 
 
 @dataclass

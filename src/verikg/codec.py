@@ -1,4 +1,5 @@
-"""One JSON document form for every dataclass record.
+"""One JSON document form for every dataclass record, and the two text
+forms of run bytes.
 
 `to_doc` stores each dataclass field under its own name, an Enum by its
 value, a tuple as a list and a nested record as a dict. A class with a
@@ -12,16 +13,23 @@ absent only where the field's default is None, and a scalar must have its
 field's type (an int may stand for a float). A malformed document raises;
 it never loads as a partial record.
 
+`canonical_json` is the compact form (sorted keys, no spaces, non-ASCII
+kept) that run ids, graph attributes and `graph.html` are built from.
+`pretty_json` is the form run documents and transcripts are written in:
+exactly `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=ascii)`.
+
 The module imports nothing from `verikg`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import types
 import typing
 from enum import Enum
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 
 def to_doc(x):
@@ -183,3 +191,118 @@ class Record:
     @classmethod
     def from_doc(cls, doc):
         return from_doc(cls, doc)
+
+
+# -- run bytes ------------------------------------------------------------------
+
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False).encode
+
+
+_INF = float("inf")
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _null_text(_x) -> str:
+    return "null"
+
+
+def _key_text(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is None:
+        return "null"
+    if k is True or k is False:
+        return _BOOL_TEXT[k]
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _pretty_writer(ascii: bool):
+    """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=ascii)`,
+    written piece by piece: every string goes through the C quoting
+    function and every number through its type's repr, and the pieces are
+    joined once. (Before Python 3.13, `json.dumps` with an indent runs the
+    pure-Python encoder; one writer on every Python keeps the bytes from
+    depending on which encoder ran.)"""
+    quote = encode_basestring_ascii if ascii else encode_basestring
+    # exact types only: a subclass takes the isinstance tests in `scalar`
+    text_of = {str: quote, int: int.__repr__, float: _float_text,
+               bool: _BOOL_TEXT.__getitem__, type(None): _null_text}
+
+    def scalar(x) -> str:
+        text = text_of.get(type(x))
+        if text is not None:
+            return text(x)
+        if isinstance(x, str):
+            return quote(x)
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float):
+            return _float_text(x)
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+    def put(x, nl: str, append) -> None:
+        """Append `x`, whose closing bracket goes after `nl`."""
+        if isinstance(x, dict):
+            if not x:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, v in sorted(x.items()):
+                key = quote(k if type(k) is str else _key_text(k))
+                text = text_of.get(type(v))
+                if text is not None:
+                    append(f"{sep}{key}: {text(v)}")
+                else:
+                    append(f"{sep}{key}: ")
+                    put(v, inner, append)
+                sep = comma
+            append(nl + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            for v in x:
+                text = text_of.get(type(v))
+                if text is not None:
+                    append(sep + text(v))
+                else:
+                    append(sep)
+                    put(v, inner, append)
+                sep = comma
+            append(nl + "]")
+        else:
+            append(scalar(x))
+
+    def write(doc) -> str:
+        out: list[str] = []
+        put(doc, "\n", out.append)
+        return "".join(out)
+    return write
+
+
+_WRITERS = {ascii: _pretty_writer(ascii) for ascii in (False, True)}
+
+
+def pretty_json(doc, ascii: bool = False) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=ascii)`."""
+    return _WRITERS[ascii](doc)

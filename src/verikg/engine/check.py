@@ -84,6 +84,7 @@ class _Exploration:
     explored: int
     ante_matched: bool
     trace: CexTrace | None  # where the search stopped (violation or completion)
+    budget: str | None = None  # on bounded: "max_depth" or "max_states"
 
 
 def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
@@ -127,7 +128,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     while frontier:
         if depth >= cfg.max_depth:
             return _Exploration(ResultStatus.BOUNDED, depth - 1, len(parents),
-                                ante_matched, None)
+                                ante_matched, None, "max_depth")
         next_frontier = []
         for node in frontier:
             design_state, monitor_states = node
@@ -162,7 +163,8 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                     parents[succ] = (node, vec)
                     if len(parents) > max_states:
                         return _Exploration(ResultStatus.BOUNDED, deepest,
-                                            len(parents), ante_matched, None)
+                                            len(parents), ante_matched, None,
+                                            "max_states")
                     next_frontier.append(succ)
         deepest = depth
         depth += 1
@@ -191,7 +193,8 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     vacuous when the fully explored reachable product contains no witness
     (an unsatisfiable cover).
 
-    Either kind is bounded when a budget ran out first. runtime_ms is the
+    Either kind is bounded when a budget ran out first; the result's note
+    names it ("max_depth" or "max_states"). runtime_ms is the
     deterministic explored-state count.
     """
     cfg = cfg or CheckConfig()
@@ -211,6 +214,7 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
         status=status,
         proof_depth=ex.proof_depth if ex.trace is None else ex.trace.failure_cycle,
         runtime_ms=ex.explored,
+        note=ex.budget,
     )
     return result, ex.trace
 

@@ -7,8 +7,7 @@ highlight and hover details driven by a small inline script.
 
 from __future__ import annotations
 
-import json
-
+from verikg.codec import canonical_json
 from verikg.kg import Graph
 
 TYPE_COLORS = {
@@ -117,8 +116,7 @@ def render_html(g: Graph, title: str = "verification knowledge graph") -> str:
         {"src": e.src, "dst": e.dst, "type": e.type}
         for e in sorted(g.edges, key=lambda e: (e.type, e.src, e.dst))
     ]
-    data = json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)
+    data = canonical_json({"nodes": nodes, "edges": edges})
     legend = "".join(
         f'<div><span class="legend-swatch" style="background:{color}"></span>'
         f'{name}</div>'

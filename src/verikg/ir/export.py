@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Container
 
+from verikg.codec import canonical_json
 from verikg.ir import types as T
 from verikg.ir.validate import BundleIndex, check_link_endpoints, coverage_node_id
 from verikg.rtl.ast import DesignModel
@@ -23,10 +23,6 @@ EDGE_HEADER = ("src", "dst", "type", "run_id", "attributes")
 
 class ExportError(Exception):
     pass
-
-
-def _attrs(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _walk_signals(dm: DesignModel):
@@ -191,7 +187,7 @@ def export_graph(bundle: T.RunBundle) -> tuple[list[tuple[str, ...]], list[tuple
     as canonical JSON, sorted by (type, id) and (type, src, dst)."""
     run_id = bundle.context.run_id
     nodes, edges = graph_items(bundle)
-    node_rows = {(i, t, run_id, _attrs(a)) for i, t, a in nodes}
+    node_rows = {(i, t, run_id, canonical_json(a)) for i, t, a in nodes}
     edge_rows = {(s, d, t, run_id, "{}") for s, d, t in edges}
     return ([NODE_HEADER] + sorted(node_rows, key=lambda r: (r[1], r[0])),
             [EDGE_HEADER] + sorted(edge_rows, key=lambda r: (r[2], r[0], r[1])))

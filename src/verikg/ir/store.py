@@ -15,6 +15,7 @@ import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 
+from verikg.codec import canonical_json, pretty_json
 from verikg.ir import types as T
 from verikg.ir.export import export_graph, render_csv
 from verikg.ir.validate import validate_bundle
@@ -22,14 +23,6 @@ from verikg.ir.validate import validate_bundle
 
 class StoreError(Exception):
     pass
-
-
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def pretty_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def collection_docs(bundle: T.RunBundle) -> dict:
@@ -112,9 +105,9 @@ def save_run(bundle: T.RunBundle, root: str | Path,
     staging.mkdir(parents=True)
     try:
         for kind, doc in docs.items():
-            _write_text(staging / T.ARTIFACT_FILE_NAMES[kind], pretty_json(doc))
+            _write_text(staging / T.ARTIFACT_FILE_NAMES[kind], pretty_json(doc) + "\n")
         _write_text(staging / T.ARTIFACT_FILE_NAMES["run_context"],
-                    pretty_json(ctx.to_doc()))
+                    pretty_json(ctx.to_doc()) + "\n")
         try:
             nodes, edges = export_graph(bundle)
         except Exception:

@@ -36,7 +36,8 @@ class WidthError(Exception):
 
 
 def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
-    """Computed width; None for an unsized literal that adapts to context."""
+    """Computed width; None for an unsized literal, or a `?:` choosing
+    between two, that adapts to context."""
     if isinstance(e, ast.Lit):
         return e.width
     if isinstance(e, ast.Id):
@@ -89,10 +90,8 @@ def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
         ow = width_of(e.other, widths)
         if tw is not None and ow is not None and tw != ow:
             raise WidthError(f"width mismatch in ?: arms: {tw} vs {ow}")
-        w = tw if tw is not None else ow
-        if w is None:
-            raise WidthError("?: over two unsized literals")
-        return w
+        # two unsized arms (`c ? A : B` over parameters) adapt to context
+        return tw if tw is not None else ow
     if isinstance(e, ast.Concat):
         return sum(_part_width(width_of(p, widths)) for p in e.parts)
     if isinstance(e, ast.Sampled):

@@ -44,6 +44,19 @@ class TestEnvelope:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
+    def test_digest_bytes_are_pinned(self):
+        """The digest of sections that need JSON escapes, pinned from the
+        formula `sha256(json.dumps({"context": [[name, text], ...],
+        "expected_shape", "role", "step_id"}, sort_keys=True,
+        separators=(",", ":"), ensure_ascii=False).encode("utf-8"))`."""
+        e = PromptEnvelope.build(
+            "sva_author", "gen/REQ-\u00e9/1", ResponseShape.PROPERTY_BLOCK,
+            requirement="caf\u00e9 \U0001F600 \"quoted\" back\\slash",
+            signal_table="line one\nline\ttwo",
+            diagnostics="sep\u2028x \x01 \x1f end")
+        pinned = "f3015e63042aaacf99067caca84dfcace737cb9fa0e0d25693a7fa832c369dd0"
+        assert e.digest() == pinned
+
     def test_budget_truncates(self):
         e = PromptEnvelope.build("sva_author", "s", ResponseShape.ANALYSIS,
                                  budget=300, requirement="r" * 1000)

@@ -176,6 +176,19 @@ class TestCheckFifo:
         assert result.status is ResultStatus.BOUNDED
         assert witness is None
 
+    @pytest.mark.parametrize("budget", ["max_depth", "max_states"])
+    def test_bounded_result_names_its_budget(self, fifo_model, fifo_net, budget):
+        props = compile_props("// property: PROP-001\nassert property (count <= 2'd2);\n"
+                              "// property: PROP-002\ncover property (full);\n",
+                              fifo_model, fifo_net)
+        assert [bp.kind for bp in props] == ["assertion", "cover"]
+        for bp in props:
+            unbounded, _ = check(fifo_net, bp)
+            assert unbounded.status is not ResultStatus.BOUNDED
+            assert unbounded.note is None
+            result, trace = check(fifo_net, bp, CheckConfig(**{budget: 2}))
+            assert (result.status, result.note, trace) == (ResultStatus.BOUNDED, budget, None)
+
     def test_trace_replays_exactly(self, fifo_model, fifo_net):
         (bp,) = compile_props(
             "assert property (full |-> ##1 !empty);", fifo_model, fifo_net)

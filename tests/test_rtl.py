@@ -258,6 +258,43 @@ class TestElaborate:
         net = elaborate(m, "t", {"W": 3})
         assert net.state_bits == [("t.r", 3)]
 
+    def test_choice_between_parameters_adapts_to_its_target(self):
+        """`?:` over two parameters (unsized literals) is unsized: the usual
+        FSM style elaborates, and each arm is read at the target's width."""
+        m = parse_ok(
+            "module t (input clk, input c);\n"
+            "  localparam A = 2'd0, B = 2'd1, C = 7;\n  reg [1:0] s, u;\n"
+            "  wire [1:0] w;\n  assign w = c ? B : C;\n"
+            "  always @(posedge clk) begin\n"
+            "    if (c) s <= A; else s <= B;\n    u <= w;\n  end\nendmodule\n")
+        net = elaborate(m, "t")
+        assert isinstance(net, NetModel), net.render()
+        assert net.step((2, 0), (1,)) == (0, 1)
+        assert net.step((2, 0), (0,)) == (1, 3)  # C = 7 read as 2 bits
+
+    def test_sized_parameter_adapts_to_a_wider_operand(self):
+        m = parse_ok(
+            "module t (input clk);\n"
+            "  localparam MAX = 4'd9, A = 2'd1;\n  reg [7:0] cnt;\n  reg [2:0] s;\n"
+            "  always @(posedge clk) begin\n"
+            "    if (cnt == MAX) cnt <= 8'd0; else cnt <= cnt + 8'd1;\n"
+            "    s <= A;\n  end\nendmodule\n")
+        net = elaborate(m, "t")
+        assert isinstance(net, NetModel), net.render()
+        assert net.step((9, 0), ()) == (0, 1)
+        assert net.step((3, 0), ()) == (4, 1)
+
+    def test_parameter_has_one_value_in_ranges_and_expressions(self):
+        """A sized parameter expression that overflows its literals' width
+        is the same number as a range bound and as a value."""
+        m = parse_ok(
+            "module t (input clk);\n  localparam B = 2'd1 + 2'd3;\n  reg [B:0] r;\n"
+            "  always @(posedge clk) r <= B;\nendmodule\n")
+        net = elaborate(m, "t")
+        assert isinstance(net, NetModel), net.render()
+        assert net.state_bits == [("t.r", 5)]
+        assert net.step((0,), ()) == (4,)
+
     def test_every_statement_has_guard(self, fifo_model, fifo_net):
         assert set(fifo_net.statement_guards) == \
             {s.id for s in fifo_model.statements}
@@ -370,7 +407,7 @@ class TestElaborationSoundness:
 _UNSIZED = {
     "concat": ("{d, 0}", "{wr_en, 0} == 2'd0"),
     "operator": ("1 + 2", "count == (1 + 1)"),
-    "ternary": ("d ? 1 : 2", "count == (wr_en ? 1 : 2)"),
+    "ternary": ("{d, d ? 1 : 2}", "{wr_en, wr_en ? 1 : 2} == 2'd0"),
 }
 
 
@@ -382,7 +419,9 @@ _UNSIZED = {
 def test_unsized_concat_part_has_no_width(layer, case, fifo_model, fifo_index):
     """The compiler, the elaborator and the binder share width_of's rule:
     an unsized literal has no width inside a concatenation, and neither
-    has an operator or `?:` whose operands are all unsized literals."""
+    has an operator or `?:` whose operands are all unsized literals.
+    (Outside a concatenation such a `?:` adapts to its context, see
+    `test_choice_between_parameters_adapts_to_its_target`.)"""
     rhs, prop = _UNSIZED[case]
     if layer == "compile":
         with pytest.raises(WidthError, match="unsized literal inside concatenation"):
@@ -400,6 +439,14 @@ def test_unsized_concat_part_has_no_width(layer, case, fifo_model, fifo_index):
         _bound, errs = bind(pf, fifo_model, fifo_index)
         assert [i.kind for i in errs.for_prop("PROP-001")] == \
             [S.BindErrorKind.WIDTH_MISMATCH]
+
+
+def test_choice_between_unsized_literals_binds_in_a_property(fifo_model, fifo_index):
+    pf = parse_properties("default clocking @(posedge clk); endclocking\n"
+                          "// property: PROP-001\n"
+                          "assert property (count == (wr_en ? 1 : 2));")
+    _bound, errs = bind(pf, fifo_model, fifo_index)
+    assert not errs.for_prop("PROP-001")
 
 
 def _node_kinds(cls=rtl.Node) -> set[type]:

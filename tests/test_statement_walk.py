@@ -59,12 +59,10 @@ def test_statement_ids_and_fsms_match_the_reference_walkers():
 def test_elaboration_and_coverage_match_the_reference():
     """State bits are the registers the reference walker finds assigned;
     the engine covers exactly the statements the oracle executes."""
-    elaborated = fsms = defaults_inside = 0
+    fsms = defaults_inside = 0
     for source, dm in _designs(120, seed=11):
         net = elaborate(dm, "top")
-        if not isinstance(net, NetModel):
-            continue  # e.g. ?: over two localparams, which fold unsized
-        elaborated += 1
+        assert isinstance(net, NetModel), (source, net)
         fsms += len(dm.fsms)
         defaults_inside += _default_before_an_item(dm)
         assert [n for n, _w in net.state_bits] == ref.state_registers(dm, "top"), source
@@ -72,7 +70,7 @@ def test_elaboration_and_coverage_match_the_reference():
         assert not cm.partial, source
         assert set(cm.covered_statements) == \
             oracle_reachable_statements(RefDesign(dm, "top")), source
-    assert elaborated >= 80 and fsms >= 10 and defaults_inside >= 50
+    assert fsms >= 10 and defaults_inside >= 50
 
 
 def test_rtl_expressions_print_as_before():
