@@ -51,6 +51,13 @@ class CexTrace:
         return out
 
 
+# The most input bits a net may have: its 2**bits input vectors are built
+# before the search starts. A net with more gets a `bounded` result (note
+# "max_input_bits") instead of running out of memory. A constant, not a
+# budget in `CheckConfig`, so no run's recorded configuration changes.
+MAX_INPUT_BITS = 16
+
+
 class _InputSpace:
     """Input vectors in exploration order (names sorted, values ascending),
     each paired with the same values in the net's input order."""
@@ -69,12 +76,15 @@ class _InputSpace:
         return dict(zip(self.sorted_names, vec))
 
 
-def _input_space(net: NetModel) -> _InputSpace:
-    """The net's input space, built once per net."""
-    space = net.engine.get("inputs")
-    if space is None:
-        space = net.engine["inputs"] = _InputSpace(net)
-    return space
+def _input_space(net: NetModel) -> _InputSpace | None:
+    """The net's input space, built once per net; None when the net has
+    more than MAX_INPUT_BITS input bits."""
+    try:
+        return net.engine["inputs"]
+    except KeyError:
+        space = net.engine["inputs"] = (
+            None if sum(w for _n, w in net.inputs) > MAX_INPUT_BITS else _InputSpace(net))
+        return space
 
 
 @dataclass
@@ -84,7 +94,7 @@ class _Exploration:
     explored: int
     ante_matched: bool
     trace: CexTrace | None  # where the search stopped (violation or completion)
-    budget: str | None = None  # on bounded: "max_depth" or "max_states"
+    budget: str | None = None  # on bounded: "max_depth", "max_states" or "max_input_bits"
 
 
 def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
@@ -96,6 +106,9 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     nothing is left for it to see. A successor that takes the product past
     `cfg.max_states` stops the search bounded at the last completed cycle."""
     space = _input_space(net)
+    if space is None:
+        return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
+                            "max_input_bits")
     vectors = space.vectors
     step = net.step
     max_states = cfg.max_states
@@ -194,8 +207,9 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     (an unsatisfiable cover).
 
     Either kind is bounded when a budget ran out first; the result's note
-    names it ("max_depth" or "max_states"). runtime_ms is the
-    deterministic explored-state count.
+    names it ("max_depth" or "max_states"), or "max_input_bits" when the
+    net has more than `MAX_INPUT_BITS` input bits and nothing was explored.
+    runtime_ms is the deterministic explored-state count.
     """
     cfg = cfg or CheckConfig()
     cfg.validate()

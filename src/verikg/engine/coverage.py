@@ -20,7 +20,9 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     """Reachability metrics plus the vacuity count over `props`.
 
     Budget exhaustion flags the metrics partial instead of failing: covered
-    statements stay covered, the remainder may be falsely unreachable.
+    statements stay covered, the remainder may be falsely unreachable. A
+    net with more than `MAX_INPUT_BITS` input bits is not explored: the
+    metrics are partial, with nothing covered.
     """
     cfg = cfg or CheckConfig()
     cfg.validate()

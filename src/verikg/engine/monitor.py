@@ -41,24 +41,26 @@ class _SampledCompiler(Compiler):
 
     def emit(self, e):
         if isinstance(e, S.Past):
-            # the operand is emitted for its width and its own taps only
-            _text, w, _d = self.emit(e.expr)
+            # the operand is emitted for its width, range and own taps only;
+            # the history holds its values
+            _text, w, _d, bound, _t = self.emit(e.expr)
             ti = self.tap(e.expr, e.depth)
-            return f"h[{ti}][{int(e.depth) - 1}]", w, 0
+            return f"h[{ti}][{int(e.depth) - 1}]", w, 0, bound, False
         if isinstance(e, (S.Rose, S.Fell, S.Stable)):
             return self.bit(e)
         return super().emit(e)
 
     def test(self, e):
         if isinstance(e, S.Stable):
-            inner, _w, d = self.emit(e.expr)
-            return self.node(f"({inner} == h[{self.tap(e.expr, 1)}][0])", 1, d + 1)
+            inner, _w, d, _b, _t = self.emit(e.expr)
+            return self.node(f"({inner} == h[{self.tap(e.expr, 1)}][0])",
+                             1, d + 1, 1, True)
         if isinstance(e, (S.Rose, S.Fell)):
-            inner, _w, d = self.test(e.expr)
+            inner, _w, d, _b, _t = self.test(e.expr)
             past = f"h[{self.tap(e.expr, 1)}][0]"
             if isinstance(e, S.Rose):
-                return self.node(f"({inner} and not {past})", 1, d + 1)
-            return self.node(f"(not {inner} and {past})", 1, d + 1)
+                return self.node(f"({inner} and not {past})", 1, d + 1, 1, True)
+            return self.node(f"(not {inner} and {past})", 1, d + 1, 1, True)
         return super().test(e)
 
     def finish_taps(self) -> tuple[str, list[int]]:

@@ -226,6 +226,28 @@ def render_expr(e: Node) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def render_depth(e: Node) -> int:
+    """The most expression levels (`rtl.parser.MAX_EXPR_DEPTH`) the parser
+    holds open while it reads `render_expr(e)`. Iterative, so a tree of any
+    depth can be measured."""
+    deepest = 0
+    stack = [(e, 1)]  # (node, levels open where its printed form starts)
+    while stack:
+        n, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(n, Unary):
+            # `op x`, or `op(x)` around a compound operand
+            bare = isinstance(n.operand, (Id, Lit)) or hasattr(n.operand, "source")
+            stack.append((n.operand, d + 1 if bare else d + 2))
+        elif isinstance(n, Ternary):
+            # `(c ? t : o)`: each arm opens one more
+            stack += [(n.cond, d + 1), (n.then, d + 2), (n.other, d + 2)]
+        else:
+            # a parenthesized operator, a brace, a select or a call
+            stack += [(k, d + 1) for k in n.children()]
+    return deepest
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------

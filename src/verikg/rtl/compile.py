@@ -6,9 +6,17 @@ an expression into Python source text, with every width resolved at
 compile time. A name reads its position in a slot tuple: `x[i]`, where
 `x` is a state tuple followed by an input tuple, or a local the caller
 unpacked it into. A property monitor also reads `h`, the sampled-value
-history it carries (plain RTL never reads it). Results are masked to the
-expression width; an unsized literal adapts to the sized operand beside
-it.
+history it carries (plain RTL never reads it). An unsized literal adapts
+to the sized operand beside it.
+
+The compiler keeps, with each value it emits, a bound on its range. A
+value lies in [0, 2**width) of its expression unless an unsized operand
+is wider than its context, and a mask appears only where an operator can
+leave that range: `+`, `-`, unary `-`, a select that stops below its
+operand's top bit, and an operand not known to fit. A compound
+sub-expression reached more than once within one generated function is
+computed once, into a local. Where only the truth of a 1-bit expression is
+read, it compiles to `and`, `or` and `not`.
 
 The generated text holds only integers, slot indices, fixed operators and
 names the compiler itself makes. No identifier or other text from the
@@ -118,13 +126,19 @@ def _part_width(w: int | None) -> int:
 # so evaluating a hoisted sub-expression eagerly gives the same value.
 MAX_NESTING = 32
 
-_LOGIC = {"&&": "and", "||": "or"}
+_LOGIC = {"&&": "and", "||": "or", "&": "and", "|": "or"}
 
 
 def _int(value) -> str:
     """An integer's source text; anything else raises."""
     value = int(value)
     return f"({value})" if value < 0 else str(value)
+
+
+def _fits(bound: int | None, width: int) -> bool:
+    """Whether a value below 2**bound (None: no known bound, maybe
+    negative) lies in [0, 2**width)."""
+    return bound is not None and bound <= width
 
 
 class Compiler:
@@ -134,6 +148,14 @@ class Compiler:
     `read` formats a position as the text that reads it. Subclasses extend
     `emit` and `test` with further node types; the recursion goes through
     them, so such nodes may sit under any RTL operator.
+
+    Each compiled node is a tuple (text, width, depth, bound, truth):
+    `width` is None for an unsized value, `depth` is the text's nesting,
+    and the value lies in [0, 2**bound), or bound is None when nothing is
+    known (an unsized negative literal). `truth` says the text is a truth
+    form (`and`, `or`, `not`, comparisons) of a 1-bit value, not the value
+    itself; only `test` returns one. Wire inlining puts a driver's node at
+    every read, so nodes are shared by identity.
     """
 
     def __init__(self, widths: dict[str, int], slots: dict[str, int],
@@ -143,14 +165,45 @@ class Compiler:
         self.read = read
         self._lines: list[str] = []  # hoisted locals of the next function
         self._hoisted: dict[str, str] = {}  # their text -> local name
+        # The compound nodes reached from the next function's expressions,
+        # by identity (held, so no id is reused), and those reached more
+        # than once, with their compiled local once made (None before).
+        self._seen: dict[int, ast.Node] = {}
+        self._shared: dict[int, tuple | None] = {}
 
-    def compile(self, e) -> str:
-        """Source text of the value of `e`. Sub-expressions it hoists go
+    def share(self, roots) -> None:
+        """Count the compound nodes reached from `roots`, expressions the
+        next function compiles; `compile` and `condition` count an
+        expression not counted before themselves. Iterative, and by
+        identity: hashing a frozen node would recurse once per level."""
+        seen, shared = self._seen, self._shared
+        stack = list(roots)
+        while stack:
+            n = stack.pop()
+            kids = n.children()
+            if kids:
+                key = id(n)
+                if key in seen:
+                    shared.setdefault(key, None)
+                else:
+                    seen[key] = n
+                    stack += kids
+
+    def compile(self, e, width: int | None = None) -> str:
+        """Source text of the value of `e`, an int; with `width`, cut to
+        that width where it can leave it. Sub-expressions it hoists go
         into the next `function`."""
-        return self.emit(e)[0]
+        if id(e) not in self._seen:
+            self.share((e,))
+        text, _w, _d, bound, _t = self.emit(e)
+        if width is not None and not _fits(bound, width):
+            return f"({text} & {_int((1 << width) - 1)})"
+        return text
 
     def condition(self, e) -> str:
         """Source text whose truth value is whether `e` is non-zero."""
+        if id(e) not in self._seen:
+            self.share((e,))
         return self.test(e)[0]
 
     def function(self, params: str, result: str, prologue: tuple[str, ...] = ()) -> str:
@@ -158,97 +211,198 @@ class Compiler:
         `prologue`, computes the locals hoisted since the last call, and
         returns `result`. `define` compiles it."""
         body = [*prologue, *self._lines, f"return {result}"]
-        self._lines, self._hoisted = [], {}
+        self._lines, self._hoisted, self._seen, self._shared = [], {}, {}, {}
         return f"({params}):\n" + "".join(f"    {line}\n" for line in body)
 
-    def node(self, text: str, width: int | None, depth: int):
-        """A compound node's (text, width, depth), hoisted when too deep."""
+    def node(self, text: str, width: int | None, depth: int,
+             bound: int | None, truth: bool = False):
+        """A compound node, hoisted into a local when too deep."""
         if depth < MAX_NESTING:
-            return text, width, depth
+            return text, width, depth, bound, truth
+        return self._local(text), width, 0, bound, truth
+
+    def _local(self, text: str) -> str:
         local = self._hoisted.get(text)
         if local is None:
             local = self._hoisted[text] = f"t{len(self._hoisted)}"
             self._lines.append(f"{local} = {text}")
-        return local, width, 0
+        return local
+
+    def _share(self, e):
+        """The local of a node reached more than once, compiled by `test`
+        the first time: a truth form where it has one, else its value."""
+        key = id(e)
+        done = self._shared[key]
+        if done is None:
+            del self._shared[key]  # so that `test` compiles the node itself
+            text, width, depth, bound, truth = self.test(e)
+            done = self._shared[key] = (
+                self._local(text) if depth else text, width, 0, bound, truth)
+        return done
+
+    def _value(self, c):
+        """A compiled node in value form: a truth form becomes 1 or 0."""
+        if c[4]:
+            return self.node(f"(1 if {c[0]} else 0)", 1, c[2] + 1, 1)
+        return c
 
     def test(self, e):
         """Like `emit`, where only whether `e` is non-zero is read: the
-        text's truth value is that, and its value may be a bool."""
-        if isinstance(e, ast.Unary) and e.op == "!":
-            inner, _w, d = self.test(e.operand)
-            return self.node(f"(not {inner})", 1, d + 1)
-        if isinstance(e, ast.Binary) and e.op in _LOGIC:
-            lt, _lw, ld = self.test(e.left)
-            rt, _rw, rd = self.test(e.right)
-            return self.node(f"({lt} {_LOGIC[e.op]} {rt})", 1, max(ld, rd) + 1)
-        if isinstance(e, ast.Binary) and e.op in ast.COMPARISON_OPS:
-            lt, _lw, ld = self.emit(e.left)
-            rt, _rw, rd = self.emit(e.right)
-            return self.node(f"({lt} {e.op} {rt})", 1, max(ld, rd) + 1)
+        text's truth value is that. A 1-bit `!`, `&&`, `||`, comparison,
+        and `&`, `|` or `~` over values that fit one bit, compile to a
+        truth form."""
+        if self._shared and id(e) in self._shared:
+            return self._share(e)
+        if isinstance(e, ast.Unary):
+            if e.op == "!":
+                inner, _w, d, _b, _t = self.test(e.operand)
+                return self.node(f"(not {inner})", 1, d + 1, 1, True)
+            if e.op == "~":
+                c = self.test(e.operand)
+                if c[1] == 1 and _fits(c[3], 1):
+                    return self.node(f"(not {c[0]})", 1, c[2] + 1, 1, True)
+                return self._invert(self._value(c))
+        elif isinstance(e, ast.Binary):
+            op = e.op
+            if op in ast.COMPARISON_OPS:
+                lt, _lw, ld, _lb, _lt = self.emit(e.left)
+                rt, _rw, rd, _rb, _rt = self.emit(e.right)
+                return self.node(f"({lt} {op} {rt})", 1, max(ld, rd) + 1, 1, True)
+            if op in ast.LOGICAL_OPS:
+                left = e.left
+                if (isinstance(left, ast.Binary) and left.op == op
+                        and id(left) not in self._shared):
+                    return self._chain(e)
+                lt, _lw, ld, _lb, _lt = self.test(left)
+                rt, _rw, rd, _rb, _rt = self.test(e.right)
+                return self.node(f"({lt} {_LOGIC[op]} {rt})", 1, max(ld, rd) + 1, 1, True)
+            if op == "&" or op == "|":
+                left = self.test(e.left)
+                right = self.test(e.right)
+                if ((left[1] or right[1]) == 1
+                        and _fits(left[3], 1) and _fits(right[3], 1)):
+                    return self.node(f"({left[0]} {_LOGIC[op]} {right[0]})", 1,
+                                     max(left[2], right[2]) + 1, 1, True)
+                return self._binary(e, self._value(left), self._value(right))
         return self.emit(e)
+
+    def _chain(self, e):
+        """A left-nested chain of one of `&&` and `||` as one flat `and` or
+        `or`, its terms compiled in a loop."""
+        op = e.op
+        terms = [e.right]
+        left = e.left
+        while (isinstance(left, ast.Binary) and left.op == op
+               and id(left) not in self._shared):
+            terms.append(left.right)
+            left = left.left
+        terms.append(left)
+        parts = [self.test(t) for t in reversed(terms)]
+        return self.node("(" + f" {_LOGIC[op]} ".join([p[0] for p in parts]) + ")",
+                         1, max([p[2] for p in parts]) + 1, 1, True)
 
     def bit(self, e):
         """`emit` for a 1-bit node that `test` compiles: 1 or 0."""
-        text, _w, d = self.test(e)
-        return self.node(f"(1 if {text} else 0)", 1, d + 1)
+        return self._value(self.test(e))
 
     def emit(self, e):
-        """Returns (text, width or None if unsized, nesting depth)."""
+        """The compiled node of `e` in value form: an int."""
+        if self._shared and id(e) in self._shared:
+            return self._value(self._share(e))
         if isinstance(e, ast.Lit):
-            return _int(e.value), e.width, 0
+            value = int(e.value)
+            return (_int(value), e.width, 0,
+                    value.bit_length() if value >= 0 else None, False)
         if isinstance(e, ast.Id):
-            return self.read.format(self.slots[e.name]), self.widths[e.name], 0
+            w = self.widths[e.name]
+            return self.read.format(self.slots[e.name]), w, 0, w, False
         if isinstance(e, ast.Select):
-            hi = eval_const(e.msb, {})
-            lo = eval_const(e.lsb, {})
-            base = self.read.format(self.slots[e.name])
-            return self._slice(base, hi, lo, 0)
+            w = self.widths[e.name]
+            base = (self.read.format(self.slots[e.name]), w, 0, w, False)
+            return self._slice(base, eval_const(e.msb, {}), eval_const(e.lsb, {}))
         if isinstance(e, ast.SliceX):
-            inner, _w, d = self.emit(e.base)
-            return self._slice(inner, e.msb, e.lsb, d)
+            return self._slice(self.emit(e.base), e.msb, e.lsb)
         if (isinstance(e, ast.Unary) and e.op == "!" or isinstance(e, ast.Binary)
                 and (e.op in ast.LOGICAL_OPS or e.op in ast.COMPARISON_OPS)):
-            return self.bit(e)
+            return self._value(self.test(e))
         if isinstance(e, ast.Unary):
-            inner, w, d = self.emit(e.operand)
-            mk = _int((1 << (w or 32)) - 1)
+            inner = self.emit(e.operand)
             if e.op == "~":
-                return self.node(f"(~{inner} & {mk})", w, d + 1)
+                return self._invert(inner)
             if e.op == "-":
-                return self.node(f"(-{inner} & {mk})", w, d + 1)
+                text, w, d, _b, _t = inner
+                mw = w or 32
+                return self.node(f"(-{text} & {_int((1 << mw) - 1)})", w, d + 1, mw)
         if isinstance(e, ast.Binary):
-            lt, lw, ld = self.emit(e.left)
-            rt, rw, rd = self.emit(e.right)
-            if e.op in ast.BITWISE_OPS or e.op in ast.ARITH_OPS:
-                w = lw if lw is not None else rw
-                mk = _int((1 << (w or 32)) - 1)
-                return self.node(f"(({lt} {e.op} {rt}) & {mk})", w, max(ld, rd) + 1)
+            return self._binary(e, self.emit(e.left), self.emit(e.right))
         if isinstance(e, ast.Ternary):
-            ct, _cw, cd = self.test(e.cond)
-            tt, tw, td = self.emit(e.then)
-            ot, ow, od = self.emit(e.other)
+            ct, _cw, cd, _cb, _c = self.test(e.cond)
+            tt, tw, td, tb, _t = self.emit(e.then)
+            ot, ow, od, ob, _o = self.emit(e.other)
             return self.node(f"({tt} if {ct} else {ot})",
-                             tw if tw is not None else ow, max(cd, td, od) + 1)
+                             tw if tw is not None else ow, max(cd, td, od) + 1,
+                             None if tb is None or ob is None else max(tb, ob))
         if isinstance(e, ast.Concat):
             # a left fold, so that hoisting bounds a long concatenation too
             out = None
             for p in e.parts:
-                pt, pw, pd = self.emit(p)
+                part, pw, pd, pb, _p = self.emit(p)
                 pw = _part_width(pw)
-                part = f"{pt} & {_int((1 << pw) - 1)}"
+                if not _fits(pb, pw):
+                    part, pd = f"({part} & {_int((1 << pw) - 1)})", pd + 1
                 if out is None:
-                    out = self.node(f"({part})", pw, pd + 1)
+                    out = self.node(part, pw, pd, pw)
                 else:
-                    text, total, d = out
-                    out = self.node(f"({text} << {_int(pw)} | ({part}))",
-                                    total + pw, max(d, pd) + 1)
+                    text, total, d, _b, _t = out
+                    out = self.node(f"({text} << {_int(pw)} | {part})",
+                                    total + pw, max(d, pd) + 1, total + pw)
             return out
         raise TypeError(f"cannot compile expression {e!r}")
 
-    def _slice(self, base: str, hi: int, lo: int, depth: int):
-        shifted = f"{base} >> {_int(lo)}" if lo else base
-        return self.node(f"({shifted} & {_int((1 << (hi - lo + 1)) - 1)})",
-                         hi - lo + 1, depth + 1)
+    def _binary(self, e, left, right):
+        """A bitwise or arithmetic node over compiled operands. A literal
+        operand wider than the result is cut at compile time (the mask
+        commutes with `&`, `|` and `^`); the result is masked only where
+        it can leave its width."""
+        lt, lw, ld, lb, _l = left
+        rt, rw, rd, rb, _r = right
+        w = lw if lw is not None else rw
+        mw = w or 32  # two unsized operands (`width_of` rejects them)
+        mk = (1 << mw) - 1
+        op = e.op
+        depth = max(ld, rd) + 1
+        if op in ast.BITWISE_OPS:
+            if isinstance(e.left, ast.Lit) and not _fits(lb, mw):
+                lt, lb = _int(int(e.left.value) & mk), mw
+            if isinstance(e.right, ast.Lit) and not _fits(rb, mw):
+                rt, rb = _int(int(e.right.value) & mk), mw
+            if (_fits(lb, mw) or _fits(rb, mw)) if op == "&" else (
+                    _fits(lb, mw) and _fits(rb, mw)):
+                return self.node(f"({lt} {op} {rt})", w, depth, mw)
+        elif op not in ast.ARITH_OPS:
+            raise TypeError(f"cannot compile operator {op!r}")
+        return self.node(f"(({lt} {op} {rt}) & {_int(mk)})", w, depth, mw)
+
+    def _invert(self, c):
+        """`~` of a compiled value: `x ^ mask` where it fits its width."""
+        text, w, d, bound, _t = c
+        mw = w or 32
+        mk = _int((1 << mw) - 1)
+        if _fits(bound, mw):
+            return self.node(f"({text} ^ {mk})", w, d + 1, mw)
+        return self.node(f"(~{text} & {mk})", w, d + 1, mw)
+
+    def _slice(self, c, hi: int, lo: int):
+        """Bits [hi:lo] of a compiled value, masked unless they run to its
+        top."""
+        text, _w, d, bound, _t = c
+        width = hi - lo + 1
+        shifted = f"{text} >> {_int(lo)}" if lo else text
+        if _fits(bound, hi + 1):
+            if not lo:
+                return text, width, d, bound, False
+            return self.node(f"({shifted})", width, d + 1, width)
+        return self.node(f"({shifted} & {_int((1 << width) - 1)})", width, d + 1, width)
 
 
 def define(functions: list[str]) -> list:

@@ -61,7 +61,8 @@ class NetModel:
         self.engine = {}
         # step reads locals unpacked from its two tuples; a guard reads x
         local = Compiler(self.widths, self.slots, read="v{}")
-        nexts = "".join(f"{local.compile(self.next_state[name])} & {(1 << w) - 1}, "
+        local.share([self.next_state[name] for name, _w in self.state_bits])
+        nexts = "".join(f"{local.compile(self.next_state[name], w)}, "
                         for name, w in self.state_bits)
         n_state = len(self.state_bits)
         unpack = tuple("".join(f"v{i}, " for i in idx) + f"= {tup}"

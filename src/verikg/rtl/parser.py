@@ -102,20 +102,49 @@ _BINARY_LEVELS = [
 _PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
+# The most expression levels open at once: the expression itself, and each
+# parenthesis, brace, select, `?:` arm and unary operator inside it opens
+# one. A whole expression is held to it twice: as written, while it parses,
+# and as `ast.render_expr` prints it (fully parenthesized), so that its
+# printed form parses again and no later pass that walks the tree one frame
+# per level meets a deeper one. Past it is a BOUND_EXCEEDED diagnostic, not
+# a RecursionError.
+MAX_EXPR_DEPTH = 100
+
+
+def _too_deep(t: Token):
+    raise ParseError(t.line, t.col, f"expression nests deeper than {MAX_EXPR_DEPTH} levels",
+                     DiagCode.BOUND_EXCEEDED)
+
+
 class ExprParser:
     """Expression parser over a Cursor; subclasses may extend primaries."""
 
     def __init__(self, cur: Cursor):
         self.cur = cur
+        self.depth = 0  # expression levels open
 
     def parse_expr(self) -> ast.Expr:
-        cond = self._parse_binary(0)
-        if self.cur.accept("?"):
-            then = self.parse_expr()
-            self.cur.expect(":")
-            other = self.parse_expr()
-            return ast.Ternary(cond, then, other)
-        return cond
+        cur = self.cur
+        start = cur.pos
+        self.depth += 1
+        try:
+            if self.depth > MAX_EXPR_DEPTH:
+                _too_deep(cur.tokens[start])
+            e = self._parse_binary(0)
+            if cur.accept("?"):
+                then = self.parse_expr()
+                cur.expect(":")
+                other = self.parse_expr()
+                e = ast.Ternary(e, then, other)
+        finally:
+            self.depth -= 1
+        # Printing adds at most two levels per node, and each node takes a
+        # token, so only a whole expression of many tokens is measured.
+        if (not self.depth and 1 + 2 * (cur.pos - start) > MAX_EXPR_DEPTH
+                and ast.render_depth(e) > MAX_EXPR_DEPTH):
+            _too_deep(cur.tokens[start])
+        return e
 
     def _parse_binary(self, min_level: int) -> ast.Expr:
         """Operators binding at `min_level` or tighter, left-associative."""
@@ -134,7 +163,13 @@ class ExprParser:
         t = self.cur.peek()
         if t.kind == "PUNCT" and t.text in ("~", "!", "-"):
             self.cur.next()
-            return ast.Unary(t.text, self._parse_unary())
+            self.depth += 1
+            try:
+                if self.depth > MAX_EXPR_DEPTH:
+                    _too_deep(t)
+                return ast.Unary(t.text, self._parse_unary())
+            finally:
+                self.depth -= 1
         return self.parse_primary()
 
     def parse_primary(self) -> ast.Expr:

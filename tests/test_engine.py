@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import time
 import tokenize
 
 import pytest
@@ -20,7 +21,7 @@ from verikg.engine import (
     coverage,
     import_external_results,
 )
-from verikg.engine.check import EngineError
+from verikg.engine.check import MAX_INPUT_BITS, EngineError
 from verikg.engine.external import ExternalReportError
 from verikg.ir.types import DeadCodeClass, ResultStatus
 from verikg.kg import SignalIndex
@@ -289,6 +290,51 @@ class TestCoverage:
             assert set(cm.covered_statements) == \
                 oracle_reachable_statements(RefDesign(dm, "duv")), src
         assert done == 10
+
+
+WIDE_INPUT = """
+module wide (input clk, input rst, input [31:0] data, output hit);
+  reg [31:0] r;
+  reg seen;
+  assign hit = r == 32'd7;
+  always @(posedge clk)
+    if (rst) begin r <= 32'd0; seen <= 1'b0; end
+    else begin r <= data; if (hit) seen <= 1'b1; end
+endmodule
+"""
+
+
+class TestInputBits:
+    def test_oversized_input_space_is_bounded_not_enumerated(self):
+        dm = parse_rtl(WIDE_INPUT)
+        net = elaborate(dm, "wide")
+        assert isinstance(net, NetModel), net.render()
+        assert sum(w for _n, w in net.inputs) == 33 > MAX_INPUT_BITS
+        props = compile_props("assert property (!seen);\ncover property (hit);\n",
+                              dm, net)
+        start = time.perf_counter()
+        for bp in props:
+            result, trace = check(net, bp)
+            assert (result.status, result.note, trace) == (
+                ResultStatus.BOUNDED, "max_input_bits", None)
+            assert result.runtime_ms == 0
+        cm = coverage(net, props)
+        assert time.perf_counter() - start < 1.0
+        assert cm.partial and cm.covered_statements == []
+        assert cm.unreachable_statements and cm.vacuity_count == 0
+        assert net.engine["inputs"] is None  # no vector was built
+
+    def test_input_space_at_the_limit_is_explored(self):
+        bits = MAX_INPUT_BITS - 1  # and rst
+        dm = parse_rtl(WIDE_INPUT.replace("[31:0]", f"[{bits - 1}:0]")
+                       .replace("32'd", f"{bits}'d"))
+        net = elaborate(dm, "wide")
+        assert isinstance(net, NetModel), net.render()
+        assert sum(w for _n, w in net.inputs) == MAX_INPUT_BITS
+        (bp,) = compile_props("cover property (!hit);\n", dm, net)
+        result, _trace = check(net, bp)
+        assert result.status is ResultStatus.PROVEN and result.note is None
+        assert len(net.engine["inputs"].vectors) == 1 << MAX_INPUT_BITS
 
 
 class TestOracleAgreement:

@@ -23,7 +23,8 @@ from oracles import (
 )
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl.lexer import MAX_LITERAL_WIDTH, LexError, tokenize
-from verikg.rtl.parser import parse_rtl
+from verikg.rtl.ast import render_depth, render_expr
+from verikg.rtl.parser import MAX_EXPR_DEPTH, parse_rtl
 from verikg.sva.parser import parse_properties_with_recovery
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -89,6 +90,86 @@ def test_based_literal_message_is_bounded(digits):
 def test_widest_literal_is_accepted():
     (tok, _eof) = tokenize(f"{MAX_LITERAL_WIDTH}'d1")
     assert (tok.kind, tok.value, tok.width) == ("NUMBER", 1, MAX_LITERAL_WIDTH)
+
+
+# ---------------------------------------------------------------------------
+# Deep nesting
+# ---------------------------------------------------------------------------
+
+_NESTED = {
+    # kind: (the expression nested n deep, the column of the token that
+    # opens level MAX_EXPR_DEPTH + 1, counted from the expression's start)
+    "paren": (lambda n: "(" * n + "a" + ")" * n, MAX_EXPR_DEPTH + 1),
+    "tilde": (lambda n: "~" * n + "a", MAX_EXPR_DEPTH),
+    # the then-arm of the 100th `?:`, whose condition is at level 100
+    "ternary": (lambda n: "a ? a : " * n + "a",
+                (MAX_EXPR_DEPTH - 1) * len("a ? a : ") + len("a ? a")),
+}
+
+
+def _parse_expr_in(parser: str, expr: str):
+    """The diagnostics of `expr` in an RTL assign or a property, and the
+    column its first token has there."""
+    if parser == "rtl":
+        prefix = "  assign y = "
+        result = parse_rtl(f"module m(input a, output y);\n{prefix}{expr};\nendmodule\n")
+        return (result if isinstance(result, Diagnostics) else Diagnostics()), 2, len(prefix)
+    prefix = "assert property ("
+    _pf, diags = parse_properties_with_recovery(f"{prefix}{expr} |-> ##1 !a);\n")
+    return diags, 1, len(prefix)
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+@pytest.mark.parametrize("parser", ["rtl", "property"])
+def test_deep_nesting_is_a_diagnostic(parser, kind, n):
+    """Nesting past the bound is one BOUND_EXCEEDED diagnostic at the token
+    that opens the level past it, however deep the input goes."""
+    nested, col = _NESTED[kind]
+    diags, line, offset = _parse_expr_in(parser, nested(n))
+    assert [(d.line, d.col, d.message, d.code) for d in diags.errors] == [
+        (line, offset + col,
+         f"expression nests deeper than {MAX_EXPR_DEPTH} levels",
+         DiagCode.BOUND_EXCEEDED)]
+
+
+@pytest.mark.parametrize("kind, deepest", [
+    # as written: n parentheses open n + 1 levels
+    ("paren", MAX_EXPR_DEPTH - 1),
+    # as printed, `~(~(... ~a))` and `(a ? a : (a ? a : ...))` open two
+    # levels per operator
+    ("tilde", MAX_EXPR_DEPTH // 2),
+    ("ternary", (MAX_EXPR_DEPTH - 1) // 2),
+])
+@pytest.mark.parametrize("parser", ["rtl", "property"])
+def test_nesting_at_the_bound_parses_and_prints_back(parser, kind, deepest):
+    nested, _col = _NESTED[kind]
+    diags, _line, _offset = _parse_expr_in(parser, nested(deepest))
+    assert not diags.errors
+    diags, _line, offset = _parse_expr_in(parser, nested(deepest + 1))
+    assert [(d.message, d.code) for d in diags.errors] == [
+        (f"expression nests deeper than {MAX_EXPR_DEPTH} levels", DiagCode.BOUND_EXCEEDED)]
+    # the printed form of what parsed is at the bound, and parses again
+    pf, diags = parse_properties_with_recovery(f"assert property ({nested(deepest)});\n")
+    (expr,) = [st.expr for st in pf.properties[0].body.consequent.steps]
+    assert render_depth(expr) <= MAX_EXPR_DEPTH
+    again, diags = parse_properties_with_recovery(f"assert property ({render_expr(expr)});\n")
+    assert not diags.errors
+    assert again.properties[0].body.consequent.steps[0].expr == expr
+
+
+def test_parsing_goes_on_after_a_statement_nested_too_deep():
+    """The recovering property parser keeps one expression parser for the
+    whole file: a statement past the bound, as written or as printed, leaves
+    no level open for the next one."""
+    tilde, _col = _NESTED["tilde"]
+    paren, _col = _NESTED["paren"]
+    source = "".join(f"assert property ({e} |-> ##1 !a);\n" for e in [
+        tilde(MAX_EXPR_DEPTH // 2 + 1), paren(MAX_EXPR_DEPTH), tilde(MAX_EXPR_DEPTH // 2)])
+    pf, diags = parse_properties_with_recovery(source)
+    assert [(d.line, d.code) for d in diags.errors] == [
+        (1, DiagCode.BOUND_EXCEEDED), (2, DiagCode.BOUND_EXCEEDED)]
+    assert [p.body is not None for p in pf.properties] == [False, False, True]
 
 
 # ---------------------------------------------------------------------------

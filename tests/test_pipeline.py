@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from verikg.pipeline import (
     report_from_bundle,
     run_all,
 )
+from verikg.rtl.parser import MAX_EXPR_DEPTH
 
 
 def scripted() -> ScriptedBackend:
@@ -86,6 +89,41 @@ class TestRunAll:
         assert bundle.design_model is not None
         assert len(bundle.formal_results) == 4
         assert bundle.testplan and bundle.coverage_metrics
+
+    def test_wide_data_input_gives_bounded_results(self, fixtures_dir, tmp_path):
+        """The fixture FIFO with a 32-bit data path: 2**35 input vectors are
+        never built; every check is bounded by the input-bit limit and
+        coverage is partial, with nothing covered."""
+        source = (fixtures_dir / "fifo.v").read_text()
+        source = re.sub(r"\[1:0\] (din|dout|slot0|slot1)\b", r"[31:0] \1", source)
+        source = re.sub(r"(slot[01]) <= 2'd0", r"\1 <= 32'd0", source)
+        rtl = tmp_path / "fifo32.v"
+        rtl.write_text(source)
+        start = time.perf_counter()
+        report = run_all(fifo_config(fixtures_dir, tmp_path / "out", rtl_paths=[str(rtl)]))
+        assert time.perf_counter() - start < 1.0
+        bundle = load_run(tmp_path / "out", report.run_id)
+        assert bundle.formal_results
+        assert {(r.status, r.note) for r in bundle.formal_results} == {
+            (T.ResultStatus.BOUNDED, "max_input_bits")}
+        assert bundle.coverage_metrics
+        for cm in bundle.coverage_metrics:
+            assert cm.partial and cm.covered_statements == []
+
+    def test_property_nested_to_the_bound_runs_end_to_end(self, fixtures_dir, tmp_path):
+        """A requirement whose property nests exactly MAX_EXPR_DEPTH levels
+        as printed (`!(!(... !full))`) is parsed, emitted and parsed again,
+        bound, compiled into a monitor, checked and saved."""
+        deep = "!" * (MAX_EXPR_DEPTH // 2) + "full"
+        spec = tmp_path / "spec.md"
+        spec.write_text((fixtures_dir / "fifo_spec.md").read_text()
+                        + f"\nREQ[safety,high]: A deep one. ASSERT: {deep} |-> ##1 !empty\n")
+        report = run_all(fifo_config(fixtures_dir, tmp_path / "out", spec_path=str(spec)))
+        assert report.props_total == 5
+        bundle = load_run(tmp_path / "out", report.run_id)
+        (prop,) = [p for p in bundle.properties if "!(" * 24 in p.sva_text]
+        (result,) = [r for r in bundle.formal_results if r.prop_id == prop.prop_id]
+        assert result.status in (T.ResultStatus.PROVEN, T.ResultStatus.CEX)
 
     def test_every_result_traces_to_a_chunk(self, fixtures_dir, tmp_path):
         from verikg.ir.export import export_graph
