@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from verikg.htmlview import render_html
@@ -22,7 +23,13 @@ from verikg.pipeline import rebuild_graph
 _ENV_API_KEY = "VERIKG_API_KEY"
 
 
+# RunConfig's retrieval bounds, budgets and iteration caps, one integer flag
+# each (`--type-cap` for `type_cap`)
+_BOUND_FIELDS = ("radius", "type_cap", "max_states", "max_depth", "cex_iters", "cov_iters")
+
+
 def _add_run_parser(sub) -> None:
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     p = sub.add_parser("run", help="execute the full verification workflow")
     p.add_argument("--spec", required=True, help="specification document")
     p.add_argument("--rtl", action="append", required=True,
@@ -31,16 +38,14 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--rulebook", help="rulebook text file")
     p.add_argument("--out", default="runs", help="output root directory")
     p.add_argument("--backend", choices=("live", "scripted", "replay"),
-                   default="scripted")
+                   default=defaults["backend"])
     p.add_argument("--transcript", help="transcript file for the replay backend")
-    p.add_argument("--live-url", default="", help="chat-completion endpoint")
-    p.add_argument("--live-model", default="", help="model name for live backend")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--type-cap", type=int, default=20)
-    p.add_argument("--max-states", type=int, default=1 << 20)
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--cex-iters", type=int, default=2)
-    p.add_argument("--cov-iters", type=int, default=2)
+    p.add_argument("--live-url", default=defaults["live_url"],
+                   help="chat-completion endpoint")
+    p.add_argument("--live-model", default=defaults["live_model"],
+                   help="model name for live backend")
+    for name in _BOUND_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=defaults[name])
     p.add_argument("--config", help="JSON config file; keys override flags")
 
 
@@ -55,12 +60,7 @@ def _config_from_args(args) -> RunConfig:
         "transcript_path": args.transcript,
         "live_url": args.live_url,
         "live_model": args.live_model,
-        "radius": args.radius,
-        "type_cap": args.type_cap,
-        "max_states": args.max_states,
-        "max_depth": args.max_depth,
-        "cex_iters": args.cex_iters,
-        "cov_iters": args.cov_iters,
+        **{name: getattr(args, name) for name in _BOUND_FIELDS},
     }
     if args.config:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))

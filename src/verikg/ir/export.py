@@ -1,20 +1,22 @@
 """Graph content and its row export: one node per IR entity / RTL object,
 one edge per trace link plus structural containment.
 
-`graph_items` is the one definition of what the graph holds, as items
-taken straight from the bundle's records; the pipeline builds its live
-graph from the same items. `export_graph` turns them into sorted,
-byte-deterministic rows with JSON attributes, for `save_run` only."""
+`graph_items` is the one derivation of what the graph holds, as items
+taken straight from the bundle's records. The pipeline's `sync_graph`
+makes the whole live graph equal to it, `export_graph` turns it into
+sorted, byte-deterministic rows with JSON attributes for `save_run`, and
+the validator reads the same node types (`graph_nodes`). Every trace link
+is checked against the node types of the items it joins
+(`check_link_endpoints`)."""
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Container
+from collections.abc import Mapping
 
 from verikg.codec import canonical_json
 from verikg.ir import types as T
-from verikg.ir.validate import BundleIndex, check_link_endpoints, coverage_node_id
 from verikg.rtl.ast import DesignModel
 
 NODE_HEADER = ("id", "type", "run_id", "attributes")
@@ -56,17 +58,45 @@ def _walk_signals(dm: DesignModel):
 NodeItem = tuple[str, str, dict]
 EdgeItem = tuple[str, str, str]
 
-# The node types of the verification part of the graph; the design part
-# (spec chunks, requirements, RTL) is fixed once the front end has run.
-VERIFICATION_NODE_TYPES = frozenset(
-    {"property", "formal_result", "cex_case", "coverage_metrics"})
+# Link kind -> (source node type, destination node types).
+_LINK_ENDPOINTS = {
+    T.LinkKind.DERIVES_FROM: ("requirement", ("spec_chunk",)),
+    T.LinkKind.VALIDATES: ("property", ("requirement",)),
+    T.LinkKind.PROVES: ("formal_result", ("property",)),
+    T.LinkKind.FAILS: ("formal_result", ("property",)),
+    T.LinkKind.COVERS: ("property", ("coverage_metrics", "rtl_statement")),
+}
 
 
-def design_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
-    """Spec chunks in reading order, requirements, and the RTL modules,
-    signals and statements with their containment edges."""
+def coverage_node_id(index: int) -> str:
+    """Positional graph id for a CoverageMetrics record (they carry none)."""
+    return T.make_id("COV", index + 1)
+
+
+def check_link_endpoints(link: T.TraceLink, kind_of: Mapping[str, str]) -> str | None:
+    """None when both endpoints are graph nodes of the types the link kind
+    joins, else a reason; `kind_of` maps node id to node type."""
+    want_src, want_dst = _LINK_ENDPOINTS[link.link_kind]
+    src_kind = kind_of.get(link.src_id)
+    dst_kind = kind_of.get(link.dst_id)
+    if src_kind is None:
+        return f"src {link.src_id!r} does not resolve"
+    if dst_kind is None:
+        return f"dst {link.dst_id!r} does not resolve"
+    if src_kind != want_src:
+        return (f"endpoint kind mismatch: src of {link.link_kind.value} must be "
+                f"{want_src}, got {src_kind}")
+    if dst_kind not in want_dst:
+        return (f"endpoint kind mismatch: dst of {link.link_kind.value} must be "
+                f"{' or '.join(want_dst)}, got {dst_kind}")
+    return None
+
+
+def graph_nodes(bundle: T.RunBundle) -> list[NodeItem]:
+    """Every node, in graph order: spec chunks in reading order,
+    requirements, the RTL modules, signals and statements, then properties,
+    formal results, CEX cases and coverage records."""
     nodes: list[NodeItem] = []
-    edges: list[EdgeItem] = []
     for c in bundle.spec_chunks or []:
         nodes.append((c.chunk_id, "spec_chunk", {
             "heading_path": list(c.heading_path),
@@ -74,9 +104,6 @@ def design_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
             "semantic_tags": list(c.semantic_tags),
             "text": c.text,
         }))
-    ordered_chunks = sorted(bundle.spec_chunks or [], key=lambda c: c.order_index)
-    for a, b in zip(ordered_chunks, ordered_chunks[1:]):
-        edges.append((a.chunk_id, b.chunk_id, "next_chunk"))
 
     for r in bundle.requirements or []:
         nodes.append((r.req_id, "requirement", {
@@ -99,7 +126,6 @@ def design_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
                 "kind": kind,
                 "module": module_name,
             }))
-            edges.append((module_name, path, "has_signal"))
         for s in dm.statements:
             nodes.append((s.id, "rtl_statement", {
                 "module": s.module,
@@ -107,13 +133,7 @@ def design_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
                 "kind": s.kind,
                 "detail": s.detail,
             }))
-            edges.append((s.module, s.id, "has_statement"))
-    return nodes, edges
 
-
-def verification_nodes(bundle: T.RunBundle) -> list[NodeItem]:
-    """Properties, formal results, CEX cases and coverage records."""
-    nodes: list[NodeItem] = []
     for p in bundle.properties or []:
         nodes.append((p.prop_id, "property", {
             "kind": p.kind.value,
@@ -150,10 +170,25 @@ def verification_nodes(bundle: T.RunBundle) -> list[NodeItem]:
     return nodes
 
 
-def verification_edges(bundle: T.RunBundle, node_ids: Container[str]) -> list[EdgeItem]:
-    """Result-to-CEX containment plus one edge per trace link. A link whose
-    endpoints are ill-typed or not among `node_ids` raises ExportError."""
-    edges: list[EdgeItem] = []
+# The containment edge from a signal's or statement's module to it.
+_CONTAINED_BY_MODULE = {"rtl_signal": "has_signal", "rtl_statement": "has_statement"}
+
+
+def graph_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
+    """The bundle's whole graph: the one definition of its content.
+
+    Edges come in this order: spec chunks in reading order, module
+    containment, result-to-CEX containment, then one edge per trace link.
+    Each link is checked once, against the types of the nodes built here; an
+    ill-typed or dangling link raises ExportError."""
+    nodes = graph_nodes(bundle)
+    ordered_chunks = sorted(bundle.spec_chunks or [], key=lambda c: c.order_index)
+    edges: list[EdgeItem] = [(a.chunk_id, b.chunk_id, "next_chunk")
+                             for a, b in zip(ordered_chunks, ordered_chunks[1:])]
+    edges += [(attrs["module"], node_id, _CONTAINED_BY_MODULE[node_type])
+              for node_id, node_type, attrs in nodes
+              if node_type in _CONTAINED_BY_MODULE]
+
     # result -> cex containment, needed by downstream invalidation
     results_by_prop: dict[str, list[T.FormalResult]] = {}
     for r in bundle.formal_results or []:
@@ -163,22 +198,14 @@ def verification_edges(bundle: T.RunBundle, node_ids: Container[str]) -> list[Ed
             if r.status is T.ResultStatus.CEX:
                 edges.append((r.result_id, c.cex_id, "has_cex"))
 
-    ix = BundleIndex.from_bundle(bundle)
+    kind_of = {node_id: node_type for node_id, node_type, _ in nodes}
     for link in bundle.tracelinks or []:
-        reason = check_link_endpoints(link, ix)
-        if reason is not None or link.src_id not in node_ids or link.dst_id not in node_ids:
+        reason = check_link_endpoints(link, kind_of)
+        if reason is not None:
             raise ExportError(
                 f"dangling or ill-typed link {link.src_id} -{link.link_kind.value}-> "
-                f"{link.dst_id}: {reason or 'endpoint not exported'}")
+                f"{link.dst_id}: {reason}")
         edges.append((link.src_id, link.dst_id, link.link_kind.value))
-    return edges
-
-
-def graph_items(bundle: T.RunBundle) -> tuple[list[NodeItem], list[EdgeItem]]:
-    """The bundle's whole graph: the one definition of its content."""
-    nodes, edges = design_items(bundle)
-    nodes += verification_nodes(bundle)
-    edges += verification_edges(bundle, {n[0] for n in nodes})
     return nodes, edges
 
 

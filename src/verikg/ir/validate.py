@@ -1,10 +1,17 @@
-"""Schema and invariant validation for IR documents and whole bundles."""
+"""Schema and invariant validation for IR documents and whole bundles.
+
+Cross-references (a requirement's chunks, a testplan entry's requirement,
+trace-link endpoints) are checked against the node types of the graph
+derivation in `ir.export`, the same map `graph_items` checks links with."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from verikg.ir import types as T
+from verikg.ir.export import NodeItem, check_link_endpoints, graph_nodes
+from verikg.kg import GraphError, unique_nodes
 from verikg.rtl.ast import DesignModel
 
 
@@ -36,103 +43,22 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations) or "ok"
 
 
-def coverage_node_id(index: int) -> str:
-    """Positional graph id for a CoverageMetrics record (they carry none)."""
-    return T.make_id("COV", index + 1)
+class _Refs(NamedTuple):
+    """What the cross-reference checks read: the graph's node id -> node
+    type map (`ir.export.graph_nodes`) and the properties with a CexCase."""
+    kind_of: dict[str, str]
+    cex_props: frozenset[str]
 
 
-@dataclass
-class BundleIndex:
-    """Id universe used for cross-reference checks."""
-
-    chunks: set[str] = field(default_factory=set)
-    reqs: set[str] = field(default_factory=set)
-    props: set[str] = field(default_factory=set)
-    results: set[str] = field(default_factory=set)
-    cexs: set[str] = field(default_factory=set)
-    coverage: set[str] = field(default_factory=set)
-    statements: set[str] = field(default_factory=set)
-    modules: set[str] = field(default_factory=set)
-    cex_props: set[str] = field(default_factory=set)
-
-    @classmethod
-    def from_bundle(cls, b: T.RunBundle) -> "BundleIndex":
-        ix = cls()
-        for c in b.spec_chunks or []:
-            ix.chunks.add(c.chunk_id)
-        for r in b.requirements or []:
-            ix.reqs.add(r.req_id)
-        for p in b.properties or []:
-            ix.props.add(p.prop_id)
-        for r in b.formal_results or []:
-            ix.results.add(r.result_id)
-        for c in b.cex_cases or []:
-            ix.cexs.add(c.cex_id)
-            ix.cex_props.add(c.prop_id)
-        for i, _ in enumerate(b.coverage_metrics or []):
-            ix.coverage.add(coverage_node_id(i))
-        if b.design_model is not None:
-            for s in b.design_model.statements:
-                ix.statements.add(s.id)
-            for m in b.design_model.modules:
-                ix.modules.add(m.name)
-        return ix
-
-
-_LINK_SCHEMA = {
-    T.LinkKind.DERIVES_FROM: ("requirement", "spec_chunk"),
-    T.LinkKind.VALIDATES: ("property", "requirement"),
-    T.LinkKind.PROVES: ("formal_result", "property"),
-    T.LinkKind.FAILS: ("formal_result", "property"),
-    T.LinkKind.COVERS: ("property", "coverage_or_statement"),
-}
-
-
-def _kind_of(ident: str, ix: BundleIndex) -> str | None:
-    if ident in ix.chunks:
-        return "spec_chunk"
-    if ident in ix.reqs:
-        return "requirement"
-    if ident in ix.props:
-        return "property"
-    if ident in ix.results:
-        return "formal_result"
-    if ident in ix.cexs:
-        return "cex_case"
-    if ident in ix.coverage:
-        return "coverage_metrics"
-    if ident in ix.statements:
-        return "rtl_statement"
-    if ident in ix.modules:
-        return "rtl_module"
-    return None
-
-
-def check_link_endpoints(link: T.TraceLink, ix: BundleIndex) -> str | None:
-    """None when the link satisfies the endpoint-kind schema, else a reason."""
-    want_src, want_dst = _LINK_SCHEMA[link.link_kind]
-    src_kind = _kind_of(link.src_id, ix)
-    dst_kind = _kind_of(link.dst_id, ix)
-    if src_kind is None:
-        return f"src {link.src_id!r} does not resolve"
-    if dst_kind is None:
-        return f"dst {link.dst_id!r} does not resolve"
-    if src_kind != want_src:
-        return f"endpoint kind mismatch: src of {link.link_kind.value} must be {want_src}, got {src_kind}"
-    if want_dst == "coverage_or_statement":
-        if dst_kind not in ("coverage_metrics", "rtl_statement"):
-            return ("endpoint kind mismatch: dst of covers must be "
-                    f"coverage_metrics or rtl_statement, got {dst_kind}")
-        return None
-    if dst_kind != want_dst:
-        return f"endpoint kind mismatch: dst of {link.link_kind.value} must be {want_dst}, got {dst_kind}"
-    return None
+def _refs(bundle: T.RunBundle, nodes: list[NodeItem]) -> _Refs:
+    return _Refs({node_id: node_type for node_id, node_type, _ in nodes},
+                 frozenset(c.prop_id for c in bundle.cex_cases or []))
 
 
 # -- per-kind validators -----------------------------------------------------
 
 def _validate_spec_chunks(items: list[T.SpecChunk], rep: ValidationReport,
-                          ix: BundleIndex | None) -> None:
+                          refs: _Refs | None) -> None:
     seen: set[str] = set()
     last_index = -1
     for i, c in enumerate(items):
@@ -153,7 +79,7 @@ def _validate_spec_chunks(items: list[T.SpecChunk], rep: ValidationReport,
 
 
 def _validate_requirements(items: list[T.Requirement], rep: ValidationReport,
-                           ix: BundleIndex | None) -> None:
+                           refs: _Refs | None) -> None:
     seen: set[str] = set()
     for i, r in enumerate(items):
         path = f"requirements[{i}]"
@@ -162,17 +88,17 @@ def _validate_requirements(items: list[T.Requirement], rep: ValidationReport,
         seen.add(r.req_id)
         if not r.source_chunks:
             rep.add(path + ".source_chunks", "source_chunks non-empty")
-        if ix is not None:
+        if refs is not None:
             for c in r.source_chunks:
-                if c not in ix.chunks:
+                if refs.kind_of.get(c) != "spec_chunk":
                     rep.add(path + ".source_chunks",
                             f"referenced chunk {c!r} does not exist in this run")
 
 
 def _validate_testplan(items: list[T.TestPlanEntry], rep: ValidationReport,
-                       ix: BundleIndex | None) -> None:
+                       refs: _Refs | None) -> None:
     for i, t in enumerate(items):
-        if ix is not None and t.req_id not in ix.reqs:
+        if refs is not None and refs.kind_of.get(t.req_id) != "requirement":
             rep.add(f"testplan[{i}].req_id",
                     f"req_id {t.req_id!r} refers to no Requirement")
 
@@ -192,7 +118,7 @@ def _validate_attempts(attempts: list[T.AttemptNote], path: str,
 
 
 def _validate_properties(items: list[T.PropertyRecord], rep: ValidationReport,
-                         ix: BundleIndex | None) -> None:
+                         refs: _Refs | None) -> None:
     seen: set[str] = set()
     for i, p in enumerate(items):
         path = f"properties[{i}]"
@@ -208,17 +134,17 @@ def _validate_properties(items: list[T.PropertyRecord], rep: ValidationReport,
 
 
 def _validate_tracelinks(items: list[T.TraceLink], rep: ValidationReport,
-                         ix: BundleIndex | None) -> None:
-    if ix is None:
+                         refs: _Refs | None) -> None:
+    if refs is None:
         return
     for i, link in enumerate(items):
-        reason = check_link_endpoints(link, ix)
+        reason = check_link_endpoints(link, refs.kind_of)
         if reason is not None:
             rep.add(f"tracelinks[{i}]", reason)
 
 
 def _validate_formal_results(items: list[T.FormalResult], rep: ValidationReport,
-                             ix: BundleIndex | None) -> None:
+                             refs: _Refs | None) -> None:
     seen: set[str] = set()
     for i, r in enumerate(items):
         path = f"formal_results[{i}]"
@@ -229,13 +155,13 @@ def _validate_formal_results(items: list[T.FormalResult], rep: ValidationReport,
             rep.add(path + ".artifact_path", "status=cex implies artifact_path set")
         if r.proof_depth is not None and r.proof_depth < 0:
             rep.add(path + ".proof_depth", "proof_depth must be nonnegative")
-        if ix is not None and r.status is T.ResultStatus.PROVEN \
-                and r.prop_id in ix.cex_props:
+        if refs is not None and r.status is T.ResultStatus.PROVEN \
+                and r.prop_id in refs.cex_props:
             rep.add(path, f"proven result for {r.prop_id!r} coexists with a CexCase")
 
 
 def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport,
-                        ix: BundleIndex | None) -> None:
+                        refs: _Refs | None) -> None:
     seen: set[str] = set()
     for i, c in enumerate(items):
         path = f"cex_cases[{i}]"
@@ -248,7 +174,7 @@ def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport,
 
 
 def _validate_coverage(items: list[T.CoverageMetrics], rep: ValidationReport,
-                       ix: BundleIndex | None) -> None:
+                       refs: _Refs | None) -> None:
     for i, m in enumerate(items):
         path = f"coverage_metrics[{i}]"
         covered = set(m.covered_statements)
@@ -267,7 +193,7 @@ def _validate_coverage(items: list[T.CoverageMetrics], rep: ValidationReport,
 
 
 def _validate_run_context(ctx: T.RunContext, rep: ValidationReport,
-                          ix: BundleIndex | None) -> None:
+                          refs: _Refs | None) -> None:
     if not ctx.run_id:
         rep.add("run_context.run_id", "empty run_id")
         return
@@ -284,7 +210,7 @@ def _validate_run_context(ctx: T.RunContext, rep: ValidationReport,
 
 
 def _validate_design_model(dm: DesignModel, rep: ValidationReport,
-                           ix: BundleIndex | None) -> None:
+                           refs: _Refs | None) -> None:
     module_names = {m.name for m in dm.modules}
     for m in dm.modules:
         names: set[str] = set()
@@ -325,7 +251,7 @@ def _validate_csv_rows(kind: str, rows, rep: ValidationReport) -> None:
             rep.add(f"{kind}[{i}]", "all columns must be strings")
 
 
-# Kind -> validator of its parsed collection; a validator given no index
+# Kind -> validator of its parsed collection; a validator given no `_Refs`
 # skips the cross-reference checks.
 _VALIDATORS = {
     "spec_chunks": _validate_spec_chunks,
@@ -370,8 +296,8 @@ def validate_artifact(doc, kind: str, bundle: T.RunBundle | None = None) -> Vali
     except Exception as exc:  # malformed document, report instead of crash
         rep.add("$", f"parse: {exc}")
         return rep
-    ix = BundleIndex.from_bundle(bundle) if bundle is not None else None
-    _VALIDATORS[kind](parsed, rep, ix)
+    refs = _refs(bundle, graph_nodes(bundle)) if bundle is not None else None
+    _VALIDATORS[kind](parsed, rep, refs)
     return rep
 
 
@@ -384,10 +310,16 @@ def _already_typed(doc, kind: str) -> bool:
 
 
 def validate_bundle(bundle: T.RunBundle) -> ValidationReport:
-    """Validate every present collection plus all cross-references."""
+    """Validate every present collection plus all cross-references,
+    including the graph's own rule that one node id is one node."""
     rep = ValidationReport()
-    ix = BundleIndex.from_bundle(bundle)
-    _validate_run_context(bundle.context, rep, ix)
+    nodes = graph_nodes(bundle)
+    try:
+        unique_nodes(nodes)
+    except GraphError as exc:
+        rep.add("graph", str(exc))
+    refs = _refs(bundle, nodes)
+    _validate_run_context(bundle.context, rep, refs)
     for kind in bundle.present_kinds():
-        _VALIDATORS[kind](getattr(bundle, kind), rep, ix)
+        _VALIDATORS[kind](getattr(bundle, kind), rep, refs)
     return rep

@@ -2,15 +2,18 @@
 retrieval, signal resolution, downstream invalidation, connected
 components and trace paths.
 
-A run keeps one `Graph` from the front end to the end: the pipeline builds
-it once and updates it in place with `put_node`/`drop_node`/`put_edge`/
-`drop_edge` at each stage boundary. `build_graph` loads the rows a saved
-run wrote; it is not used during a run."""
+A run keeps one `Graph` from the front end to the end: at each stage
+boundary the pipeline's `sync_graph` makes it equal to the one graph
+derivation (`ir.export.graph_items`) in place, with `put_node`/`drop_node`/
+`put_edge`/`drop_edge`. `build_graph` loads the rows a saved run wrote; it
+is not used during a run. Both hold one rule for node ids, `unique_nodes`:
+an id names one node."""
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -173,29 +176,38 @@ class SignalIndex:
         self.path_widths[path] = width
 
 
+def unique_nodes(nodes: Iterable[tuple[str, str, dict]]) -> dict[str, tuple[str, dict]]:
+    """(id, type, attributes) items as id -> (type, attributes), in first
+    appearance order. A repeated id must repeat both, else GraphError."""
+    out: dict[str, tuple[str, dict]] = {}
+    for node_id, node_type, attrs in nodes:
+        prior = out.setdefault(node_id, (node_type, attrs))
+        if prior != (node_type, attrs):
+            raise GraphError(
+                f"duplicate node id {node_id!r} with conflicting attributes")
+    return out
+
+
 def build_graph(node_rows: list[tuple[str, ...]],
                 edge_rows: list[tuple[str, ...]]) -> Graph:
     """Load a Graph from exported rows (header rows are skipped), as saved
     in a run directory's nodes.csv and edges.csv.
 
     Duplicate edges collapse to one with the duplicate count reported on the
-    graph; a duplicate node id with conflicting attributes or a dangling
-    edge endpoint raises GraphError.
+    graph; a node id repeated with other attributes (`unique_nodes`) or a
+    dangling edge endpoint raises GraphError.
     """
+    def node_items():
+        for row in node_rows:
+            if row and row[0] == "id":
+                continue
+            if len(row) != 4:
+                raise GraphError(f"node row needs 4 columns: {row!r}")
+            node_id, node_type, _run_id, attrs_raw = row
+            yield node_id, node_type, json.loads(attrs_raw) if attrs_raw else {}
+
     g = Graph()
-    for row in node_rows:
-        if row and row[0] == "id":
-            continue
-        if len(row) != 4:
-            raise GraphError(f"node row needs 4 columns: {row!r}")
-        node_id, node_type, _run_id, attrs_raw = row
-        attrs = json.loads(attrs_raw) if attrs_raw else {}
-        prior = g.nodes.get(node_id)
-        if prior is not None:
-            if prior.type != node_type or prior.attrs != attrs:
-                raise GraphError(
-                    f"duplicate node id {node_id!r} with conflicting attributes")
-            continue
+    for node_id, (node_type, attrs) in unique_nodes(node_items()).items():
         g.put_node(node_id, node_type, attrs)
 
     edges = []

@@ -2,10 +2,11 @@
 syntax loop -> formal -> CEX loop -> coverage loop -> persisted run.
 
 A run has one knowledge graph. It is built once from the records after
-the RTL front end, and `sync_graph` brings its verification part in line
-with the bundle at each stage boundary; the agents query it and the CEX
-stage marks invalidated evidence stale in it. It is serialised only when
-the run is saved (nodes.csv, edges.csv, graph.html).
+the RTL front end, and at each stage boundary `sync_graph` makes the whole
+graph equal to the one derivation, `ir.export.graph_items`, whose trace
+links are checked against the node types it builds. The agents query it
+and the CEX stage marks invalidated evidence stale in it. It is
+serialised only when the run is saved (nodes.csv, edges.csv, graph.html).
 """
 
 from __future__ import annotations
@@ -33,23 +34,16 @@ from verikg.engine.check import CheckConfig, check
 from verikg.engine.coverage import coverage
 from verikg.htmlview import render_html
 from verikg.ir import types as T
-from verikg.ir.export import (
-    VERIFICATION_NODE_TYPES,
-    design_items,
-    verification_edges,
-    verification_nodes,
-)
+from verikg.ir.export import graph_items
 from verikg.ir.store import (
     StoreError, collection_docs, make_run_id, save_run, timestamp_now)
 from verikg.kg import (
-    CONTAINMENT_EDGES,
-    Edge,
     Graph,
-    GraphError,
     RetrievalBounds,
     build_signal_index,
     invalidate_downstream,
     resolve_signal,
+    unique_nodes,
 )
 from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 from verikg.rtl.ast import DesignModel
@@ -285,49 +279,26 @@ def parse_rtl_files(paths: list[str]) -> DesignModel:
 
 
 def rebuild_graph(bundle: T.RunBundle) -> Graph:
-    """The bundle's knowledge graph, built straight from its records."""
+    """The bundle's knowledge graph: a sync into an empty graph."""
     kg = Graph()
-    nodes, edges = design_items(bundle)
-    for node_id, (node_type, attrs) in _unique(nodes).items():
-        kg.put_node(node_id, node_type, attrs)
-    for e in edges:
-        kg.put_edge(*e)
     sync_graph(kg, bundle)
     return kg
 
 
 def sync_graph(kg: Graph, bundle: T.RunBundle) -> None:
-    """Bring the verification part of the graph (properties, results, CEX
-    cases, coverage records, result-to-CEX and trace-link edges) in line
-    with the bundle: put every current node and edge, drop the ones that
-    are gone. The spec and RTL part is left alone."""
-    want = _unique(verification_nodes(bundle))
-    for node_id in [n.id for n in kg.nodes.values()
-                    if n.type in VERIFICATION_NODE_TYPES and n.id not in want]:
+    """Make the graph equal to the bundle's one derivation, `graph_items`:
+    put every node and edge, drop any node or edge that is gone."""
+    nodes, edges = graph_items(bundle)
+    want = unique_nodes(nodes)
+    for node_id in [i for i in kg.nodes if i not in want]:
         kg.drop_node(node_id)
     for node_id, (node_type, attrs) in want.items():
-        prior = kg.nodes.get(node_id)
-        if prior is not None and prior.type not in VERIFICATION_NODE_TYPES:
-            raise GraphError(
-                f"duplicate node id {node_id!r} with conflicting attributes")
         kg.put_node(node_id, node_type, attrs)
-    edges = {Edge(*e): None for e in verification_edges(bundle, kg.nodes)}
-    for e in [e for e in kg.edges
-              if e.type not in CONTAINMENT_EDGES and e not in edges]:
+    want_edges = dict.fromkeys(edges)  # an Edge equals its plain triple
+    for e in [e for e in kg.edges if e not in want_edges]:
         kg.drop_edge(*e)
-    for e in edges:
+    for e in want_edges:
         kg.put_edge(*e)
-
-
-def _unique(nodes) -> dict[str, tuple[str, dict]]:
-    """id -> (type, attributes); a repeated id must repeat both."""
-    out: dict[str, tuple[str, dict]] = {}
-    for node_id, node_type, attrs in nodes:
-        prior = out.setdefault(node_id, (node_type, attrs))
-        if prior != (node_type, attrs):
-            raise GraphError(
-                f"duplicate node id {node_id!r} with conflicting attributes")
-    return out
 
 
 _MENTION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")

@@ -107,9 +107,15 @@ _PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in o
 # one. A whole expression is held to it twice: as written, while it parses,
 # and as `ast.render_expr` prints it (fully parenthesized), so that its
 # printed form parses again and no later pass that walks the tree one frame
-# per level meets a deeper one. Past it is a BOUND_EXCEEDED diagnostic, not
-# a RecursionError.
+# per level meets a deeper one. Statements nested in one another are held to
+# the same bound (`_STMT_LEVELS`). Past it is a BOUND_EXCEEDED diagnostic,
+# not a RecursionError.
 MAX_EXPR_DEPTH = 100
+
+# The statement levels an `if` or a `case` opens. A `case` opens two, its own
+# and its arm's: its body sits in a list of arms, so its record nests twice
+# as deep as an `if`'s in every walk and in the design model's document.
+_STMT_LEVELS = {"if": 1, "case": 2}
 
 
 def _too_deep(t: Token):
@@ -266,6 +272,7 @@ class _ModuleParser:
         self.cur = cur
         self.diags = diags
         self.exprs = ExprParser(cur)
+        self.stmt_depth = 0  # statement levels open (`_STMT_LEVELS`)
 
     def parse_module(self) -> ast.ModuleDecl | None:
         kw = self.cur.expect("module")
@@ -463,47 +470,18 @@ class _ModuleParser:
         if t.text in UNSUPPORTED_KEYWORDS:
             raise ParseError(t.line, t.col, f"construct {t.text!r}",
                              DiagCode.UNSUPPORTED)
-        if t.text == "if":
-            self.cur.next()
-            self.cur.expect("(")
-            cond = self.exprs.parse_expr()
-            self.cur.expect(")")
-            then_body = self._parse_stmt_block()
-            else_body = None
-            else_line = None
-            if self.cur.at("else"):
-                else_tok = self.cur.next()
-                else_line = else_tok.line
-                else_body = self._parse_stmt_block()
-            return ast.IfStmt(cond, then_body, else_body, "",
-                              "" if else_body is not None else None,
-                              t.line, else_line)
-        if t.text == "case":
-            self.cur.next()
-            self.cur.expect("(")
-            subject = self.exprs.parse_expr()
-            self.cur.expect(")")
-            arms: list[ast.CaseArm] = []
-            while not self.cur.at("endcase"):
-                at = self.cur.peek()
-                if at.kind == "EOF":
-                    raise ParseError(at.line, at.col, "unexpected end of file in case")
-                if self.cur.accept("default"):
-                    if any(a.labels is None for a in arms):
-                        self.diags.error(at.line, at.col, "second default item in case",
-                                         DiagCode.DUPLICATE)
-                    self.cur.accept(":")
-                    body = self._parse_stmt_block()
-                    arms.append(ast.CaseArm(None, body, "", at.line))
-                else:
-                    labels = [self.exprs.parse_expr()]
-                    while self.cur.accept(","):
-                        labels.append(self.exprs.parse_expr())
-                    self.cur.expect(":")
-                    body = self._parse_stmt_block()
-                    arms.append(ast.CaseArm(labels, body, "", at.line))
-            self.cur.expect("endcase")
-            return ast.CaseStmt(subject, arms, t.line)
+        levels = _STMT_LEVELS.get(t.text)
+        if levels:
+            self.stmt_depth += levels
+            try:
+                if self.stmt_depth > MAX_EXPR_DEPTH:
+                    raise ParseError(
+                        t.line, t.col, f"statements nest deeper than {MAX_EXPR_DEPTH} levels",
+                        DiagCode.BOUND_EXCEEDED)
+                self.cur.next()
+                return self._parse_if(t) if t.text == "if" else self._parse_case(t)
+            finally:
+                self.stmt_depth -= levels
         # assignment
         target, sel = self._parse_lvalue()
         if self.cur.accept("<="):
@@ -517,6 +495,47 @@ class _ModuleParser:
         rhs = self.exprs.parse_expr()
         self.cur.expect(";")
         return ast.SeqAssign(target, sel, rhs, blocking, "", t.line)
+
+    def _parse_if(self, t: Token) -> ast.IfStmt:
+        self.cur.expect("(")
+        cond = self.exprs.parse_expr()
+        self.cur.expect(")")
+        then_body = self._parse_stmt_block()
+        else_body = None
+        else_line = None
+        if self.cur.at("else"):
+            else_tok = self.cur.next()
+            else_line = else_tok.line
+            else_body = self._parse_stmt_block()
+        return ast.IfStmt(cond, then_body, else_body, "",
+                          "" if else_body is not None else None,
+                          t.line, else_line)
+
+    def _parse_case(self, t: Token) -> ast.CaseStmt:
+        self.cur.expect("(")
+        subject = self.exprs.parse_expr()
+        self.cur.expect(")")
+        arms: list[ast.CaseArm] = []
+        while not self.cur.at("endcase"):
+            at = self.cur.peek()
+            if at.kind == "EOF":
+                raise ParseError(at.line, at.col, "unexpected end of file in case")
+            if self.cur.accept("default"):
+                if any(a.labels is None for a in arms):
+                    self.diags.error(at.line, at.col, "second default item in case",
+                                     DiagCode.DUPLICATE)
+                self.cur.accept(":")
+                body = self._parse_stmt_block()
+                arms.append(ast.CaseArm(None, body, "", at.line))
+            else:
+                labels = [self.exprs.parse_expr()]
+                while self.cur.accept(","):
+                    labels.append(self.exprs.parse_expr())
+                self.cur.expect(":")
+                body = self._parse_stmt_block()
+                arms.append(ast.CaseArm(labels, body, "", at.line))
+        self.cur.expect("endcase")
+        return ast.CaseStmt(subject, arms, t.line)
 
     def _parse_instance(self, m: ast.ModuleDecl) -> None:
         mod_tok = self.cur.expect_id()

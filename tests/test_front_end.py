@@ -158,6 +158,38 @@ def test_nesting_at_the_bound_parses_and_prints_back(parser, kind, deepest):
     assert again.properties[0].body.consequent.steps[0].expr == expr
 
 
+def nested_statements(kind: str, n: int) -> str:
+    """A module whose always block nests n `if` or n `case` statements; the
+    outermost is on line 5, column 5."""
+    opens = "    if (d)\n" if kind == "if" else "    case (d) 1'd1:\n"
+    closes = "" if kind == "if" else "    endcase\n" * n
+    return ("module deep(input clk, input d, output q);\n  reg r;\n  assign q = r;\n"
+            "  always @(posedge clk)\n" + opens * n + "      r <= d;\n" + closes
+            + "endmodule\n")
+
+
+# The deepest statement nesting that parses: an `if` opens one level, a
+# `case` two (its own and its arm's).
+STMT_BOUND = {"if": MAX_EXPR_DEPTH, "case": MAX_EXPR_DEPTH // 2}
+
+
+@pytest.mark.parametrize("kind", sorted(STMT_BOUND))
+def test_deep_statement_nesting_is_a_diagnostic(kind):
+    """Statements nested past the bound give a BOUND_EXCEEDED diagnostic at
+    the statement that opens the level past it, however deep the input goes,
+    never a RecursionError."""
+    deepest = STMT_BOUND[kind]
+    assert not isinstance(parse_rtl(nested_statements(kind, deepest)), Diagnostics)
+    for n in (deepest + 1, 2000):
+        diags = parse_rtl(nested_statements(kind, n))
+        assert isinstance(diags, Diagnostics)
+        first = diags.errors[0]
+        assert (first.line, first.col, first.message, first.code) == (
+            5 + deepest, 5, f"statements nest deeper than {MAX_EXPR_DEPTH} levels",
+            DiagCode.BOUND_EXCEEDED)
+        assert [d.code for d in diags.errors].count(DiagCode.BOUND_EXCEEDED) == 1
+
+
 def test_parsing_goes_on_after_a_statement_nested_too_deep():
     """The recovering property parser keeps one expression parser for the
     whole file: a statement past the bound, as written or as printed, leaves

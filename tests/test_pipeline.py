@@ -1,24 +1,32 @@
+import argparse
 import json
 import re
 import time
+from dataclasses import asdict
 
 import pytest
 
+import verikg.pipeline as pipeline
+from test_front_end import STMT_BOUND, nested_statements
 from verikg.agents.backend import ScriptedBackend
 from verikg.agents.scripted import default_rules
+from verikg.cli import _add_run_parser, _config_from_args
 from verikg.cli import main as cli_main
 from verikg.ir import types as T
+from verikg.ir.export import ExportError
 from verikg.ir.store import load_run
-from verikg.kg import build_graph, trace_path
+from verikg.ir.validate import validate_bundle
+from verikg.kg import GraphError, build_graph, trace_path
 from verikg.pipeline import (
     PipelineError,
     RunConfig,
     chunk_spec,
     ingest_spec,
+    rebuild_graph,
     report_from_bundle,
     run_all,
 )
-from verikg.rtl.parser import MAX_EXPR_DEPTH
+from verikg.rtl.parser import MAX_EXPR_DEPTH, parse_rtl
 
 
 def scripted() -> ScriptedBackend:
@@ -124,6 +132,20 @@ class TestRunAll:
         (prop,) = [p for p in bundle.properties if "!(" * 24 in p.sva_text]
         (result,) = [r for r in bundle.formal_results if r.prop_id == prop.prop_id]
         assert result.status in (T.ResultStatus.PROVEN, T.ResultStatus.CEX)
+
+    @pytest.mark.parametrize("kind", sorted(STMT_BOUND))
+    def test_statements_nested_to_the_bound_run_end_to_end(self, fixtures_dir, tmp_path,
+                                                           kind):
+        """A design whose `if` or `case` statements nest exactly to the bound
+        is parsed, elaborated, checked, covered, saved and loaded back."""
+        rtl = tmp_path / "deep.v"
+        rtl.write_text(nested_statements(kind, STMT_BOUND[kind]))
+        report = run_all(RunConfig(str(fixtures_dir / "gappy_spec.md"), [str(rtl)],
+                                   str(tmp_path / "out")))
+        assert (report.props_total, report.reachable_pct) == (1, 100.0)
+        bundle = load_run(tmp_path / "out", report.run_id)
+        # one arm per nested statement, the innermost assignment and `assign q`
+        assert len(bundle.design_model.statements) == STMT_BOUND[kind] + 2
 
     def test_every_result_traces_to_a_chunk(self, fixtures_dir, tmp_path):
         from verikg.ir.export import export_graph
@@ -250,6 +272,15 @@ class TestCli:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_run_flag_defaults_are_the_config_defaults(self, monkeypatch):
+        """`verikg run` with only the required flags gives the config that
+        RunConfig's own defaults give, in every field."""
+        monkeypatch.delenv("VERIKG_API_KEY", raising=False)
+        parser = argparse.ArgumentParser()
+        _add_run_parser(parser.add_subparsers(dest="command"))
+        cfg = _config_from_args(parser.parse_args(["run", "--spec", "S", "--rtl", "R"]))
+        assert asdict(cfg) == asdict(RunConfig("S", ["R"], "runs"))
+
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         assert cli_main(["report", "--root", str(tmp_path), "--run", "x"]) == 1
 
@@ -313,6 +344,70 @@ class TestCoverageLoopEndToEnd:
         results = {r.prop_id: r.status for r in bundle.formal_results}
         assert any(results[p.prop_id] is T.ResultStatus.VACUOUS
                    for p in covers)
+
+
+class TestGraphFailures:
+    """The one graph derivation refuses links and node ids that do not make
+    one typed graph, at the stage that made them."""
+
+    def test_ill_typed_link_fails_at_its_stage_sync(self, fixtures_dir, tmp_path,
+                                                    monkeypatch):
+        """A coverage loop that links a new cover property to a requirement
+        with `covers` stops the run at the sync after the loop, before the
+        properties are compiled again."""
+        real_loop = pipeline.run_coverage_loop
+        real_syntax_loop = pipeline.run_syntax_loop
+        syntax_loops = []
+
+        def loop_with_bad_link(*args, **kw):
+            loop = real_loop(*args, **kw)
+            loop.new_links.append(T.TraceLink(loop.new_records[0].prop_id, "REQ-001",
+                                              T.LinkKind.COVERS))
+            return loop
+
+        def counted_syntax_loop(*args, **kw):
+            syntax_loops.append(1)
+            return real_syntax_loop(*args, **kw)
+
+        monkeypatch.setattr(pipeline, "run_coverage_loop", loop_with_bad_link)
+        monkeypatch.setattr(pipeline, "run_syntax_loop", counted_syntax_loop)
+        cfg = RunConfig(str(fixtures_dir / "gappy_spec.md"),
+                        [str(fixtures_dir / "gappy.v")], str(tmp_path))
+        with pytest.raises(ExportError) as err:
+            run_all(cfg)
+        assert str(err.value) == (
+            "dangling or ill-typed link PROP-002 -covers-> REQ-001: endpoint kind "
+            "mismatch: dst of covers must be coverage_metrics or rtl_statement, "
+            "got requirement")
+        assert "sync_graph" in [entry.name for entry in err.traceback]
+        assert len(syntax_loops) == 1
+
+    def test_module_and_statement_sharing_an_id_are_refused(self):
+        """A module named `S1` whose continuous assignment is statement `S1`:
+        one id, two nodes. The validator reports it and the graph refuses
+        it."""
+        dm = parse_rtl("module S1(input d, output q);\n  assign q = d;\nendmodule\n")
+        assert [s.id for s in dm.statements] == ["S1"]
+        bundle = T.RunBundle(context=T.RunContext(
+            run_id="20260808T000000Z-00000000", tool_version="t",
+            created_at="2026-08-08T00:00:00Z", config_snapshot={}),
+            design_model=dm)
+        conflict = "duplicate node id 'S1' with conflicting attributes"
+        assert [str(v) for v in validate_bundle(bundle).violations] == [
+            f"graph: {conflict}"]
+        with pytest.raises(GraphError, match=conflict):
+            rebuild_graph(bundle)
+
+    def test_link_to_a_signal_is_an_endpoint_kind_mismatch(self, fixtures_dir, tmp_path):
+        """A signal is a graph node, so a link that names one resolves, and
+        is rejected for its endpoint kind."""
+        report = run_all(RunConfig(str(fixtures_dir / "gappy_spec.md"),
+                                   [str(fixtures_dir / "gappy.v")], str(tmp_path)))
+        bundle = load_run(tmp_path, report.run_id)
+        bundle.tracelinks.append(T.TraceLink("PROP-001", "gappy.r", T.LinkKind.COVERS))
+        assert [v.message for v in validate_bundle(bundle).violations] == [
+            "endpoint kind mismatch: dst of covers must be coverage_metrics or "
+            "rtl_statement, got rtl_signal"]
 
 
 def test_bad_requirement_annotation_is_pipeline_error(tmp_path):
