@@ -1,26 +1,27 @@
 """Counterexample correction: waveform triage, root-cause classification,
-property patching with isolated re-check, three attempts then manual flag."""
+property patching with isolated re-check, three attempts then manual flag.
+A patch compiles against the workspace's signal index, through its
+statement memo."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend
-from verikg.agents.common import render_signal_table, requirement_text, send_step
+from verikg.agents.common import Workspace, requirement_text, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.engine.check import CheckConfig, check
 from verikg.ir import types as T
-from verikg.kg import Graph, SignalIndex
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
 from verikg.sva.bind import compile_properties
 from verikg.sva.emit import render_statement
-from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 from verikg.vcd import failure_window, parse_vcd
 
 MAX_ATTEMPTS = 3
+# Cycles of waveform shown before the failure time.
+PRE_CYCLES = 3
 
 _ROOT_CAUSE_RE = re.compile(
     r"root_cause:\s*(rtl_bug|over_specification|missing_assumption|under_specification)")
@@ -52,21 +53,17 @@ def _render_window(summary) -> str:
     return "\n".join(lines)
 
 
-def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
-                 net: NetModel, rtl_source: str, backend: Backend,
-                 pf: S.PropertyFile, records: list[T.PropertyRecord],
-                 artifacts: dict[str, bytes], cfg: CheckConfig,
-                 dm, pre_cycles: int = 3, cex_id_start: int = 1,
-                 memo: StatementMemo | None = None) -> CexLoopReport:
+def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
+                 rtl_source: str, pf: S.PropertyFile,
+                 records: list[T.PropertyRecord], artifacts: dict[str, bytes],
+                 cfg: CheckConfig, cex_id_start: int = 1) -> CexLoopReport:
     """Process every failing result in prop_id order.
 
     RTL bugs are documented and the property left failing; property-side
     causes are patched and re-checked in isolation before reintegration.
-    `idx` is the run's signal index, `memo` its statement memo.
     """
     report = CexLoopReport()
     records_by_id = {r.prop_id: r for r in records}
-    signal_table = render_signal_table(idx)
     next_cex = cex_id_start
 
     failing = sorted((r for r in results if r.status is T.ResultStatus.CEX),
@@ -91,18 +88,18 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
         db = parse_vcd(blob)
         failure_time = (result.proof_depth or db.end_time()) * db.timescale[0]
         prop_signals = sorted(db.signal_names())
-        window = failure_window(db, failure_time, prop_signals, pre_cycles)
+        window = failure_window(db, failure_time, prop_signals, PRE_CYCLES)
         window_text = _render_window(window)
 
         case = T.CexCase(cex_id, pid, result.artifact_path or "",
                          failure_time, line)
         report.cases.append(case)
 
-        req_text = "\n".join(requirement_text(kg, rid)
+        req_text = "\n".join(requirement_text(ws.kg, rid)
                              for rid in (record.req_ids if record else []))
         prop_text = render_statement(decl) if decl else (record.sva_text if record else "")
 
-        analysis = send_step(backend, PromptEnvelope.build(
+        analysis = send_step(ws.backend, PromptEnvelope.build(
             "spec_assertion_analyzer", f"cex/{pid}/classify",
             ResponseShape.ANALYSIS,
             requirement=req_text, prior_code=prop_text,
@@ -112,7 +109,7 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
         case.root_cause = cause
 
         if cause is T.RootCause.RTL_BUG:
-            doc = send_step(backend, PromptEnvelope.build(
+            doc = send_step(ws.backend, PromptEnvelope.build(
                 "rtl_analyzer", f"cex/{pid}/rtl", ResponseShape.ANALYSIS,
                 requirement=req_text, prior_code=rtl_source,
                 diagnostics=window_text))
@@ -133,13 +130,13 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
 
         fixed = False
         for attempt_no in range(used + 1, MAX_ATTEMPTS + 1):
-            patch = send_step(backend, PromptEnvelope.build(
+            patch = send_step(ws.backend, PromptEnvelope.build(
                 "cex_fixer", f"cex/{pid}/fix/{attempt_no}",
                 ResponseShape.CODE_PATCH,
-                requirement=req_text, signal_table=signal_table,
+                requirement=req_text, signal_table=ws.signal_table,
                 prior_code=render_statement(decl), diagnostics=window_text))
-            ok, candidate = _isolated_recheck(str(patch.payload), pid, decl,
-                                              pf, dm, idx, net, cfg, memo)
+            ok, candidate = _isolated_recheck(ws, str(patch.payload), pid, decl,
+                                              pf, net, cfg)
             note = T.AttemptNote(
                 loop_kind=T.LoopKind.CEX,
                 attempt_no=attempt_no,
@@ -166,11 +163,11 @@ def run_cex_loop(results: list[T.FormalResult], kg: Graph, idx: SignalIndex,
     return report
 
 
-def _isolated_recheck(patch_text: str, pid: str, decl: S.PropertyDecl,
-                      pf: S.PropertyFile, dm, idx: SignalIndex,
-                      net: NetModel, cfg: CheckConfig, memo: StatementMemo | None):
+def _isolated_recheck(ws: Workspace, patch_text: str, pid: str,
+                      decl: S.PropertyDecl, pf: S.PropertyFile, net: NetModel,
+                      cfg: CheckConfig):
     """Parse, bind, and engine-check the patched property alone."""
-    block, _diags = parse_properties_with_recovery(patch_text, memo=memo)
+    block, _diags = parse_properties_with_recovery(patch_text, memo=ws.memo)
     candidate = next((p for p in block.properties if p.body is not None), None)
     if candidate is None:
         return False, None
@@ -178,7 +175,7 @@ def _isolated_recheck(patch_text: str, pid: str, decl: S.PropertyDecl,
         S.PropertyFile(macros=list(pf.macros),
                        properties=[S.PropertyDecl(pid, candidate.kind, candidate.body,
                                                   decl.line, candidate.raw_source)],
-                       default_clock=pf.default_clock), dm, idx, memo)
+                       default_clock=pf.default_clock), ws.dm, ws.idx, ws.memo)
     if c.diags.has_errors() or c.errors or not c.bound:
         return False, None
     bp = c.bound[0]

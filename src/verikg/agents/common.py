@@ -1,14 +1,15 @@
-"""Shared pipeline machinery: step execution with the retry contract and
-context assembly from knowledge-graph neighborhoods."""
+"""Shared pipeline machinery: the run's workspace, step execution with the
+retry contract and context assembly from knowledge-graph neighborhoods."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from verikg.agents.backend import Backend, ProtocolError
 from verikg.agents.envelope import AgentResponse, PromptEnvelope
 from verikg.ir import types as T
-from verikg.kg import ContextBundle, Graph, SignalIndex
+from verikg.kg import ContextBundle, Graph, RetrievalBounds, SignalIndex
+from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
 from verikg.sva.emit import render_statement
 from verikg.sva.memo import StatementMemo
@@ -35,10 +36,31 @@ def send_step(backend: Backend, env: PromptEnvelope) -> AgentResponse:
             raise PipelineAbort(env.step_id, exc) from exc
 
 
-def render_signal_table(idx: SignalIndex, limit: int = 64) -> str:
+SIGNAL_TABLE_ROWS = 64  # the first signal paths, in sorted order
+
+
+def render_signal_table(idx: SignalIndex) -> str:
     rows = [f"{path} [{width}]" for path, width
-            in sorted(idx.path_widths.items())[:limit]]
+            in sorted(idx.path_widths.items())[:SIGNAL_TABLE_ROWS]]
     return "\n".join(rows)
+
+
+@dataclass
+class Workspace:
+    """What more than one agent step of a run reads. The signal index does
+    not change once built, so its table is rendered once, here; every
+    property parse and compile of the run goes through the memo."""
+    kg: Graph
+    idx: SignalIndex
+    dm: DesignModel
+    backend: Backend
+    rulebook: str = ""
+    bounds: RetrievalBounds = field(default_factory=RetrievalBounds)
+    memo: StatementMemo = field(default_factory=StatementMemo)
+    signal_table: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.signal_table = render_signal_table(self.idx)
 
 
 def spec_fragment_text(g: Graph, ctx: ContextBundle) -> str:
@@ -51,11 +73,11 @@ def spec_fragment_text(g: Graph, ctx: ContextBundle) -> str:
     return "\n\n".join(parts)
 
 
-def sibling_property_text(g: Graph, ctx: ContextBundle, exclude: set[str]) -> str:
+def sibling_property_text(g: Graph, ctx: ContextBundle) -> str:
     parts = []
     for node_id, _reason in ctx.members:
         node = g.nodes[node_id]
-        if node.type == "property" and node_id not in exclude:
+        if node.type == "property":
             parts.append(f"// {node_id}\n{node.attrs.get('sva_text', '')}")
     return "\n".join(parts)
 
@@ -79,14 +101,7 @@ def requirement_text(g: Graph, req_id: str) -> str:
     return f"[{req_id}] {node.attrs.get('text', '')}"
 
 
-@dataclass
-class ParsedBlock:
-    decls: list[S.PropertyDecl]
-    parse_errors: int
-
-
-def parse_property_block(text: str, memo: StatementMemo | None = None) -> ParsedBlock:
+def parse_property_block(text: str, memo: StatementMemo) -> list[S.PropertyDecl]:
     """Parse an agent-produced block of property statements (no file
     header); broken statements are kept with their raw source."""
-    pf, diags = parse_properties_with_recovery(text, memo=memo)
-    return ParsedBlock(pf.properties, len(diags.errors))
+    return parse_properties_with_recovery(text, memo=memo)[0].properties

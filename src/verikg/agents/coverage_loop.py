@@ -1,28 +1,20 @@
 """Coverage-directed augmentation: gap prioritization, enabling-condition
 analysis with blocking-assumption lookup in the graph, requirement linking
-by graph connectivity, and targeted cover/assert emission."""
+by graph connectivity, and targeted cover/assert emission, all on the
+run's workspace."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend
-from verikg.agents.common import parse_property_block, render_signal_table, send_step
+from verikg.agents.common import Workspace, parse_property_block, send_step
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
-from verikg.kg import (
-    Graph,
-    RetrievalBounds,
-    SignalIndex,
-    TaskKind,
-    connected,
-    neighborhood,
-)
+from verikg.kg import Graph, RetrievalBounds, TaskKind, connected, neighborhood
 from verikg.rtl import ast as rtl
 from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
-from verikg.sva.memo import StatementMemo
 
 _CLASS_RE = re.compile(r"classification:\s*(defensive|gap)")
 _BLOCKED_RE = re.compile(r"blocked_by:\s*(\S+)")
@@ -138,18 +130,14 @@ def already_targeted(kg: Graph, stmt_id: str) -> bool:
     return False
 
 
-def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, idx: SignalIndex,
-                      dm: DesignModel, backend: Backend, rulebook: str = "",
-                      bounds: RetrievalBounds | None = None,
-                      id_start: int = 1,
-                      memo: StatementMemo | None = None) -> CoverageLoopResult:
+def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
+                      id_start: int = 1) -> CoverageLoopResult:
     """Walk the prioritized gaps; defensive verdicts reclassify dead code
     and emit nothing, gap verdicts get targeted cover directives (and any
-    assertions the improver adds). New properties still flow through the
-    syntax loop and engine downstream. `idx` is the run's signal index,
-    `memo` its statement memo."""
+    assertions the improver adds), numbered from PROP-`id_start`. New
+    properties still flow through the syntax loop and engine downstream."""
+    kg, dm = ws.kg, ws.dm
     result = CoverageLoopResult()
-    signal_table = render_signal_table(idx)
     classifications = dict(cov.dead_code)
     next_id = id_start
 
@@ -160,15 +148,15 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, idx: SignalIndex,
         if already_targeted(kg, sid):
             continue
         guard_text = source_guard_text(dm, sid)
-        candidates = blocking_assumption_candidates(kg, sid, bounds)
+        candidates = blocking_assumption_candidates(kg, sid, ws.bounds)
         stmt = stmts_by_id.get(sid)
         detail = stmt.detail if stmt and stmt.detail else stmt.kind if stmt else "unknown"
 
-        analysis = send_step(backend, PromptEnvelope.build(
+        analysis = send_step(ws.backend, PromptEnvelope.build(
             "cov_analyzer", f"cov/{sid}/analyze", ResponseShape.ANALYSIS,
             requirement="",
             spec_fragment="",
-            signal_table=signal_table,
+            signal_table=ws.signal_table,
             prior_code=f"statement {sid} kind: {detail}\n"
                        f"enabling condition: {guard_text}",
             diagnostics="candidate blocking assumptions: "
@@ -190,13 +178,12 @@ def run_coverage_loop(cov: T.CoverageMetrics, kg: Graph, idx: SignalIndex,
         if not linked:
             result.unlinked.append(sid)
 
-        block_resp = send_step(backend, PromptEnvelope.build(
+        block_resp = send_step(ws.backend, PromptEnvelope.build(
             "cov_improver", f"cov/{sid}/improve", ResponseShape.PROPERTY_BLOCK,
-            signal_table=signal_table, rulebook=rulebook,
+            signal_table=ws.signal_table, rulebook=ws.rulebook,
             prior_code=f"// unreachable statement {sid}\n"
                        f"// enabling condition: {guard_text}"))
-        block = parse_property_block(str(block_resp.payload), memo)
-        for decl in block.decls:
+        for decl in parse_property_block(str(block_resp.payload), ws.memo):
             if decl.body is None and not decl.raw_source.strip():
                 continue
             prop_id = T.make_id("PROP", next_id)

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from verikg.agents.backend import Backend
 from verikg.agents.common import (
+    Workspace,
     parse_property_block,
-    render_signal_table,
     requirement_text,
     send_step,
     sibling_property_text,
@@ -17,11 +16,10 @@ from verikg.agents.common import (
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
-from verikg.kg import Graph, RetrievalBounds, SignalIndex, TaskKind, neighborhood
-from verikg.rtl.ast import DesignModel, Id
+from verikg.kg import TaskKind, neighborhood
+from verikg.rtl.ast import Id
 from verikg.sva import ast as S
 from verikg.sva.emit import emit_properties
-from verikg.sva.memo import StatementMemo
 
 MAX_REVIEW_ROUNDS = 3
 
@@ -34,27 +32,24 @@ class GenerationResult:
     emitted_text: str = ""
 
 
-def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
-                   rulebook: str, backend: Backend, idx: SignalIndex,
-                   clock_name: str, bounds: RetrievalBounds | None = None,
-                   id_start: int = 1,
-                   memo: StatementMemo | None = None) -> GenerationResult:
-    """Generate properties for every requirement (req_id order).
+def run_generation(ws: Workspace, reqs: list[T.Requirement],
+                   clock_name: str) -> GenerationResult:
+    """Generate properties for every requirement (req_id order), numbered
+    from PROP-001.
 
     Review rejections cycle through sva_patcher up to three rounds; a
     deadlock emits the last block with status=disabled and an attempt note.
-    Blocks are parsed through `memo`, the run's statement memo, if given.
     """
+    kg, backend, rulebook = ws.kg, ws.backend, ws.rulebook
     pf = S.PropertyFile(default_clock=S.ClockSpec("posedge", Id(clock_name)))
     out = GenerationResult(pf)
-    signal_table = render_signal_table(idx)
-    next_id = id_start
+    next_id = 1
 
     for req in sorted(reqs, key=lambda r: r.req_id):
-        ctx = neighborhood(kg, req.req_id, TaskKind.GENERATION, bounds)
+        ctx = neighborhood(kg, req.req_id, TaskKind.GENERATION, ws.bounds)
         req_text = requirement_text(kg, req.req_id) or f"[{req.req_id}] {req.text}"
         fragment = spec_fragment_text(kg, ctx)
-        siblings = sibling_property_text(kg, ctx, exclude=set())
+        siblings = sibling_property_text(kg, ctx)
 
         send_step(backend, PromptEnvelope.build(
             "sva_lead", f"gen/{req.req_id}/lead", ResponseShape.ANALYSIS,
@@ -65,7 +60,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
         author = send_step(backend, PromptEnvelope.build(
             "sva_author", f"gen/{req.req_id}/author", ResponseShape.PROPERTY_BLOCK,
             requirement=req_text, spec_fragment=fragment,
-            signal_table=signal_table, rulebook=rulebook, prior_code=siblings))
+            signal_table=ws.signal_table, rulebook=rulebook, prior_code=siblings))
         block_text = author.payload
 
         approved = False
@@ -88,8 +83,7 @@ def run_generation(reqs: list[T.Requirement], kg: Graph, dm: DesignModel,
                 diagnostics="; ".join(reject_reasons)))
             block_text = patched.payload
 
-        block = parse_property_block(block_text, memo)
-        for decl in block.decls:
+        for decl in parse_property_block(block_text, ws.memo):
             prop_id = T.make_id("PROP", next_id)
             next_id += 1
             pf.properties.append(S.PropertyDecl(

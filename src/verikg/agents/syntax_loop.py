@@ -1,28 +1,26 @@
 """Syntax correction: compile, attribute, deterministic repairs first,
 backend fixes for the rest, isolated validation before reintegration,
-three attempts per property then disable."""
+three attempts per property then disable. Every compile binds against the
+workspace's signal index and goes through its statement memo."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
 
-from verikg.agents.backend import Backend
 from verikg.agents.common import (
-    render_signal_table,
+    Workspace,
     requirement_text,
     send_step,
     sync_records,
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
-from verikg.kg import Graph, SignalIndex, resolve_signal
+from verikg.kg import SignalIndex, resolve_signal
 from verikg.rtl import ast as rtl
-from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
 from verikg.sva.bind import Compiled, compile_properties
 from verikg.sva.emit import emit_properties, render_statement
-from verikg.sva.memo import StatementMemo
 from verikg.sva.parser import parse_properties_with_recovery
 
 MAX_ATTEMPTS = 3
@@ -143,29 +141,24 @@ def _try_rules(pf: S.PropertyFile, decl: S.PropertyDecl,
     return "; ".join(applied) if applied else None
 
 
-def _isolated_ok(decl: S.PropertyDecl, pf: S.PropertyFile, dm: DesignModel,
-                 idx: SignalIndex, memo: StatementMemo | None) -> bool:
+def _isolated_ok(ws: Workspace, decl: S.PropertyDecl, pf: S.PropertyFile) -> bool:
     """syntax_validator role: the property compiles alone, with the file's
     macros and default clock."""
     c = compile_properties(S.PropertyFile(macros=list(pf.macros), properties=[decl],
                                           default_clock=pf.default_clock),
-                           dm, idx, memo)
+                           ws.dm, ws.idx, ws.memo)
     return not c.diags.has_errors() and not c.errors and bool(c.bound)
 
 
-def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
-                    idx: SignalIndex, backend: Backend,
-                    records: list[T.PropertyRecord], rulebook: str = "",
-                    memo: StatementMemo | None = None) -> SyntaxLoopReport:
+def run_syntax_loop(ws: Workspace, pf: S.PropertyFile,
+                    records: list[T.PropertyRecord]) -> SyntaxLoopReport:
     """Repair until fixpoint. Deterministic rules R1-R3 never call the
     backend; each repair try counts as one attempt; a property exceeding
-    three attempts is disabled with a logged note. `idx` is the run's
-    signal index; when built with the design's `NetModel.readable`, a
-    property that reads another name fails to bind. Every compile goes
-    through `memo`, the run's statement memo, when one is given."""
+    three attempts is disabled with a logged note. When the workspace's
+    signal index is built with the design's `NetModel.readable`, a property
+    that reads another name fails to bind."""
     report = SyntaxLoopReport()
     records_by_id = {r.prop_id: r for r in records}
-    signal_table = render_signal_table(idx)
     # The three-attempt budget is global per property, spanning invocations.
     for r in records:
         used = sum(1 for n in r.attempt_history if n.loop_kind is T.LoopKind.SYNTAX)
@@ -173,7 +166,7 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
             report.attempts[r.prop_id] = used
 
     while True:
-        compiled = compile_properties(pf, dm, idx, memo)
+        compiled = compile_properties(pf, ws.dm, ws.idx, ws.memo)
         pf.properties = compiled.parsed.properties
         pf.line_map = compiled.parsed.line_map
         active_failures = {pid: f for pid, f in _failures(compiled).items()
@@ -198,24 +191,24 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
             attempt_no = used + 1
             report.attempts[pid] = attempt_no
 
-            summary = _try_rules(pf, decl, failure, idx)
+            summary = _try_rules(pf, decl, failure, ws.idx)
             if summary is not None:
-                ok = _isolated_ok(decl, pf, dm, idx, memo)
+                ok = _isolated_ok(ws, decl, pf)
                 report.rule_fixes += 1
                 outcome = T.AttemptOutcome.FIXED if ok else T.AttemptOutcome.RETRY
                 _note(record, attempt_no, failure, summary, outcome)
                 progressed = True
                 continue
 
-            req_text = "\n".join(requirement_text(kg, rid)
+            req_text = "\n".join(requirement_text(ws.kg, rid)
                                  for rid in (record.req_ids if record else []))
             try:
-                fix = send_step(backend, PromptEnvelope.build(
+                fix = send_step(ws.backend, PromptEnvelope.build(
                     "syntax_fixer", f"syntax/{pid}/attempt/{attempt_no}",
                     ResponseShape.CODE_PATCH,
                     requirement=req_text,
-                    signal_table=signal_table,
-                    rulebook=rulebook,
+                    signal_table=ws.signal_table,
+                    rulebook=ws.rulebook,
                     prior_code=render_statement(decl),
                     diagnostics="\n".join(failure.messages)))
             except Exception:
@@ -228,14 +221,13 @@ def run_syntax_loop(pf: S.PropertyFile, dm: DesignModel, kg: Graph,
                 continue
             report.backend_fixes += 1
             patched_block, _pd = parse_properties_with_recovery(fix.payload,
-                                                                memo=memo)
+                                                                memo=ws.memo)
             candidate = next((p for p in patched_block.properties), None)
             ok = False
             if candidate is not None and candidate.body is not None:
                 trial = S.PropertyDecl(pid, candidate.kind, candidate.body,
                                        decl.line, candidate.raw_source)
-                if _isolated_ok(trial, patched_with_macros(pf, patched_block),
-                                dm, idx, memo):
+                if _isolated_ok(ws, trial, patched_with_macros(pf, patched_block)):
                     decl.body = candidate.body
                     decl.kind = candidate.kind
                     decl.raw_source = candidate.raw_source

@@ -1,8 +1,9 @@
 """End-to-end driver: ingest -> parse/elaborate -> graph -> generation ->
 syntax loop -> formal -> CEX loop -> coverage loop -> persisted run.
 
-A run has one knowledge graph. It is built once from the records after
-the RTL front end, and at each stage boundary `sync_graph` makes the whole
+The stages share one run object, `_Run`. A run has one knowledge graph,
+in the agents' `Workspace`. It is built once from the records after the
+RTL front end, and at each stage boundary `_Run.boundary` makes the whole
 graph equal to the one derivation, `ir.export.graph_items`, whose trace
 links are checked against the node types it builds. The agents query it
 and the CEX stage marks invalidated evidence stale in it. It is
@@ -25,6 +26,7 @@ from verikg.agents.backend import (
     Transcript,
 )
 from verikg.agents.cex_loop import run_cex_loop
+from verikg.agents.common import Workspace
 from verikg.agents.coverage_loop import run_coverage_loop
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.agents.generation import run_generation
@@ -51,7 +53,6 @@ from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
 from verikg.sva.bind import compile_properties
-from verikg.sva.memo import StatementMemo
 from verikg.vcd import write_vcd
 
 
@@ -93,9 +94,6 @@ class RunConfig:
         if min(self.radius, self.type_cap, self.max_states, self.max_depth,
                self.cex_iters, self.cov_iters) <= 0:
             raise PipelineError("bounds and iteration caps must be positive")
-
-    def bounds(self) -> RetrievalBounds:
-        return RetrievalBounds(self.radius, self.type_cap)
 
     def check_config(self, assumptions=None) -> CheckConfig:
         return CheckConfig(self.max_states, self.max_depth, assumptions or [])
@@ -261,10 +259,13 @@ def make_backend(cfg: RunConfig) -> Backend:
     raise PipelineError(f"unknown backend {cfg.backend!r}")
 
 
-def parse_rtl_files(paths: list[str]) -> DesignModel:
+def parse_rtl_files(paths: list[str]) -> tuple[DesignModel, str]:
+    """The files' merged design model, and their texts joined by newlines."""
     merged = DesignModel()
+    texts = []
     for p in paths:
-        result = parse_rtl(Path(p).read_text(encoding="utf-8"), filename=str(p))
+        texts.append(Path(p).read_text(encoding="utf-8"))
+        result = parse_rtl(texts[-1], filename=str(p))
         if not isinstance(result, DesignModel):
             raise PipelineError("RTL parse failed:\n" + result.render())
         for m in result.modules:
@@ -275,7 +276,7 @@ def parse_rtl_files(paths: list[str]) -> DesignModel:
     merged.fsms = detect_fsms(merged)
     if len(merged.modules) == 1:
         merged.top = merged.modules[0].name
-    return merged
+    return merged, "\n".join(texts)
 
 
 def rebuild_graph(bundle: T.RunBundle) -> Graph:
@@ -358,14 +359,6 @@ def link_assumptions_to_statements(bundle: T.RunBundle, pf: S.PropertyFile,
                         T.TraceLink(record.prop_id, sid, T.LinkKind.COVERS))
 
 
-def active_bound(bound: list[S.BoundProperty], bundle: T.RunBundle
-                 ) -> list[S.BoundProperty]:
-    """The bound properties whose records are ACTIVE."""
-    active = {r.prop_id for r in bundle.properties or []
-              if r.status is T.PropStatus.ACTIVE}
-    return [b for b in bound if b.prop_id in active]
-
-
 # ---------------------------------------------------------------------------
 # run_all
 # ---------------------------------------------------------------------------
@@ -377,8 +370,7 @@ def run_all(cfg: RunConfig) -> RunReport:
     transcript) before the error propagates.
     """
     cfg.validate()
-    inner = make_backend(cfg)
-    backend = RecordingBackend(inner)
+    backend = RecordingBackend(make_backend(cfg))
     rulebook = (Path(cfg.rulebook_path).read_text(encoding="utf-8")
                 if cfg.rulebook_path else "")
 
@@ -390,21 +382,19 @@ def run_all(cfg: RunConfig) -> RunReport:
 
     ctx = T.RunContext(
         run_id="00000000T000000Z-00000000",
+        iteration_counts={"syntax": 0, "cex": 0, "coverage": 0},
         tool_version=__version__,
         created_at=created_at,
         config_snapshot=cfg.snapshot(),
     )
     bundle = T.RunBundle(context=ctx)
     artifacts: dict[str, bytes] = {}
-    iteration_counts = {"syntax": 0, "cex": 0, "coverage": 0}
-
+    run = _Run(cfg, bundle, artifacts)
+    backend.transcript.created_at = created_at
     try:
-        kg = _run_stages(cfg, backend, rulebook, bundle, artifacts,
-                         iteration_counts)
+        run.stages(backend, rulebook)
     except Exception:
         # crash safety: preserve whatever the stages produced, plus transcript
-        ctx.iteration_counts = iteration_counts
-        backend.transcript.created_at = created_at
         artifacts["transcript.json"] = backend.transcript.render_bytes()
         try:
             save_run(bundle, cfg.out_root, artifacts, validate=False)
@@ -412,14 +402,14 @@ def run_all(cfg: RunConfig) -> RunReport:
             pass
         raise
 
-    ctx.iteration_counts = iteration_counts
+    run.boundary()
+    kg = run.ws.kg
+    del run  # nothing else of the stages is saved: free the net and the memo first
     docs = collection_docs(bundle)
     run_id = make_run_id(bundle, created_at, docs)
     ctx.run_id = run_id
     backend.transcript.run_id = run_id
-    backend.transcript.created_at = created_at
     artifacts["transcript.json"] = backend.transcript.render_bytes()
-    sync_graph(kg, bundle)
     artifacts["graph.html"] = render_html(kg).encode("utf-8")
     report = report_from_bundle(bundle, kg)
     artifacts["report.txt"] = report.render().encode("utf-8")
@@ -427,113 +417,133 @@ def run_all(cfg: RunConfig) -> RunReport:
     return report
 
 
-def _run_stages(cfg: RunConfig, backend: Backend, rulebook: str,
-                bundle: T.RunBundle, artifacts: dict[str, bytes],
-                iteration_counts: dict[str, int]) -> Graph:
-    """Run the stages on one live graph, which is returned."""
-    # 1. ingest
-    chunks, reqs, links = ingest_spec(cfg.spec_path, backend)
-    bundle.spec_chunks = chunks
-    bundle.requirements = reqs
-    bundle.tracelinks = list(links)
+class _Run:
+    """One run's stages and what they share: the config, the bundle, the
+    artifacts and the iteration counts (the run context's), and what the
+    stages make once (`ws`, `net`, `pf`) or keep current (`bound`, the
+    active bound properties)."""
 
-    # 2. RTL front end
-    dm = parse_rtl_files(cfg.rtl_paths)
-    top = cfg.top or dm.top
-    if top is None:
-        raise PipelineError("multiple modules and no --top given")
-    dm.top = top
-    bundle.design_model = dm
-    net = elaborate(dm, top)
-    if not isinstance(net, NetModel):
-        raise PipelineError("elaboration failed:\n" + net.render())
-    rtl_source = "\n".join(Path(p).read_text(encoding="utf-8")
-                           for p in cfg.rtl_paths)
+    def __init__(self, cfg: RunConfig, bundle: T.RunBundle,
+                 artifacts: dict[str, bytes]):
+        self.cfg = cfg
+        self.bundle = bundle
+        self.artifacts = artifacts
+        self.counts = bundle.context.iteration_counts
 
-    # 3. the run's graph, signal index and statement memo, plus the testplan;
-    # every property parse and compile of the run goes through the memo
-    kg = rebuild_graph(bundle)
-    idx = build_signal_index(kg, net.readable)
-    memo = StatementMemo()
-    bundle.testplan = make_testplan(reqs, idx)
-    clock_leaf = (net.clock or f"{top}.clk").split(".")[-1]
+    def stages(self, backend: Backend, rulebook: str) -> None:
+        cfg, bundle = self.cfg, self.bundle
+        # 1. ingest
+        chunks, reqs, links = ingest_spec(cfg.spec_path, backend)
+        bundle.spec_chunks = chunks
+        bundle.requirements = reqs
+        bundle.tracelinks = list(links)
 
-    # 4. property generation
-    gen = run_generation(reqs, kg, dm, rulebook, backend, idx, clock_leaf,
-                         cfg.bounds(), memo=memo)
-    pf = gen.property_file
-    bundle.properties = gen.records
-    bundle.tracelinks.extend(gen.links)
+        # 2. RTL front end
+        dm, rtl_source = parse_rtl_files(cfg.rtl_paths)
+        top = cfg.top or dm.top
+        if top is None:
+            raise PipelineError("multiple modules and no --top given")
+        dm.top = top
+        bundle.design_model = dm
+        net = elaborate(dm, top)
+        if not isinstance(net, NetModel):
+            raise PipelineError("elaboration failed:\n" + net.render())
+        self.net = net
 
-    # 5. syntax loop until fixpoint; its last compile binds the whole file,
-    # and the file is compiled again only after it changes
-    sync_graph(kg, bundle)
-    bound = active_bound(
-        run_syntax_loop(pf, dm, kg, idx, backend, bundle.properties, rulebook,
-                        memo).bound,
-        bundle)
-    iteration_counts["syntax"] += 1
+        # 3. the run's graph, signal index and statement memo (in the
+        # workspace), plus the testplan
+        kg = rebuild_graph(bundle)
+        self.ws = ws = Workspace(kg, build_signal_index(kg, net.readable), dm,
+                                 backend, rulebook,
+                                 RetrievalBounds(cfg.radius, cfg.type_cap))
+        bundle.testplan = make_testplan(reqs, ws.idx)
+        clock_leaf = (net.clock or f"{top}.clk").split(".")[-1]
 
-    # 6. formal checking
-    bundle.formal_results = []
-    bundle.cex_cases = []
-    recheck_properties([b.prop_id for b in bound], net, bound, bundle, cfg,
-                       artifacts)
-    link_assumptions_to_statements(bundle, pf, idx, net)
+        # 4. property generation
+        gen = run_generation(ws, reqs, clock_leaf)
+        self.pf = pf = gen.property_file
+        bundle.properties = gen.records
+        bundle.tracelinks.extend(gen.links)
 
-    # 7. cex loop, re-checking only invalidated results
-    for _it in range(cfg.cex_iters):
-        failing = [r for r in bundle.formal_results
-                   if r.status is T.ResultStatus.CEX]
-        if not failing:
-            break
-        iteration_counts["cex"] += 1
-        sync_graph(kg, bundle)
-        loop = run_cex_loop(failing, kg, idx, net, rtl_source, backend, pf,
-                            bundle.properties, artifacts,
-                            cfg.check_config(_assumptions(bound)), dm,
-                            cex_id_start=_next_id(
-                                (c.cex_id for c in bundle.cex_cases), "CEX"),
-                            memo=memo)
-        bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
-        if not loop.patched:
-            break
-        bound = active_bound(compile_properties(pf, dm, idx, memo).bound, bundle)
-        recheck_properties(_invalidate(kg, loop.patched), net, bound, bundle,
-                           cfg, artifacts)
+        # 5. syntax loop until fixpoint
+        self.boundary()
+        self.syntax()
 
-    # 8. coverage + coverage loop
-    cov = _coverage(net, bound, cfg)
-    bundle.coverage_metrics = [cov]
-    for _it in range(cfg.cov_iters):
-        if not cov.unreachable_statements:
-            break
-        iteration_counts["coverage"] += 1
-        sync_graph(kg, bundle)
-        loop = run_coverage_loop(cov, kg, idx, dm, backend, rulebook, cfg.bounds(),
-                                 id_start=_next_id(
-                                     (p.prop_id for p in bundle.properties), "PROP"),
-                                 memo=memo)
-        cov.dead_code = loop.dead_code
-        if not loop.new_decls:
-            break
-        pf.properties.extend(loop.new_decls)
-        bundle.properties.extend(loop.new_records)
-        bundle.tracelinks.extend(loop.new_links)
-        sync_graph(kg, bundle)
-        bound = active_bound(
-            run_syntax_loop(pf, dm, kg, idx, backend, bundle.properties, rulebook,
-                            memo).bound,
-            bundle)
-        iteration_counts["syntax"] += 1
-        recheck_properties([r.prop_id for r in loop.new_records], net, bound,
-                           bundle, cfg, artifacts)
-        cov_new = _coverage(net, bound, cfg)
-        cov_new.dead_code = _merge_dead_code(loop.dead_code, cov_new)
-        cov = cov_new
-        bundle.coverage_metrics = [cov]
+        # 6. formal checking
+        bundle.formal_results = []
+        bundle.cex_cases = []
+        self.recheck([b.prop_id for b in self.bound])
+        link_assumptions_to_statements(bundle, pf, ws.idx, net)
 
-    return kg
+        # 7. cex loop, re-checking only invalidated results
+        for _it in range(cfg.cex_iters):
+            failing = [r for r in bundle.formal_results
+                       if r.status is T.ResultStatus.CEX]
+            if not failing:
+                break
+            self.counts["cex"] += 1
+            self.boundary()
+            loop = run_cex_loop(ws, failing, net, rtl_source, pf, bundle.properties,
+                                self.artifacts, self.check_config(),
+                                cex_id_start=_next_id(
+                                    (c.cex_id for c in bundle.cex_cases), "CEX"))
+            bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
+            if not loop.patched:
+                break
+            self.activate(compile_properties(pf, dm, ws.idx, ws.memo).bound)
+            self.recheck(_invalidate(kg, loop.patched))
+
+        # 8. coverage + coverage loop
+        cov = self.coverage()
+        for _it in range(cfg.cov_iters):
+            if not cov.unreachable_statements:
+                break
+            self.counts["coverage"] += 1
+            self.boundary()
+            loop = run_coverage_loop(ws, cov, id_start=_next_id(
+                (p.prop_id for p in bundle.properties), "PROP"))
+            cov.dead_code = loop.dead_code
+            if not loop.new_decls:
+                break
+            pf.properties.extend(loop.new_decls)
+            bundle.properties.extend(loop.new_records)
+            bundle.tracelinks.extend(loop.new_links)
+            self.boundary()
+            self.syntax()
+            self.recheck([r.prop_id for r in loop.new_records])
+            cov = self.coverage()
+            cov.dead_code = _merge_dead_code(loop.dead_code, cov)
+
+    def boundary(self) -> None:
+        """A stage boundary: the live graph is made equal to the bundle."""
+        sync_graph(self.ws.kg, self.bundle)
+
+    def syntax(self) -> None:
+        """The syntax loop to fixpoint. Its last compile binds the whole
+        file, which is compiled again only after it changes."""
+        self.activate(run_syntax_loop(self.ws, self.pf, self.bundle.properties).bound)
+        self.counts["syntax"] += 1
+
+    def activate(self, bound: list[S.BoundProperty]) -> None:
+        """Keep the bound properties whose records are ACTIVE."""
+        active = {r.prop_id for r in self.bundle.properties
+                  if r.status is T.PropStatus.ACTIVE}
+        self.bound = [b for b in bound if b.prop_id in active]
+
+    def recheck(self, prop_ids) -> None:
+        recheck_properties(prop_ids, self.net, self.bound, self.bundle, self.cfg,
+                           self.artifacts)
+
+    def check_config(self) -> CheckConfig:
+        return self.cfg.check_config(_assumptions(self.bound))
+
+    def coverage(self) -> T.CoverageMetrics:
+        """Statement coverage under the active properties, made the bundle's
+        one coverage record."""
+        cov = coverage(self.net, [b for b in self.bound if b.kind != "assumption"],
+                       self.check_config(), run_ref="self")
+        self.bundle.coverage_metrics = [cov]
+        return cov
 
 
 def _invalidate(kg: Graph, prop_ids) -> list[str]:
@@ -560,12 +570,6 @@ def _next_id(ids, prefix: str) -> int:
 
 def _assumptions(bound: list[S.BoundProperty]) -> list[S.BoundProperty]:
     return [b for b in bound if b.kind == "assumption"]
-
-
-def _coverage(net: NetModel, bound: list[S.BoundProperty], cfg: RunConfig
-              ) -> T.CoverageMetrics:
-    return coverage(net, [b for b in bound if b.kind != "assumption"],
-                    cfg.check_config(_assumptions(bound)), run_ref="self")
 
 
 def _sync_result_links(bundle: T.RunBundle) -> None:

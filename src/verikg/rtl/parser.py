@@ -303,11 +303,12 @@ class _ModuleParser:
             t = self.cur.peek()
             if t.kind == "EOF":
                 raise ParseError(t.line, t.col, "unexpected end of file inside module")
+            start = self.cur.pos
             try:
                 self._parse_item(m)
             except ParseError as pe:
                 self.diags.error(pe.line, pe.col, pe.message, pe.code)
-                self._resync_item()
+                self._resync_item(start)
         self.cur.expect("endmodule")
 
         self._finalize_module(m, declared_dirs, header_order)
@@ -578,21 +579,24 @@ class _ModuleParser:
         m.instances.append(ast.Instance(inst_tok.text, mod_tok.text, ports, params,
                                         mod_tok.line))
 
-    def _resync_item(self) -> None:
-        """Skip to the next ';', 'end' family token, or 'endmodule'."""
+    def _resync_item(self, start: int) -> None:
+        """Skip the item that starts at token `start` and failed to parse,
+        whole: up to the ';', 'end' or 'endcase' that closes every 'begin'
+        and case it opened, unless an 'else' follows, or to 'endmodule'. So
+        no closer of a statement it opened is read as an item of its own."""
+        self.cur.pos = start
         depth = 0
         while True:
             t = self.cur.peek()
             if t.kind == "EOF" or t.text == "endmodule":
                 return
             self.cur.next()
-            if t.text == "begin":
+            if t.text in ("begin", "case", "casez", "casex"):
                 depth += 1
-            elif t.text == "end":
-                if depth == 0:
-                    return
+            elif t.text in ("end", "endcase"):
                 depth -= 1
-            elif t.text == ";" and depth == 0:
+            if t.text in ("end", "endcase", ";") and depth <= 0 \
+                    and not self.cur.at("else"):
                 return
 
     def _finalize_module(self, m: ast.ModuleDecl,

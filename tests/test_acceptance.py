@@ -20,6 +20,7 @@ from test_ir_store import random_bundle
 from test_kg import random_graph
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
 from verikg.agents.cex_loop import run_cex_loop
+from verikg.agents.common import Workspace
 from verikg.agents.scripted import default_rules
 from verikg.agents.syntax_loop import run_syntax_loop
 from verikg.engine import CheckConfig, check, coverage, import_external_results
@@ -335,7 +336,7 @@ def test_criterion_07_syntax_loop(fifo_model):
         records = [T.PropertyRecord("PROP-001", [], T.PropKind.ASSERTION,
                                     line, (1, 1))]
         backend = ScriptedBackend([])  # any call would raise
-        report = run_syntax_loop(pf, fifo_model, kg, idx, backend, records)
+        report = run_syntax_loop(Workspace(kg, idx, fifo_model, backend), pf, records)
         assert backend.calls == 0, line
         assert records[0].status is T.PropStatus.ACTIVE, line
         assert report.attempts.get("PROP-001", 0) <= 3
@@ -353,7 +354,7 @@ def test_criterion_07_syntax_loop(fifo_model):
             return "assert property (wr_en |-> !full);"
 
         backend = ScriptedBackend([ScriptedRule("syntax_fixer", "*", fixer)])
-        report = run_syntax_loop(pf, fifo_model, kg, idx, backend, records)
+        report = run_syntax_loop(Workspace(kg, idx, fifo_model, backend), pf, records)
         assert fixer_calls, line  # the backend really was needed
         assert records[0].status is T.PropStatus.ACTIVE, line
         syntax_notes = [n for n in records[0].attempt_history
@@ -367,8 +368,8 @@ def test_criterion_07_syntax_loop(fifo_model):
         CLOCKED + f"// property: PROP-001\n{line}\n")
     records = [T.PropertyRecord("PROP-001", [], T.PropKind.ASSERTION,
                                 line, (1, 1))]
-    report = run_syntax_loop(pf, fifo_model, kg, idx, ScriptedBackend([]),
-                             records)
+    report = run_syntax_loop(Workspace(kg, idx, fifo_model, ScriptedBackend([])),
+                             pf, records)
     assert records[0].status is T.PropStatus.DISABLED
     notes = records[0].attempt_history
     assert len(notes) == 3
@@ -409,11 +410,11 @@ def test_criterion_08_cex_loop(fixtures_dir, fifo_model, fifo_net, tmp_path):
     save_run(before, tmp_path / "before")
 
     invalidated = invalidate_downstream(kg, "PROP-003")
-    loop = run_cex_loop([r for r in bundle.formal_results
+    loop = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                  fifo_model, ScriptedBackend(default_rules())),
+                        [r for r in bundle.formal_results
                          if r.status is T.ResultStatus.CEX],
-                        kg, build_signal_index(kg, fifo_net.readable), fifo_net,
-                        "", ScriptedBackend(default_rules()),
-                        pf, records, artifacts, CheckConfig(), fifo_model)
+                        fifo_net, "", pf, records, artifacts, CheckConfig())
     assert loop.corrected == ["PROP-003"]
     assert len(loop.cases[0].attempts) == 1
 
@@ -437,10 +438,9 @@ def test_criterion_08_cex_loop(fixtures_dir, fifo_model, fifo_net, tmp_path):
     b2, kg2, pf2, rec2, res2, art2 = cex_setup(
         bug_dm, bug_net, "assert property (count <= 2'd2);")
     text_before = rec2[0].sva_text
-    loop2 = run_cex_loop(res2, kg2, build_signal_index(kg2, bug_net.readable),
-                         bug_net, bug_src,
-                         ScriptedBackend(default_rules()), pf2, rec2, art2,
-                         CheckConfig(), bug_dm)
+    loop2 = run_cex_loop(Workspace(kg2, build_signal_index(kg2, bug_net.readable),
+                                   bug_dm, ScriptedBackend(default_rules())),
+                         res2, bug_net, bug_src, pf2, rec2, art2, CheckConfig())
     assert loop2.cases[0].root_cause is T.RootCause.RTL_BUG
     assert rec2[0].sva_text == text_before
     assert loop2.not_corrected == ["PROP-001"]

@@ -15,6 +15,7 @@ from verikg.agents.backend import (
     ScriptedRule,
     Transcript,
 )
+from verikg.agents.common import Workspace
 from verikg.agents.envelope import PromptEnvelope, ResponseShape, parse_payload
 from verikg.agents.generation import run_generation
 from verikg.agents.roles import system_instructions
@@ -244,7 +245,7 @@ class TestGeneration:
     def test_zero_requirements(self, fifo_model):
         _b, kg, idx, _r = generation_setup(fifo_model, [])
         rec = RecordingBackend(ScriptedBackend(default_rules()))
-        out = run_generation([], kg, fifo_model, "", rec, idx, "clk")
+        out = run_generation(Workspace(kg, idx, fifo_model, rec, ""), [], "clk")
         assert out.records == []
         assert rec.transcript.entries == []
         assert "assert" not in out.emitted_text
@@ -255,8 +256,9 @@ class TestGeneration:
             "Flags exclusive. ASSERT: !(full && empty) COVER: full",
         ]
         _b, kg, idx, reqs = generation_setup(fifo_model, annotations)
-        out = run_generation(reqs, kg, fifo_model, "rules",
-                             ScriptedBackend(default_rules()), idx, "clk")
+        out = run_generation(Workspace(kg, idx, fifo_model,
+                                       ScriptedBackend(default_rules()), "rules"),
+                             reqs, "clk")
         assert len(out.records) == 3  # one + two annotation blocks
         assert all(r.req_ids for r in out.records)
         validates = [l for l in out.links
@@ -269,9 +271,10 @@ class TestGeneration:
         annotations = ["No overflow. ASSERT: count <= 2'd2"]
         _b, kg, idx, reqs = generation_setup(fifo_model, annotations)
         rec = RecordingBackend(ScriptedBackend(default_rules()))
-        first = run_generation(reqs, kg, fifo_model, "rb", rec, idx, "clk")
+        first = run_generation(Workspace(kg, idx, fifo_model, rec, "rb"), reqs, "clk")
         replay = ReplayBackend(rec.transcript)
-        second = run_generation(reqs, kg, fifo_model, "rb", replay, idx, "clk")
+        second = run_generation(Workspace(kg, idx, fifo_model, replay, "rb"),
+                                reqs, "clk")
         assert second.emitted_text == first.emitted_text
 
     def test_reviewer_deadlock_disables_with_note(self, fifo_model):
@@ -282,8 +285,8 @@ class TestGeneration:
                                      lambda e: "assert property (full);"))
         _b, kg, idx, reqs = generation_setup(
             fifo_model, ["Weak. ASSERT: count <= 2'd2"])
-        out = run_generation(reqs, kg, fifo_model, "",
-                             ScriptedBackend(rules), idx, "clk")
+        out = run_generation(Workspace(kg, idx, fifo_model, ScriptedBackend(rules), ""),
+                             reqs, "clk")
         record = out.records[0]
         assert record.status is T.PropStatus.DISABLED
         assert record.attempt_history[0].outcome is T.AttemptOutcome.DISABLED
@@ -307,4 +310,4 @@ class TestGeneration:
             fifo_model, ["X. ASSERT: count <= 2'd2"])
         backend = ScriptedBackend(rules)
         with pytest.raises(PipelineAbort):
-            run_generation(reqs, kg, fifo_model, "", backend, idx, "clk")
+            run_generation(Workspace(kg, idx, fifo_model, backend, ""), reqs, "clk")

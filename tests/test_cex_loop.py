@@ -1,6 +1,7 @@
 from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
 from verikg.agents.cex_loop import run_cex_loop
+from verikg.agents.common import Workspace
 from verikg.agents.scripted import default_rules
 from verikg.engine import CheckConfig, check
 from verikg.ir import types as T
@@ -47,9 +48,10 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (count <= 2'd2);")
         assert results[0].status is T.ResultStatus.PROVEN
         backend = ScriptedBackend([])
-        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
-                              fifo_net, "", backend, pf, records, artifacts,
-                              CheckConfig(), fifo_model)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                        fifo_model, backend),
+                              results, fifo_net, "", pf, records, artifacts,
+                              CheckConfig())
         assert backend.calls == 0
         assert not report.cases and not report.corrected
 
@@ -58,9 +60,10 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (full |-> ##1 !empty);")
         assert results[0].status is T.ResultStatus.CEX
         backend = ScriptedBackend(default_rules())
-        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
-                              fifo_net, "", backend, pf, records, artifacts,
-                              CheckConfig(), fifo_model)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                        fifo_model, backend),
+                              results, fifo_net, "", pf, records, artifacts,
+                              CheckConfig())
         assert report.corrected == ["PROP-001"]
         assert report.patched == ["PROP-001"]
         case = report.cases[0]
@@ -78,9 +81,9 @@ class TestCexLoop:
         assert results[0].status is T.ResultStatus.CEX
         backend = ScriptedBackend(default_rules())
         before = records[0].sva_text
-        report = run_cex_loop(results, kg, build_signal_index(kg, net.readable),
-                              net, src, backend, pf, records, artifacts,
-                              CheckConfig(), dm)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, net.readable), dm,
+                                        backend),
+                              results, net, src, pf, records, artifacts, CheckConfig())
         case = report.cases[0]
         assert case.root_cause is T.RootCause.RTL_BUG
         assert case.note  # rtl_analyzer documentation retained
@@ -94,9 +97,10 @@ class TestCexLoop:
             fifo_model, fifo_net, "assert property (full |-> ##1 !empty);")
         artifacts.clear()
         backend = ScriptedBackend([])
-        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
-                              fifo_net, "", backend, pf, records, artifacts,
-                              CheckConfig(), fifo_model)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                        fifo_model, backend),
+                              results, fifo_net, "", pf, records, artifacts,
+                              CheckConfig())
         assert backend.calls == 0
         case = report.cases[0]
         assert case.note == "missing_artifact"
@@ -113,9 +117,10 @@ class TestCexLoop:
                          lambda e: "assert property (full |-> ##1 !empty);"),
         ]
         backend = ScriptedBackend(rules)
-        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
-                              fifo_net, "", backend, pf, records, artifacts,
-                              CheckConfig(), fifo_model)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                        fifo_model, backend),
+                              results, fifo_net, "", pf, records, artifacts,
+                              CheckConfig())
         assert report.manual_review == ["PROP-001"]
         assert len(report.cases[0].attempts) == 3
         assert all(n.outcome is T.AttemptOutcome.RETRY
@@ -129,8 +134,9 @@ class TestCexLoop:
             for i in (1, 2, 3)
         ]
         backend = ScriptedBackend(default_rules())
-        report = run_cex_loop(results, kg, build_signal_index(kg, fifo_net.readable),
-                              fifo_net, "", backend, pf, records, artifacts,
-                              CheckConfig(), fifo_model)
+        report = run_cex_loop(Workspace(kg, build_signal_index(kg, fifo_net.readable),
+                                        fifo_model, backend),
+                              results, fifo_net, "", pf, records, artifacts,
+                              CheckConfig())
         assert report.manual_review == ["PROP-001"]
         assert report.cases[0].attempts == []

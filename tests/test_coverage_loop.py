@@ -1,5 +1,6 @@
 from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend
+from verikg.agents.common import Workspace
 from verikg.agents.coverage_loop import (
     blocking_assumption_candidates,
     order_gaps,
@@ -57,7 +58,9 @@ class TestCoverageLoop:
         _b, kg, _idx, _r = generation_setup(fifo_model, [])
         cov = T.CoverageMetrics("self", 100.0, ["S1"], [], [], 0)
         backend = ScriptedBackend([])
-        out = run_coverage_loop(cov, kg, build_signal_index(kg), fifo_model, backend)
+        out = run_coverage_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                          backend),
+                                cov)
         assert backend.calls == 0
         assert out.new_decls == []
 
@@ -70,7 +73,7 @@ class TestCoverageLoop:
                            if s.detail == "case_default")
         assert default_arm in cov.unreachable_statements
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, build_signal_index(kg), dm, backend)
+        out = run_coverage_loop(Workspace(kg, build_signal_index(kg), dm, backend), cov)
         classes = dict(out.dead_code)
         assert classes[default_arm] is T.DeadCodeClass.DEFENSIVE
         covered_by_props = {l.dst_id for l in out.new_links
@@ -84,7 +87,7 @@ class TestCoverageLoop:
         cov = coverage(net, [], run_ref="self")
         then_arm = next(s.id for s in dm.statements if s.detail == "if_then")
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, build_signal_index(kg), dm, backend)
+        out = run_coverage_loop(Workspace(kg, build_signal_index(kg), dm, backend), cov)
         cover_targets = {l.dst_id for l in out.new_links
                          if l.link_kind is T.LinkKind.COVERS}
         assert then_arm in cover_targets
@@ -116,6 +119,8 @@ class TestCoverageLoop:
         assert candidates == ["PROP-001"]
 
         backend = ScriptedBackend(default_rules())
-        out = run_coverage_loop(cov, kg, build_signal_index(kg), fifo_model, backend)
+        out = run_coverage_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                          backend),
+                                cov)
         blocked = {sid: blocker for sid, blocker in out.blockers.items()}
         assert any(b == "PROP-001" for b in blocked.values())

@@ -190,6 +190,33 @@ def test_deep_statement_nesting_is_a_diagnostic(kind):
         assert [d.code for d in diags.errors].count(DiagCode.BOUND_EXCEEDED) == 1
 
 
+# Each way to nest a statement in another: the opening text of one level and
+# the closing text, if any.
+_NESTINGS = {
+    "if": ("    if (d)\n", ""),
+    "if_else": ("    if (d) r <= d; else\n", ""),
+    "if_begin": ("    if (d) begin\n", "    end\n"),
+    "case": ("    case (d) 1'd1:\n", "    endcase\n"),
+    "case_begin": ("    case (d) 1'd1: begin\n", "    end endcase\n"),
+}
+
+
+@pytest.mark.parametrize("n", [101, 2000])
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_statements_nested_past_the_bound_are_one_diagnostic(shape, n):
+    """The RTL parser resumes after the whole `always` item that nests too
+    deep, so none of its closers is a diagnostic of its own, and a malformed
+    item after it is still reported."""
+    opens, closes = _NESTINGS[shape]
+    source = ("module deep(input clk, input d, output q);\n  reg r;\n  assign q = r;\n"
+              "  always @(posedge clk)\n" + opens * n + "      r <= d;\n" + closes * n)
+    diags = parse_rtl(source + "endmodule\n")
+    assert [d.code for d in diags.errors] == [DiagCode.BOUND_EXCEEDED]
+    diags = parse_rtl(source + "  assign = d;\nendmodule\n")
+    assert [(d.line, d.code) for d in diags.errors][1:] == [
+        (source.count("\n") + 1, DiagCode.SYNTAX)]
+
+
 def test_parsing_goes_on_after_a_statement_nested_too_deep():
     """The recovering property parser keeps one expression parser for the
     whole file: a statement past the bound, as written or as printed, leaves

@@ -9,6 +9,7 @@ import pytest
 import verikg.pipeline as pipeline
 from test_front_end import STMT_BOUND, nested_statements
 from verikg.agents.backend import ScriptedBackend
+from verikg.agents.common import PipelineAbort
 from verikg.agents.scripted import default_rules
 from verikg.cli import _add_run_parser, _config_from_args
 from verikg.cli import main as cli_main
@@ -212,6 +213,26 @@ class TestRunAll:
         saved = runs[0]
         assert (saved / "spec_chunks.json").exists()  # ingest survived
         assert (saved / "transcript.json").exists()
+
+    def test_loop_abort_preserves_the_partial_run(self, fixtures_dir, tmp_path,
+                                                  monkeypatch):
+        """A step that fails its retry inside the coverage loop stops the run;
+        the saved run holds what the stages made up to the abort."""
+        rules = [r for r in default_rules() if r.role != "cov_analyzer"]
+        monkeypatch.setattr(pipeline, "default_rules", lambda: rules)
+        with pytest.raises(PipelineAbort, match="cov/S2/analyze"):
+            run_all(RunConfig(str(fixtures_dir / "gappy_spec.md"),
+                              [str(fixtures_dir / "gappy.v")], str(tmp_path)))
+        [saved] = [p for p in tmp_path.iterdir() if p.is_dir()]
+
+        def doc(name):
+            return json.loads((saved / name).read_text(encoding="utf-8"))
+
+        assert doc("run_context.json")["iteration_counts"] == {
+            "syntax": 1, "cex": 0, "coverage": 1}
+        assert len(doc("formal_results.json")) == 1
+        assert (saved / "coverage_metrics.json").exists()
+        assert len(doc("transcript.json")["entries"]) == 6
 
     def test_missing_spec_rejected(self, fixtures_dir, tmp_path):
         cfg = fifo_config(fixtures_dir, tmp_path, spec_path="nope.md")

@@ -13,6 +13,7 @@ from oracles import gen_design_source, gen_property_source
 from test_front_end import _PROPERTY_CORPUS, _edits, _mutate
 from test_pipeline import fifo_config
 from test_syntax_loop import loop_setup, refusing_backend
+from verikg.agents.common import Workspace
 from verikg.agents.syntax_loop import run_syntax_loop
 from verikg.ir import types as T
 from verikg.ir.store import load_run
@@ -168,8 +169,9 @@ def test_rule_repair_leaves_memoised_body_untouched(fifo_model, line, rule, old,
     shared = {key: (stmt.body, S.render_body(stmt.body))
               for key, stmt in memo.statements.items()}
     assert any(old in text for _body, text in shared.values())
-    report = run_syntax_loop(pf, fifo_model, kg, idx, refusing_backend(), records,
-                             memo=memo)
+    report = run_syntax_loop(Workspace(kg, idx, fifo_model, refusing_backend(),
+                                       memo=memo),
+                             pf, records)
     assert records[0].attempt_history[0].patch_summary.startswith(rule)
     assert new in report.emitted_text
     for key, (body, text) in shared.items():

@@ -1,5 +1,6 @@
 from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
+from verikg.agents.common import Workspace
 from verikg.agents.syntax_loop import run_syntax_loop
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
@@ -35,8 +36,9 @@ class TestSyntaxLoop:
             fifo_model, ["assert property (count <= 2'd2);"])
         before = emit_properties(pf)
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert backend.calls == 0
         assert report.attempts == {}
         assert report.emitted_text == before
@@ -45,8 +47,9 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (bogus.count <= 2'd2);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert backend.calls == 0
         assert report.attempts == {"PROP-001": 1}
         assert records[0].status is T.PropStatus.ACTIVE
@@ -59,8 +62,9 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (FULL |-> count != 2'd0);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert backend.calls == 0
         assert ("FULL", "fifo.full") in pf.macros
         assert "`define FULL fifo.full" in report.emitted_text
@@ -71,8 +75,9 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (`WR_EN |-> !full);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert backend.calls == 0
         assert ("WR_EN", "fifo.wr_en") in pf.macros
         assert records[0].attempt_history[0].patch_summary.startswith("R3:")
@@ -81,8 +86,9 @@ class TestSyntaxLoop:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
         backend = refusing_backend()
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert records[0].status is T.PropStatus.DISABLED
         assert report.disabled == ["PROP-001"]
         notes = records[0].attempt_history
@@ -102,8 +108,9 @@ class TestSyntaxLoop:
         backend = ScriptedBackend([ScriptedRule("syntax_fixer", "syntax/*", fixer)])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert fixes == ["syntax/PROP-001/attempt/1"]
         assert records[0].status is T.PropStatus.ACTIVE
         assert records[0].attempt_history[0].outcome is T.AttemptOutcome.FIXED
@@ -114,8 +121,8 @@ class TestSyntaxLoop:
             ScriptedRule("syntax_fixer", "*", lambda e: "assert garbage ((;")])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
-        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                        backend, records)
+        run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model, backend),
+                        pf, records)
         assert records[0].status is T.PropStatus.DISABLED
         assert len(records[0].attempt_history) == 3
 
@@ -125,8 +132,9 @@ class TestSyntaxLoop:
                          lambda e: "assert property (count <= 2'd2);")])
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (count <= |-> 2'd2);"])
-        report = run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                                 backend, records)
+        report = run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model,
+                                           backend),
+                                 pf, records)
         assert records[0].status is T.PropStatus.ACTIVE
         assert report.backend_fixes == 1
 
@@ -138,8 +146,8 @@ class TestSyntaxLoop:
             for i in (1, 2)
         ]
         backend = refusing_backend()
-        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                        backend, records)
+        run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model, backend),
+                        pf, records)
         notes = [n for n in records[0].attempt_history
                  if n.loop_kind is T.LoopKind.SYNTAX]
         assert len(notes) == 3  # only one more attempt was available
@@ -155,8 +163,8 @@ class TestInvariants:
         _b, kg, pf, records = loop_setup(
             fifo_model, ["assert property (wr_enn |-> !full);"])
         original = records[0].sva_text
-        run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                        backend, records)
+        run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model, backend),
+                        pf, records)
         # disabled in the end, and the bad patch never replaced the source
         assert records[0].status is T.PropStatus.DISABLED
         assert "still_bogus" not in records[0].sva_text
@@ -187,8 +195,8 @@ class TestInvariants:
 
             backend = ScriptedBackend(
                 [ScriptedRule("syntax_fixer", "*", flaky)])
-            run_syntax_loop(pf, fifo_model, kg, build_signal_index(kg),
-                            backend, records)
+            run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model, backend),
+                            pf, records)
             for record in records:
                 for kind in T.LoopKind:
                     notes = [n for n in record.attempt_history
