@@ -104,7 +104,14 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     (cover). guard_hook(x) is called for every admitted valuation, with the
     slot tuple `state + inputs` the monitors read, until it returns True:
     nothing is left for it to see. A successor that takes the product past
-    `cfg.max_states` stops the search bounded at the last completed cycle."""
+    `cfg.max_states` stops the search bounded at the last completed cycle.
+
+    With no target and no assumption monitor (coverage without input
+    assumptions) the search walks design states: a node is the state tuple
+    itself, not the product node `(state, ())`. The two are one-to-one, so
+    `explored` counts the same nodes, in the same order; each (state, input)
+    pair costs one `step` call and one lookup, and `x` is built only while
+    the guard hook is live."""
     space = _input_space(net)
     if space is None:
         return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
@@ -116,8 +123,9 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     found = ResultStatus.CEX if stop_on_violation else ResultStatus.PROVEN
     n_target = 1 if target is not None else 0
     n_assumptions = len(assumptions)
+    design_only = target is None and not assumptions
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
-    init_node = (net.init_state(), init_monitors)
+    init_node = net.init_state() if design_only else (net.init_state(), init_monitors)
 
     parents: dict = {init_node: None}  # also the visited set
     frontier = [init_node]
@@ -138,12 +146,36 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
         cycles.append((space.as_dict(vec), net.values(node[0], ())))
         return CexTrace(prop_id, cycles, cycle, line)
 
+    def out_of_states() -> _Exploration:
+        return _Exploration(ResultStatus.BOUNDED, deepest, len(parents),
+                            ante_matched, None, "max_states")
+
     while frontier:
         if depth >= cfg.max_depth:
             return _Exploration(ResultStatus.BOUNDED, depth - 1, len(parents),
                                 ante_matched, None, "max_depth")
         next_frontier = []
         for node in frontier:
+            if design_only:
+                if guard_hook is not None:
+                    for vec, net_vec in vectors:
+                        if guard_hook is not None and guard_hook(node + net_vec):
+                            guard_hook = None
+                        succ = step(node, net_vec)
+                        if succ not in parents:
+                            parents[succ] = (node, vec)
+                            if len(parents) > max_states:
+                                return out_of_states()
+                            next_frontier.append(succ)
+                else:
+                    for vec, net_vec in vectors:
+                        succ = step(node, net_vec)
+                        if succ not in parents:
+                            parents[succ] = (node, vec)
+                            if len(parents) > max_states:
+                                return out_of_states()
+                            next_frontier.append(succ)
+                continue
             design_state, monitor_states = node
             assume_states = monitor_states[n_target:]
             for vec, net_vec in vectors:
@@ -175,9 +207,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                 if succ not in parents:
                     parents[succ] = (node, vec)
                     if len(parents) > max_states:
-                        return _Exploration(ResultStatus.BOUNDED, deepest,
-                                            len(parents), ante_matched, None,
-                                            "max_states")
+                        return out_of_states()
                     next_frontier.append(succ)
         deepest = depth
         depth += 1

@@ -47,7 +47,6 @@ from verikg.kg import (
     resolve_signal,
     unique_nodes,
 )
-from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 from verikg.rtl.ast import DesignModel
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
@@ -260,20 +259,24 @@ def make_backend(cfg: RunConfig) -> Backend:
 
 
 def parse_rtl_files(paths: list[str]) -> tuple[DesignModel, str]:
-    """The files' merged design model, and their texts joined by newlines."""
+    """The files' merged design model, and their texts joined by newlines.
+
+    Each file's statements are numbered on from the files before it, so
+    the merged ids, statements and FSMs are each file's, joined in order."""
     merged = DesignModel()
     texts = []
     for p in paths:
         texts.append(Path(p).read_text(encoding="utf-8"))
-        result = parse_rtl(texts[-1], filename=str(p))
+        result = parse_rtl(texts[-1], filename=str(p),
+                           first_id=len(merged.statements) + 1)
         if not isinstance(result, DesignModel):
             raise PipelineError("RTL parse failed:\n" + result.render())
         for m in result.modules:
             if merged.module(m.name) is not None:
                 raise PipelineError(f"duplicate module {m.name!r} across files")
             merged.modules.append(m)
-    merged.statements = assign_statement_ids(merged)
-    merged.fsms = detect_fsms(merged)
+        merged.statements += result.statements
+        merged.fsms += result.fsms
     if len(merged.modules) == 1:
         merged.top = merged.modules[0].name
     return merged, "\n".join(texts)

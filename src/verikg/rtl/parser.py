@@ -655,11 +655,12 @@ class _ModuleParser:
         return hi - lo + 1
 
 
-def parse_rtl(source: str, filename: str = "<input>"):
+def parse_rtl(source: str, filename: str = "<input>", first_id: int = 1):
     """Parse RTL source.
 
     Returns a DesignModel on success, a Diagnostics on any error. Statement
-    ids are assigned in source order (see analyze.assign_statement_ids).
+    ids are assigned in source order from S<first_id> (see
+    analyze.assign_statement_ids).
     """
     from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 
@@ -701,6 +702,6 @@ def parse_rtl(source: str, filename: str = "<input>"):
         return diags
     if len(model.modules) == 1:
         model.top = model.modules[0].name
-    model.statements = assign_statement_ids(model)
+    model.statements = assign_statement_ids(model, first_id)
     model.fsms = detect_fsms(model)
     return model

@@ -125,6 +125,51 @@ def test_kernel_agrees_with_reference_on_generated_checks():
         assert {s for _k, _a, w, s in outcomes if w == within} == ends
 
 
+def _recorder(net: NetModel, answer_at: int | None):
+    """A guard hook that records each `x` it is shown with its answer. It
+    answers True once every statement guard has held at some `x` (as
+    coverage's hook does), or at its `answer_at`-th call."""
+    seen: list[tuple[tuple, bool]] = []
+    uncovered = set(net.guard_fns)
+
+    def hook(x: tuple) -> bool:
+        uncovered.difference_update([sid for sid in uncovered if net.guard_fns[sid](x)])
+        seen.append((x, not uncovered or len(seen) + 1 == answer_at))
+        return seen[-1][1]
+
+    return hook, seen
+
+
+def test_monitor_free_search_agrees_with_reference():
+    """With no target and no assumption, the kernel walks design states. It
+    explores the same nodes to the same depth and budget as the reference
+    product search, and its guard hook sees the same `x` values in the same
+    order up to and including its first True, and none after."""
+    outcomes = Counter()
+    nets = {id(net): net for net, _bp, _assume in _generated_cases(seed=9303, count=30)}
+    for net in nets.values():
+        for cfg in BUDGETS:
+            for answer_at in (1, 5, None):
+                hook, seen = _recorder(net, answer_at)
+                new = _explore(net, None, [], cfg, "", 0, "violation", guard_hook=hook)
+                ref_hook, ref_seen = _recorder(net, answer_at)
+                ref = reference_explore(net, None, [], cfg, "", 0, "violation",
+                                        guard_hook=ref_hook)
+                within = _agree(new, ref, cfg.max_states)
+                answers = [answer for _x, answer in ref_seen]
+                retired = True in answers
+                expected = ref_seen[:answers.index(True) + 1] if retired else ref_seen
+                if within:
+                    assert seen == expected
+                else:
+                    # stopped inside the layer the reference finished
+                    assert seen == expected[:len(seen)]
+                outcomes[within, retired, new.status] += 1
+    assert {(w, r) for w, r, _s in outcomes} == {
+        (w, r) for w in (True, False) for r in (True, False)}
+    assert {s for _w, _r, s in outcomes} == {ResultStatus.PROVEN, ResultStatus.BOUNDED}
+
+
 def _reference_coverage(net: NetModel, cfg: CheckConfig):
     """Covered and unreachable statements from the reference kernel, with a
     hook that asks about every admitted valuation to the end."""

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from oracles import RefDesign, gen_design_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast as rtl
-from verikg.rtl.analyze import assign_statement_ids
+from verikg.pipeline import parse_rtl_files
+from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 from verikg.rtl.compile import Compiler, WidthError
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
@@ -101,6 +103,28 @@ class TestStatementIndex:
             [s.id for s in fifo_model.statements]
         assert [s.id for s in assign_statement_ids(fifo_model)] == \
             [s.id for s in fifo_model.statements]
+
+    def test_files_number_on_from_the_files_before(self, fixtures_dir, tmp_path):
+        """Each file is numbered once, from where the files before it
+        stopped: the merged ids and FSMs are those of numbering the merged
+        model in one pass."""
+        fsm = tmp_path / "fsm.v"
+        fsm.write_text(
+            "module t (input clk);\n  localparam A = 0;\n  localparam B = 1;\n"
+            "  reg s; wire y; assign y = s;\n"
+            "  always @(posedge clk) if (s == A) s <= B; else s <= A;\nendmodule\n")
+        paths = [str(fixtures_dir / "fifo.v"), str(fsm)]
+        merged, _text = parse_rtl_files(paths)
+        fifo_ids = [s.id for s in parse_rtl((fixtures_dir / "fifo.v").read_text()).statements]
+        assert [s.id for s in merged.statements[:len(fifo_ids)]] == fifo_ids
+        assert [s.id for s in merged.statements] == [
+            f"S{n}" for n in range(1, len(merged.statements) + 1)]
+        again = copy.deepcopy(merged)
+        assert assign_statement_ids(again) == merged.statements and again == merged
+        assert detect_fsms(merged) == merged.fsms and [f.state_reg for f in merged.fsms] == ["t.s"]
+        assert merged.top is None
+        single, _text = parse_rtl_files(paths[1:])
+        assert single == parse_rtl(fsm.read_text()) and single.top == "t"
 
 
 class TestFsm:
