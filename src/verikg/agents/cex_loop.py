@@ -1,25 +1,30 @@
 """Counterexample correction: waveform triage, root-cause classification,
-property patching with isolated re-check, three attempts then manual flag.
-A patch compiles against the workspace's signal index, through its
-statement memo."""
+property patching through the fixer-attempt path the syntax loop shares
+(`common.attempt_fix`) with an engine re-check of the patch alone,
+`MAX_ATTEMPTS` then manual flag. A patch compiles against the workspace's
+signal index, through its statement memo."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from verikg.agents.common import Workspace, requirement_text, send_step
+from verikg.agents.common import (
+    FIXER_UNAVAILABLE,
+    Workspace,
+    attempt_fix,
+    attempts_used,
+    record_requirements,
+    send_step,
+)
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.engine.check import CheckConfig, check
 from verikg.ir import types as T
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.sva.bind import compile_properties
 from verikg.sva.emit import render_statement
-from verikg.sva.parser import parse_properties_with_recovery
 from verikg.vcd import failure_window, parse_vcd
 
-MAX_ATTEMPTS = 3
 # Cycles of waveform shown before the failure time.
 PRE_CYCLES = 3
 
@@ -60,11 +65,20 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
     """Process every failing result in prop_id order.
 
     RTL bugs are documented and the property left failing; property-side
-    causes are patched and re-checked in isolation before reintegration.
+    causes go through the fixer-attempt path (`common.attempt_fix`), whose
+    patch must also pass the engine check before it is adopted.
     """
     report = CexLoopReport()
     records_by_id = {r.prop_id: r for r in records}
     next_cex = cex_id_start
+
+    def proven_or_vacuous(bp: S.BoundProperty) -> bool:
+        """A CEX patch's gate past compiling alone: it is no cover, and
+        the engine proves it (or finds it vacuous) on its own."""
+        if bp.kind == "cover":
+            return False
+        result, _trace = check(net, bp, cfg)
+        return result.status in (T.ResultStatus.PROVEN, T.ResultStatus.VACUOUS)
 
     failing = sorted((r for r in results if r.status is T.ResultStatus.CEX),
                      key=lambda r: r.prop_id)
@@ -95,8 +109,7 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
                          failure_time, line)
         report.cases.append(case)
 
-        req_text = "\n".join(requirement_text(ws.kg, rid)
-                             for rid in (record.req_ids if record else []))
+        req_text = record_requirements(ws.kg, record)
         prop_text = render_statement(decl) if decl else (record.sva_text if record else "")
 
         analysis = send_step(ws.backend, PromptEnvelope.build(
@@ -121,67 +134,32 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
             report.not_corrected.append(pid)
             continue
 
-        used = sum(1 for n in (record.attempt_history if record else [])
-                   if n.loop_kind is T.LoopKind.CEX)
-        if used >= MAX_ATTEMPTS:
-            report.not_corrected.append(pid)
-            report.manual_review.append(pid)
-            continue
-
-        fixed = False
-        for attempt_no in range(used + 1, MAX_ATTEMPTS + 1):
-            patch = send_step(ws.backend, PromptEnvelope.build(
+        # a property whose budget is spent goes straight to manual review
+        used = attempts_used(record, T.LoopKind.CEX)
+        for attempt_no in range(used + 1, T.MAX_ATTEMPTS + 1):
+            payload, fixed = attempt_fix(ws, PromptEnvelope.build(
                 "cex_fixer", f"cex/{pid}/fix/{attempt_no}",
                 ResponseShape.CODE_PATCH,
                 requirement=req_text, signal_table=ws.signal_table,
-                prior_code=render_statement(decl), diagnostics=window_text))
-            ok, candidate = _isolated_recheck(ws, str(patch.payload), pid, decl,
-                                              pf, net, cfg)
+                prior_code=render_statement(decl), diagnostics=window_text),
+                decl, pf, proven_or_vacuous)
             note = T.AttemptNote(
                 loop_kind=T.LoopKind.CEX,
                 attempt_no=attempt_no,
                 diagnosis=f"root_cause={cause.value}",
-                patch_summary=str(patch.payload)[:200],
-                outcome=T.AttemptOutcome.FIXED if ok else T.AttemptOutcome.RETRY,
+                patch_summary=FIXER_UNAVAILABLE if payload is None else payload[:200],
+                outcome=T.AttemptOutcome.FIXED if fixed else T.AttemptOutcome.RETRY,
             )
             case.attempts.append(note)
             if record is not None:
                 record.attempt_history.append(note)
-            if ok:
-                decl.body = candidate.body
-                decl.kind = candidate.kind
-                decl.raw_source = candidate.raw_source
+            if fixed:
                 if record is not None:
                     record.sva_text = render_statement(decl)
                 report.corrected.append(pid)
                 report.patched.append(pid)
-                fixed = True
                 break
-        if not fixed:
+        else:
             report.not_corrected.append(pid)
             report.manual_review.append(pid)
     return report
-
-
-def _isolated_recheck(ws: Workspace, patch_text: str, pid: str,
-                      decl: S.PropertyDecl, pf: S.PropertyFile, net: NetModel,
-                      cfg: CheckConfig):
-    """Parse, bind, and engine-check the patched property alone."""
-    block, _diags = parse_properties_with_recovery(patch_text, memo=ws.memo)
-    candidate = next((p for p in block.properties if p.body is not None), None)
-    if candidate is None:
-        return False, None
-    c = compile_properties(
-        S.PropertyFile(macros=list(pf.macros),
-                       properties=[S.PropertyDecl(pid, candidate.kind, candidate.body,
-                                                  decl.line, candidate.raw_source)],
-                       default_clock=pf.default_clock), ws.dm, ws.idx, ws.memo)
-    if c.diags.has_errors() or c.errors or not c.bound:
-        return False, None
-    bp = c.bound[0]
-    if bp.kind == "cover":
-        return False, None
-    result, _trace = check(net, bp, cfg)
-    if result.status in (T.ResultStatus.PROVEN, T.ResultStatus.VACUOUS):
-        return True, candidate
-    return False, None

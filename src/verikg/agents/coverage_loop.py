@@ -29,7 +29,6 @@ class CoverageLoopResult:
     new_records: list[T.PropertyRecord] = field(default_factory=list)
     new_links: list[T.TraceLink] = field(default_factory=list)
     dead_code: list[tuple[str, T.DeadCodeClass]] = field(default_factory=list)
-    unlinked: list[str] = field(default_factory=list)
     blockers: dict[str, str] = field(default_factory=dict)
 
 
@@ -175,8 +174,6 @@ def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
         # trace path to, that is, those in its connected component
         reachable = connected(kg, sid) if sid in kg.nodes else set()
         linked = [rid for rid in requirements if rid in reachable]
-        if not linked:
-            result.unlinked.append(sid)
 
         block_resp = send_step(ws.backend, PromptEnvelope.build(
             "cov_improver", f"cov/{sid}/improve", ResponseShape.PROPERTY_BLOCK,
@@ -184,8 +181,6 @@ def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
             prior_code=f"// unreachable statement {sid}\n"
                        f"// enabling condition: {guard_text}"))
         for decl in parse_property_block(str(block_resp.payload), ws.memo):
-            if decl.body is None and not decl.raw_source.strip():
-                continue
             prop_id = T.make_id("PROP", next_id)
             next_id += 1
             result.new_decls.append(S.PropertyDecl(

@@ -1,7 +1,8 @@
 """Syntax correction: compile, attribute, deterministic repairs first,
-backend fixes for the rest, isolated validation before reintegration,
-three attempts per property then disable. Every compile binds against the
-workspace's signal index and goes through its statement memo."""
+backend fixes for the rest through the fixer-attempt path the CEX loop
+shares (`common.attempt_fix`), `MAX_ATTEMPTS` per property then disable.
+Every compile binds against the workspace's signal index and goes through
+its statement memo."""
 
 from __future__ import annotations
 
@@ -9,9 +10,12 @@ import re
 from dataclasses import dataclass, field, replace
 
 from verikg.agents.common import (
+    FIXER_UNAVAILABLE,
     Workspace,
-    requirement_text,
-    send_step,
+    attempt_fix,
+    attempts_used,
+    compile_alone,
+    record_requirements,
     sync_records,
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
@@ -21,9 +25,7 @@ from verikg.rtl import ast as rtl
 from verikg.sva import ast as S
 from verikg.sva.bind import Compiled, compile_properties
 from verikg.sva.emit import emit_properties, render_statement
-from verikg.sva.parser import parse_properties_with_recovery
 
-MAX_ATTEMPTS = 3
 _MACRO_STYLE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 
@@ -38,7 +40,6 @@ class PropFailure:
 @dataclass
 class SyntaxLoopReport:
     attempts: dict[str, int] = field(default_factory=dict)
-    rule_fixes: int = 0
     backend_fixes: int = 0
     disabled: list[str] = field(default_factory=list)
     emitted_text: str = ""
@@ -141,27 +142,18 @@ def _try_rules(pf: S.PropertyFile, decl: S.PropertyDecl,
     return "; ".join(applied) if applied else None
 
 
-def _isolated_ok(ws: Workspace, decl: S.PropertyDecl, pf: S.PropertyFile) -> bool:
-    """syntax_validator role: the property compiles alone, with the file's
-    macros and default clock."""
-    c = compile_properties(S.PropertyFile(macros=list(pf.macros), properties=[decl],
-                                          default_clock=pf.default_clock),
-                           ws.dm, ws.idx, ws.memo)
-    return not c.diags.has_errors() and not c.errors and bool(c.bound)
-
-
 def run_syntax_loop(ws: Workspace, pf: S.PropertyFile,
                     records: list[T.PropertyRecord]) -> SyntaxLoopReport:
     """Repair until fixpoint. Deterministic rules R1-R3 never call the
     backend; each repair try counts as one attempt; a property exceeding
-    three attempts is disabled with a logged note. When the workspace's
+    `MAX_ATTEMPTS` is disabled with a logged note. When the workspace's
     signal index is built with the design's `NetModel.readable`, a property
     that reads another name fails to bind."""
     report = SyntaxLoopReport()
     records_by_id = {r.prop_id: r for r in records}
-    # The three-attempt budget is global per property, spanning invocations.
+    # The attempt budget is global per property, spanning invocations.
     for r in records:
-        used = sum(1 for n in r.attempt_history if n.loop_kind is T.LoopKind.SYNTAX)
+        used = attempts_used(r, T.LoopKind.SYNTAX)
         if used:
             report.attempts[r.prop_id] = used
 
@@ -174,89 +166,45 @@ def run_syntax_loop(ws: Workspace, pf: S.PropertyFile,
         if not active_failures:
             report.bound = compiled.bound
             break
-        progressed = False
         for pid in sorted(active_failures):
             failure = active_failures[pid]
             decl = pf.get(pid)
             record = records_by_id.get(pid)
-            if decl is None:
-                _disable(pf, pid, record, failure, report)
-                progressed = True
-                continue
             used = report.attempts.get(pid, 0)
-            if used >= MAX_ATTEMPTS:
+            if decl is None or used >= T.MAX_ATTEMPTS:
                 _disable(pf, pid, record, failure, report)
-                progressed = True
                 continue
             attempt_no = used + 1
             report.attempts[pid] = attempt_no
 
             summary = _try_rules(pf, decl, failure, ws.idx)
             if summary is not None:
-                ok = _isolated_ok(ws, decl, pf)
-                report.rule_fixes += 1
+                ok = compile_alone(ws, decl, pf.macros, pf.default_clock) is not None
                 outcome = T.AttemptOutcome.FIXED if ok else T.AttemptOutcome.RETRY
                 _note(record, attempt_no, failure, summary, outcome)
-                progressed = True
                 continue
 
-            req_text = "\n".join(requirement_text(ws.kg, rid)
-                                 for rid in (record.req_ids if record else []))
-            try:
-                fix = send_step(ws.backend, PromptEnvelope.build(
-                    "syntax_fixer", f"syntax/{pid}/attempt/{attempt_no}",
-                    ResponseShape.CODE_PATCH,
-                    requirement=req_text,
-                    signal_table=ws.signal_table,
-                    rulebook=ws.rulebook,
-                    prior_code=render_statement(decl),
-                    diagnostics="\n".join(failure.messages)))
-            except Exception:
-                # a refusing or failing fixer consumes the attempt
-                _note(record, attempt_no, failure, "backend fixer unavailable",
-                      T.AttemptOutcome.RETRY)
-                progressed = True
-                if report.attempts[pid] >= MAX_ATTEMPTS:
-                    _disable(pf, pid, record, failure, report)
-                continue
-            report.backend_fixes += 1
-            patched_block, _pd = parse_properties_with_recovery(fix.payload,
-                                                                memo=ws.memo)
-            candidate = next((p for p in patched_block.properties), None)
-            ok = False
-            if candidate is not None and candidate.body is not None:
-                trial = S.PropertyDecl(pid, candidate.kind, candidate.body,
-                                       decl.line, candidate.raw_source)
-                if _isolated_ok(ws, trial, patched_with_macros(pf, patched_block)):
-                    decl.body = candidate.body
-                    decl.kind = candidate.kind
-                    decl.raw_source = candidate.raw_source
-                    for name, repl in patched_block.macros:
-                        if name not in dict(pf.macros):
-                            pf.macros.append((name, repl))
-                    ok = True
-            _note(record, attempt_no, failure,
-                  "backend patch" + ("" if ok else " (failed isolated validation)"),
+            payload, ok = attempt_fix(ws, PromptEnvelope.build(
+                "syntax_fixer", f"syntax/{pid}/attempt/{attempt_no}",
+                ResponseShape.CODE_PATCH,
+                requirement=record_requirements(ws.kg, record),
+                signal_table=ws.signal_table,
+                rulebook=ws.rulebook,
+                prior_code=render_statement(decl),
+                diagnostics="\n".join(failure.messages)), decl, pf,
+                lambda _bound: True)
+            if payload is None:
+                summary = FIXER_UNAVAILABLE
+            else:
+                report.backend_fixes += 1
+                summary = "backend patch" + ("" if ok else " (failed isolated validation)")
+            _note(record, attempt_no, failure, summary,
                   T.AttemptOutcome.FIXED if ok else T.AttemptOutcome.RETRY)
-            progressed = True
-            if not ok and report.attempts[pid] >= MAX_ATTEMPTS:
+            if not ok and attempt_no >= T.MAX_ATTEMPTS:
                 _disable(pf, pid, record, failure, report)
-        if not progressed:
-            for pid in sorted(active_failures):
-                record = records_by_id.get(pid)
-                _disable(pf, pid, record, active_failures[pid], report)
     report.emitted_text = emit_properties(pf)
     sync_records(pf, records)
     return report
-
-
-def patched_with_macros(pf: S.PropertyFile, block: S.PropertyFile) -> S.PropertyFile:
-    merged = S.PropertyFile(macros=list(pf.macros), properties=[],
-                            default_clock=pf.default_clock)
-    for name, repl in block.macros:
-        if name not in dict(merged.macros):
-            merged.macros.append((name, repl))
-    return merged
 
 
 def _note(record: T.PropertyRecord | None, attempt_no: int, failure: PropFailure,

@@ -84,10 +84,14 @@ class DeadCodeClass(Enum):
     GAP = "gap"
 
 
+# Repair attempts a property gets per loop kind, spanning loop invocations.
+MAX_ATTEMPTS = 3
+
+
 @dataclass
 class AttemptNote(Record):
     loop_kind: LoopKind
-    attempt_no: int  # 1..3
+    attempt_no: int  # 1..MAX_ATTEMPTS
     diagnosis: str
     patch_summary: str
     outcome: AttemptOutcome

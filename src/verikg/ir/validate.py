@@ -108,11 +108,12 @@ def _validate_attempts(attempts: list[T.AttemptNote], path: str,
     per_kind: dict[T.LoopKind, list[int]] = {}
     for a in attempts:
         per_kind.setdefault(a.loop_kind, []).append(a.attempt_no)
-        if not (1 <= a.attempt_no <= 3):
-            rep.add(path, f"attempt_no {a.attempt_no} outside 1..3")
+        if not (1 <= a.attempt_no <= T.MAX_ATTEMPTS):
+            rep.add(path, f"attempt_no {a.attempt_no} outside 1..{T.MAX_ATTEMPTS}")
     for kind, nos in per_kind.items():
-        if len(nos) > 3:
-            rep.add(path, f"more than 3 attempts for loop kind {kind.value}")
+        if len(nos) > T.MAX_ATTEMPTS:
+            rep.add(path, f"more than {T.MAX_ATTEMPTS} attempts "
+                          f"for loop kind {kind.value}")
         if any(b <= a for a, b in zip(nos, nos[1:])):
             rep.add(path, f"attempt_no not strictly increasing for {kind.value}")
 
@@ -168,8 +169,8 @@ def _validate_cex_cases(items: list[T.CexCase], rep: ValidationReport,
         if c.cex_id in seen:
             rep.add(path + ".cex_id", f"duplicate cex_id {c.cex_id!r}")
         seen.add(c.cex_id)
-        if len(c.attempts) > 3:
-            rep.add(path + ".attempts", "attempts length exceeds 3")
+        if len(c.attempts) > T.MAX_ATTEMPTS:
+            rep.add(path + ".attempts", f"attempts length exceeds {T.MAX_ATTEMPTS}")
         _validate_attempts(c.attempts, path + ".attempts", rep)
 
 

@@ -26,7 +26,7 @@ from verikg.agents.backend import (
     Transcript,
 )
 from verikg.agents.cex_loop import run_cex_loop
-from verikg.agents.common import Workspace
+from verikg.agents.common import Workspace, attempts_used, sync_records
 from verikg.agents.coverage_loop import run_coverage_loop
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.agents.generation import run_generation
@@ -494,6 +494,8 @@ class _Run:
             if not loop.patched:
                 break
             self.activate(compile_properties(pf, dm, ws.idx, ws.memo).bound)
+            # a patch's new macros move every property's lines
+            sync_records(pf, bundle.properties)
             self.recheck(_invalidate(kg, loop.patched))
 
         # 8. coverage + coverage loop
@@ -661,17 +663,16 @@ def report_from_bundle(bundle: T.RunBundle, kg: Graph | None = None) -> RunRepor
     report.vacuous = sum(1 for r in scored if r.status is T.ResultStatus.VACUOUS)
     report.assumptions = len(assumption_ids)
     report.syntax_fix_attempts = sum(
-        1 for p in bundle.properties or []
-        for n in p.attempt_history if n.loop_kind is T.LoopKind.SYNTAX)
+        attempts_used(p, T.LoopKind.SYNTAX) for p in bundle.properties or [])
     corrected = set()
     attempted = set()
     for p in bundle.properties or []:
-        cex_notes = [n for n in p.attempt_history if n.loop_kind is T.LoopKind.CEX]
-        if not cex_notes:
+        if not attempts_used(p, T.LoopKind.CEX):
             continue
         attempted.add(p.prop_id)
         result = checked.get(p.prop_id)
-        if any(n.outcome is T.AttemptOutcome.FIXED for n in cex_notes) \
+        if any(n.loop_kind is T.LoopKind.CEX and n.outcome is T.AttemptOutcome.FIXED
+               for n in p.attempt_history) \
                 and result is not None \
                 and result.status in (T.ResultStatus.PROVEN, T.ResultStatus.VACUOUS):
             corrected.add(p.prop_id)

@@ -184,7 +184,7 @@ class TestRunAll:
     ])
     def test_property_file_compiled_once_per_change(self, fixtures_dir, tmp_path,
                                                      monkeypatch, spec, sizes):
-        import verikg.agents.cex_loop as cex_loop
+        import verikg.agents.common as common
         import verikg.agents.syntax_loop as syntax_loop
         import verikg.pipeline as pipeline
         from verikg.sva.bind import compile_properties
@@ -195,7 +195,7 @@ class TestRunAll:
             compiled.append(len(pf.properties))
             return compile_properties(pf, dm, idx, memo)
 
-        for module in (pipeline, syntax_loop, cex_loop):
+        for module in (pipeline, syntax_loop, common):
             monkeypatch.setattr(module, "compile_properties", counting)
         run_all(fifo_config(fixtures_dir, tmp_path,
                             spec_path=str(fixtures_dir / spec)))
