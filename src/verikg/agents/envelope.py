@@ -40,7 +40,6 @@ class PromptEnvelope:
 
     @classmethod
     def build(cls, role: str, step_id: str, shape: ResponseShape,
-              budget: int = DEFAULT_CONTEXT_BUDGET,
               **sections: str) -> "PromptEnvelope":
         """Order sections canonically and truncate to the context budget."""
         unknown = set(sections) - set(SECTION_ORDER)
@@ -49,7 +48,7 @@ class PromptEnvelope:
         ordered = [(name, sections[name]) for name in SECTION_ORDER
                    if name in sections and sections[name]]
         if ordered:
-            per_section = max(budget // len(ordered), 200)
+            per_section = max(DEFAULT_CONTEXT_BUDGET // len(ordered), 200)
             ordered = [
                 (name, text if len(text) <= per_section
                  else text[:per_section] + "\n...[truncated]")

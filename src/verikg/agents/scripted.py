@@ -119,6 +119,4 @@ def default_rules() -> list[ScriptedRule]:
         ScriptedRule("cex_fixer", "cex/*", _fix_cex),
         ScriptedRule("cov_analyzer", "cov/*", _analyze_gap),
         ScriptedRule("cov_improver", "cov/*", _improve_gap),
-        ScriptedRule("cov_lead_agent", "cov/*", lambda env: "gap ordering applied"),
-        ScriptedRule("cov_processor", "cov/*", lambda env: "linked via trace paths"),
     ]

@@ -8,7 +8,6 @@ from enum import Enum
 
 class Severity(Enum):
     ERROR = "error"
-    WARNING = "warning"
 
 
 class DiagCode(Enum):
@@ -45,36 +44,22 @@ class Diagnostic:
 
 @dataclass
 class Diagnostics:
-    """Ordered diagnostic list; any ERROR item means no model was produced."""
+    """Ordered diagnostic list; any item is an error, and means no model
+    was produced."""
 
     items: list[Diagnostic] = field(default_factory=list)
     filename: str = "<input>"
 
-    def add(
-        self,
-        severity: Severity,
-        line: int,
-        col: int,
-        message: str,
-        code: DiagCode,
-        prop_id: str | None = None,
-    ) -> None:
-        self.items.append(Diagnostic(severity, line, col, message, code, prop_id))
-
     def error(self, line: int, col: int, message: str, code: DiagCode,
               prop_id: str | None = None) -> None:
-        self.add(Severity.ERROR, line, col, message, code, prop_id)
-
-    def warning(self, line: int, col: int, message: str, code: DiagCode,
-                prop_id: str | None = None) -> None:
-        self.add(Severity.WARNING, line, col, message, code, prop_id)
+        self.items.append(Diagnostic(Severity.ERROR, line, col, message, code, prop_id))
 
     @property
     def errors(self) -> list[Diagnostic]:
-        return [d for d in self.items if d.severity is Severity.ERROR]
+        return list(self.items)
 
     def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.items)
+        return bool(self.items)
 
     def render(self) -> str:
         return "\n".join(d.render(self.filename) for d in self.items)

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from verikg.codec import canonical_json
 from verikg.ir import types as T
 from verikg.rtl.ast import DesignModel
+from verikg.rtl.elaborate import ElabError, instances, signal_width
 
 NODE_HEADER = ("id", "type", "run_id", "attributes")
 EDGE_HEADER = ("src", "dst", "type", "run_id", "attributes")
@@ -28,28 +29,21 @@ class ExportError(Exception):
 
 
 def _walk_signals(dm: DesignModel):
-    """Yield (module_name, hierarchical_signal_path, width, kind).
+    """Yield (module_name, hierarchical_signal_path, width, kind), each
+    width under its instance's parameter values.
 
     Paths are rooted at the top module's name when a top is set; otherwise
-    each module is listed under its own name.
+    each module is listed under its own name. A hierarchy that does not
+    elaborate lists the instances reached before the walk stopped.
     """
-    def visit(module_name: str, prefix: str, seen: tuple[str, ...]):
-        m = dm.module(module_name)
-        if m is None:
-            return
-        for s in m.signals:
-            yield module_name, f"{prefix}.{s.name}", s.width, s.kind
-        for inst in m.instances:
-            if inst.module in seen:  # defensive: cyclic instantiation
-                continue
-            yield from visit(inst.module, f"{prefix}.{inst.name}",
-                             seen + (inst.module,))
-
-    if dm.top and dm.module(dm.top) is not None:
-        yield from visit(dm.top, dm.top, (dm.top,))
-    else:
-        for m in dm.modules:
-            yield from visit(m.name, m.name, (m.name,))
+    roots = [dm.top] if dm.top and dm.module(dm.top) is not None else [m.name for m in dm.modules]
+    for root in roots:
+        try:
+            for prefix, m, env, _inst in instances(dm, root):
+                for s in m.signals:
+                    yield m.name, f"{prefix}.{s.name}", signal_width(s, env), s.kind
+        except ElabError:
+            continue
 
 
 # Graph content as items: a node is (id, type, attributes), an edge is

@@ -288,9 +288,7 @@ def validate_artifact(doc, kind: str, bundle: T.RunBundle | None = None) -> Vali
         _validate_csv_rows(kind, doc, rep)
         return rep
     try:
-        if _already_typed(doc, kind):
-            parsed = doc
-        elif kind == "run_context":
+        if kind == "run_context":
             parsed = T.RunContext.from_doc(doc)
         else:
             parsed = T.RunBundle.collection_from_doc(kind, doc)
@@ -300,14 +298,6 @@ def validate_artifact(doc, kind: str, bundle: T.RunBundle | None = None) -> Vali
     refs = _refs(bundle, graph_nodes(bundle)) if bundle is not None else None
     _VALIDATORS[kind](parsed, rep, refs)
     return rep
-
-
-def _already_typed(doc, kind: str) -> bool:
-    if kind == "design_model":
-        return isinstance(doc, DesignModel)
-    if kind == "run_context":
-        return isinstance(doc, T.RunContext)
-    return isinstance(doc, list) and bool(doc) and not isinstance(doc[0], dict)
 
 
 def validate_bundle(bundle: T.RunBundle) -> ValidationReport:

@@ -133,7 +133,7 @@ def _unsized_value(e: ast.Expr) -> bool:
 # Elaboration
 # ---------------------------------------------------------------------------
 
-class _ElabError(Exception):
+class ElabError(Exception):
     def __init__(self, line: int, message: str, code: DiagCode = DiagCode.UNRESOLVED):
         super().__init__(message)
         self.line = line
@@ -141,10 +141,62 @@ class _ElabError(Exception):
         self.code = code
 
 
+def instances(model: ast.DesignModel, top: str):
+    """The one walk of the instance tree under `top`, pre-order (children
+    in declaration order) and iterative. Yields (prefix, module, env, inst):
+    the hierarchical prefix, the module, its parameter values under the
+    instance's overrides, and the instance that made it (None at the top).
+    A child is resolved only when the walk reaches it, after its parent's
+    body was elaborated, so the first fault in walk order is the one
+    reported. An unknown module is an UNRESOLVED ElabError, a module among
+    its own ancestors a CYCLE one; one module may sit in two branches."""
+    stack: list[tuple[str, ast.Instance | None, tuple[str, ...]]] = [(top, None, ())]
+    while stack:
+        prefix, inst, ancestors = stack.pop()
+        name = top if inst is None else inst.module
+        line = 0 if inst is None else inst.line
+        m = model.module(name)
+        if m is None:
+            raise ElabError(line, f"top module {name!r} not found" if inst is None
+                            else f"unresolved instance of module {name!r}")
+        if name in ancestors:
+            cycle = ancestors[ancestors.index(name):] + (name,)
+            raise ElabError(line, "cyclic instantiation: " + " -> ".join(cycle),
+                            DiagCode.CYCLE)
+        yield prefix, m, _param_env(m, {} if inst is None else inst.params), inst
+        ancestors += (name,)
+        stack += [(f"{prefix}.{i.name}", i, ancestors) for i in reversed(m.instances)]
+
+
+def _param_env(m: ast.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
+    env: dict[str, int] = {}
+    for p in m.parameters:
+        if p.name in overrides:
+            if p.local:
+                raise ElabError(p.line, f"cannot override localparam {p.name!r}")
+            env[p.name] = overrides[p.name]
+        else:
+            try:
+                env[p.name] = eval_const(p.expr, env) if p.expr is not None else p.value
+            except ParseError:
+                env[p.name] = p.value
+    return env
+
+
+def signal_width(s: ast.Signal, env: dict[str, int]) -> int:
+    """The width of `s` in an instance whose parameter values are `env`."""
+    if s.msb is None:
+        return 1
+    try:
+        hi = eval_const(s.msb, env)
+        lo = eval_const(s.lsb, env)
+    except ParseError:
+        raise ElabError(s.line, f"non-constant range on {s.name!r}")
+    return max(hi - lo + 1, 1)
+
+
 class _Elaborator:
-    def __init__(self, model: ast.DesignModel, diags: Diagnostics):
-        self.model = model
-        self.diags = diags
+    def __init__(self):
         self.widths: dict[str, int] = {}
         self.wire_defs: dict[str, ast.Expr] = {}
         self.wire_lines: dict[str, int] = {}
@@ -153,6 +205,7 @@ class _Elaborator:
         self.input_names: set[str] = set()
         self.reg_names: set[str] = set()
         self.always_units: list[tuple[str, ast.ModuleDecl, ast.AlwaysBlock, dict[str, int]]] = []
+        self.envs: dict[str, dict[str, int]] = {}  # instance prefix -> parameter values
         self.clock: str | None = None
         self.guards: dict[str, ast.Expr] = {}
         self.next_state: dict[str, ast.Expr] = {}
@@ -162,30 +215,6 @@ class _Elaborator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _param_env(self, m: ast.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
-        env: dict[str, int] = {}
-        for p in m.parameters:
-            if p.name in overrides:
-                if p.local:
-                    raise _ElabError(p.line, f"cannot override localparam {p.name!r}")
-                env[p.name] = overrides[p.name]
-            else:
-                try:
-                    env[p.name] = eval_const(p.expr, env) if p.expr is not None else p.value
-                except ParseError:
-                    env[p.name] = p.value
-        return env
-
-    def _sig_width(self, s, env: dict[str, int]) -> int:
-        if s.msb is None:
-            return 1
-        try:
-            hi = eval_const(s.msb, env)
-            lo = eval_const(s.lsb, env)
-        except ParseError:
-            raise _ElabError(s.line, f"non-constant range on {s.name!r}")
-        return max(hi - lo + 1, 1)
-
     def _prefix_expr(self, e: ast.Expr, prefix: str, env: dict[str, int],
                      line: int) -> ast.Expr:
         """`e` over hierarchical names, with parameters folded to literals."""
@@ -194,8 +223,8 @@ class _Elaborator:
                 if x.name in env:
                     return ast.Lit(env[x.name], None)
                 if "." in x.name:
-                    raise _ElabError(line, f"hierarchical reference {x.name!r} in RTL",
-                                     DiagCode.UNSUPPORTED)
+                    raise ElabError(line, f"hierarchical reference {x.name!r} in RTL",
+                                    DiagCode.UNSUPPORTED)
                 return ast.Id(self._declared(prefix, x.name, line))
             if isinstance(x, ast.Select):
                 hi, lo = self._select_bounds(x.name, x.msb, x.lsb, env, line)
@@ -211,79 +240,52 @@ class _Elaborator:
         try:
             return eval_const(msb, env), eval_const(lsb, env)
         except ParseError:
-            raise _ElabError(line, f"non-constant select on {name!r}",
-                             DiagCode.UNSUPPORTED)
+            raise ElabError(line, f"non-constant select on {name!r}",
+                            DiagCode.UNSUPPORTED)
 
     def _declared(self, prefix: str, name: str, line: int) -> str:
         full = f"{prefix}.{name}"
         if full not in self.widths:
-            raise _ElabError(line, f"undeclared identifier {name!r}")
+            raise ElabError(line, f"undeclared identifier {name!r}")
         return full
 
     # -- hierarchy walk -----------------------------------------------------
 
-    def walk(self, module_name: str, prefix: str, overrides: dict[str, int],
-             conn: dict[str, ast.Expr] | None, parent_prefix: str | None,
-             parent_env: dict[str, int] | None, inst_line: int) -> None:
-        m = self.model.module(module_name)
-        if m is None:
-            raise _ElabError(inst_line, f"unresolved instance of module {module_name!r}")
-        env = self._param_env(m, overrides)
-
+    def instance(self, prefix: str, m: ast.ModuleDecl, env: dict[str, int],
+                 inst: ast.Instance | None) -> None:
+        """Declare one instance of the walk: its signals, its port
+        connections to the parent, its assigns and its always blocks."""
+        self.envs[prefix] = env
         assigned_in_always = {s.target for b in m.always_blocks for s in ast.walk_stmts(b.body)
                               if isinstance(s, ast.SeqAssign)}
 
         for s in m.signals:
             full = f"{prefix}.{s.name}"
-            w = self._sig_width(s, env)
+            w = signal_width(s, env)
             self.widths[full] = w
             if s.kind == "reg" and s.name in assigned_in_always:
                 self.regs.append((full, w))
                 self.reg_names.add(full)
 
-        port_dirs = {p.name: p.direction for p in m.ports}
-        is_top = conn is None
-        for p in m.ports:
-            full = f"{prefix}.{p.name}"
-            if is_top:
+        if inst is None:
+            for p in m.ports:
                 if p.direction == "input":
+                    full = f"{prefix}.{p.name}"
                     self.inputs.append((full, self.widths[full]))
                     self.input_names.add(full)
-            else:
-                wired = conn.get(p.name)
-                if p.direction == "input":
-                    if wired is None:
-                        raise _ElabError(inst_line,
-                                         f"unconnected input port {p.name!r} on {prefix}")
-                    outer = self._prefix_expr(wired, parent_prefix, parent_env, inst_line)
-                    self._add_wire(full, outer, inst_line)
-                else:
-                    if wired is None:
-                        continue  # dangling output is legal
-                    if not isinstance(wired, ast.Id):
-                        raise _ElabError(inst_line,
-                                         f"output port {p.name!r} must connect to a plain signal",
-                                         DiagCode.UNSUPPORTED)
-                    outer_full = f"{parent_prefix}.{wired.name}"
-                    if outer_full not in self.widths:
-                        raise _ElabError(inst_line,
-                                         f"undeclared identifier {wired.name!r}")
-                    self._add_wire(outer_full, ast.Id(full), inst_line)
-        for extra in (conn or {}):
-            if extra not in port_dirs:
-                raise _ElabError(inst_line,
-                                 f"no port {extra!r} on module {module_name!r}")
+        else:
+            self._connect(prefix, m, inst)
 
         for a in m.assigns:
             if a.sel is not None:
-                raise _ElabError(a.line, "part-select on continuous assign target",
-                                 DiagCode.UNSUPPORTED)
+                raise ElabError(a.line, "part-select on continuous assign target",
+                                DiagCode.UNSUPPORTED)
             full = f"{prefix}.{a.target}"
             if full not in self.widths:
-                raise _ElabError(a.line, f"undeclared identifier {a.target!r}")
+                raise ElabError(a.line, f"undeclared identifier {a.target!r}")
             if full in self.reg_names:
-                raise _ElabError(a.line,
-                                 f"continuous assign to register {a.target!r}")
+                raise ElabError(a.line,
+                                f"continuous assign to register {a.target!r}")
             rhs = self._prefix_expr(a.rhs, prefix, env, a.line)
             self._add_wire(full, rhs, a.line)
             self.guards[a.stmt_id] = TRUE  # continuous assigns run every cycle
@@ -291,16 +293,42 @@ class _Elaborator:
         for b in m.always_blocks:
             self.always_units.append((prefix, m, b, env))
 
-        for inst in m.instances:
-            self.walk(inst.module, f"{prefix}.{inst.name}", dict(inst.params),
-                      inst.ports, prefix, env, inst.line)
+    def _connect(self, prefix: str, m: ast.ModuleDecl, inst: ast.Instance) -> None:
+        """Wire the ports of instance `prefix` to its parent's signals."""
+        outer = prefix[:-len(inst.name) - 1]
+        for p in m.ports:
+            full = f"{prefix}.{p.name}"
+            wired = inst.ports.get(p.name)
+            if p.direction == "input":
+                if wired is None:
+                    raise ElabError(inst.line,
+                                    f"unconnected input port {p.name!r} on {prefix}")
+                rhs = self._prefix_expr(wired, outer, self.envs[outer], inst.line)
+                self._add_wire(full, rhs, inst.line)
+            else:
+                if wired is None:
+                    continue  # dangling output is legal
+                if not isinstance(wired, ast.Id):
+                    raise ElabError(inst.line,
+                                    f"output port {p.name!r} must connect to a plain signal",
+                                    DiagCode.UNSUPPORTED)
+                outer_full = f"{outer}.{wired.name}"
+                if outer_full not in self.widths:
+                    raise ElabError(inst.line,
+                                    f"undeclared identifier {wired.name!r}")
+                self._add_wire(outer_full, ast.Id(full), inst.line)
+        ports = {p.name for p in m.ports}
+        for extra in inst.ports:
+            if extra not in ports:
+                raise ElabError(inst.line,
+                                f"no port {extra!r} on module {m.name!r}")
 
     def _add_wire(self, full: str, rhs: ast.Expr, line: int) -> None:
         if full in self.wire_defs:
-            raise _ElabError(line, f"multiple drivers for {full!r}",
-                             DiagCode.DUPLICATE)
+            raise ElabError(line, f"multiple drivers for {full!r}",
+                            DiagCode.DUPLICATE)
         if full in self.reg_names:
-            raise _ElabError(line, f"wire connection drives register {full!r}")
+            raise ElabError(line, f"wire connection drives register {full!r}")
         self.wire_defs[full] = rhs
         self.wire_lines[full] = line
 
@@ -312,9 +340,9 @@ class _Elaborator:
         if self.clock is None:
             self.clock = clk_full
         elif self.clock != clk_full:
-            raise _ElabError(block.line,
-                             f"multiple clocks: {self.clock!r} and {clk_full!r}",
-                             DiagCode.MULTICLOCK)
+            raise ElabError(block.line,
+                            f"multiple clocks: {self.clock!r} and {clk_full!r}",
+                            DiagCode.MULTICLOCK)
 
         blocking_env: dict[str, ast.Expr] = {}
         pending: dict[str, ast.Expr] = {}
@@ -340,10 +368,10 @@ class _Elaborator:
                     full = f"{prefix}.{stmt.target}"
                     if full not in self.reg_names:
                         if full not in self.widths:
-                            raise _ElabError(stmt.line,
-                                             f"undeclared identifier {stmt.target!r}")
-                        raise _ElabError(stmt.line,
-                                         f"always-block assignment to non-register {stmt.target!r}")
+                            raise ElabError(stmt.line,
+                                            f"undeclared identifier {stmt.target!r}")
+                        raise ElabError(stmt.line,
+                                        f"always-block assignment to non-register {stmt.target!r}")
                     rhs = subst(read(stmt.rhs, stmt.line))
                     if stmt.sel is not None:
                         hi, lo = self._select_bounds(stmt.target, *stmt.sel, env,
@@ -355,16 +383,16 @@ class _Elaborator:
                     self.guards[stmt.stmt_id] = _or(self.guards.get(stmt.stmt_id), g)
                     if stmt.blocking:
                         if full in seen_nonblocking:
-                            raise _ElabError(stmt.line,
-                                             f"mixed blocking/non-blocking assignment to {stmt.target!r}",
-                                             DiagCode.DUPLICATE)
+                            raise ElabError(stmt.line,
+                                            f"mixed blocking/non-blocking assignment to {stmt.target!r}",
+                                            DiagCode.DUPLICATE)
                         seen_blocking.add(full)
                         blocking_env[full] = rhs
                     else:
                         if full in seen_blocking:
-                            raise _ElabError(stmt.line,
-                                             f"mixed blocking/non-blocking assignment to {stmt.target!r}",
-                                             DiagCode.DUPLICATE)
+                            raise ElabError(stmt.line,
+                                            f"mixed blocking/non-blocking assignment to {stmt.target!r}",
+                                            DiagCode.DUPLICATE)
                         seen_nonblocking.add(full)
                         pending[full] = rhs
                 elif isinstance(stmt, ast.IfStmt):
@@ -386,9 +414,9 @@ class _Elaborator:
                     subj = subst(read(stmt.subject, stmt.line))
                     run_arms(stmt.arms_by_priority(), subj, guard, None)
                 else:
-                    raise _ElabError(getattr(stmt, "line", block.line),
-                                     f"unsupported statement {stmt!r}",
-                                     DiagCode.UNSUPPORTED)
+                    raise ElabError(getattr(stmt, "line", block.line),
+                                    f"unsupported statement {stmt!r}",
+                                    DiagCode.UNSUPPORTED)
 
         def run_arms(arms: list[ast.CaseArm], subj: ast.Expr,
                      guard: ast.Expr | None, prior: ast.Expr | None) -> None:
@@ -424,18 +452,18 @@ class _Elaborator:
 
         for full, e in pending.items():
             if full in self.next_state:
-                raise _ElabError(block.line,
-                                 f"register {full!r} assigned in multiple always blocks",
-                                 DiagCode.DUPLICATE)
+                raise ElabError(block.line,
+                                f"register {full!r} assigned in multiple always blocks",
+                                DiagCode.DUPLICATE)
             self.next_state[full] = e
             self.next_lines[full] = block.line
         for full, e in blocking_env.items():
             if full in seen_nonblocking:
                 continue
             if full in self.next_state:
-                raise _ElabError(block.line,
-                                 f"register {full!r} assigned in multiple always blocks",
-                                 DiagCode.DUPLICATE)
+                raise ElabError(block.line,
+                                f"register {full!r} assigned in multiple always blocks",
+                                DiagCode.DUPLICATE)
             self.next_state[full] = e
             self.next_lines[full] = block.line
 
@@ -446,13 +474,13 @@ class _Elaborator:
         seen = set()
         while full in self.wire_defs and isinstance(self.wire_defs[full], ast.Id):
             if full in seen:
-                raise _ElabError(block.line, f"clock alias cycle at {full!r}",
-                                 DiagCode.CYCLE)
+                raise ElabError(block.line, f"clock alias cycle at {full!r}",
+                                DiagCode.CYCLE)
             seen.add(full)
             full = self.wire_defs[full].name
         if full not in self.input_names:
-            raise _ElabError(block.line,
-                             f"clock {block.clock!r} does not resolve to a top-level input")
+            raise ElabError(block.line,
+                            f"clock {block.clock!r} does not resolve to a top-level input")
         return full
 
     def _extract_init(self, prefix: str, block: ast.AlwaysBlock,
@@ -469,7 +497,7 @@ class _Elaborator:
                 continue
             try:
                 value = eval_const(self._prefix_expr(stmt.rhs, prefix, env, stmt.line), {})
-            except (ParseError, _ElabError):
+            except (ParseError, ElabError):
                 continue
             full = f"{prefix}.{stmt.target}"
             if full in self.reg_names:
@@ -487,16 +515,16 @@ class _Elaborator:
                 return
             if w in temp:
                 cycle = temp[temp.index(w):] + [w]
-                raise _ElabError(self.wire_lines.get(w, 0),
-                                 "combinational cycle: " + " -> ".join(cycle),
-                                 DiagCode.CYCLE)
+                raise ElabError(self.wire_lines.get(w, 0),
+                                "combinational cycle: " + " -> ".join(cycle),
+                                DiagCode.CYCLE)
             temp.append(w)
             for name in sorted(ast.expr_ids(self.wire_defs[w])):
                 if name in self.wire_defs:
                     visit(name)
                 elif name not in self.reg_names and name not in self.input_names:
-                    raise _ElabError(self.wire_lines.get(w, 0),
-                                     f"undriven net {name!r} referenced by {w!r}")
+                    raise ElabError(self.wire_lines.get(w, 0),
+                                    f"undriven net {name!r} referenced by {w!r}")
             temp.pop()
             perm.add(w)
             order.append(w)
@@ -524,9 +552,9 @@ class _Elaborator:
                     reaches = {name}
                 for leaf in sorted(reaches - readable):
                     if leaf == self.clock:
-                        raise _ElabError(line, f"clock {leaf!r} read as data",
-                                         DiagCode.UNSUPPORTED)
-                    raise _ElabError(line, f"undriven net {leaf!r} read")
+                        raise ElabError(line, f"clock {leaf!r} read as data",
+                                        DiagCode.UNSUPPORTED)
+                    raise ElabError(line, f"undriven net {leaf!r} read")
 
 
 def _and(a: ast.Expr | None, b: ast.Expr) -> ast.Expr:
@@ -563,24 +591,21 @@ def _splice(base: ast.Expr, rhs: ast.Expr, hi: int, lo: int, width: int) -> ast.
     return ast.Concat(tuple(parts))
 
 
-def elaborate(model: ast.DesignModel, top: str,
-              overrides: dict[str, int] | None = None):
+def elaborate(model: ast.DesignModel, top: str):
     """Flatten the hierarchy under `top`.
 
     Returns NetModel on success, Diagnostics on any error.
     """
     diags = Diagnostics()
-    if model.module(top) is None:
-        diags.error(0, 0, f"top module {top!r} not found", DiagCode.UNRESOLVED)
-        return diags
-    el = _Elaborator(model, diags)
+    el = _Elaborator()
     try:
-        el.walk(top, top, dict(overrides or {}), None, None, None, 0)
+        for prefix, m, env, inst in instances(model, top):
+            el.instance(prefix, m, env, inst)
         for prefix, m, block, env in el.always_units:
             el.exec_always(prefix, m, block, env)
         el.close_wires()
         el.check_reads()
-    except _ElabError as ee:
+    except ElabError as ee:
         diags.error(ee.line, 0, ee.message, ee.code)
         return diags
 

@@ -3,11 +3,11 @@
 Each compile emits the whole property file, then parses and binds every
 statement of it, although most statements have not changed since the last
 compile. A `StatementMemo` maps a statement's text, from its first token
-through its `;`, and the delay bound to the statement's parse; and the
-parse, the file's macro table and its default clock to the statement's
-bind outcome. Only a statement that parsed cleanly on its own is kept. Its
-lines are kept relative to the statement; where it is found again, it
-takes its property id and its lines from the file it is in.
+through its `;`, to the statement's parse; and the parse, the file's
+macro table and its default clock to the statement's bind outcome. Only
+a statement that parsed cleanly on its own is kept. Its lines are kept
+relative to the statement; where it is found again, it takes its
+property id and its lines from the file it is in.
 
 A memo serves one run. It binds against the one signal index it is first
 used with, and the run's design does not change. Each run makes its own
@@ -38,17 +38,17 @@ class Statement:
 
 class StatementMemo:
     def __init__(self):
-        self.statements: dict[tuple[str, int], Statement] = {}
+        self.statements: dict[str, Statement] = {}
         # id(body) -> its statement; the memo keeps every body alive, so
         # no other object can take one of these ids
         self._by_body: dict[int, Statement] = {}
         self._contexts: dict[tuple, int] = {}
         self._index: SignalIndex | None = None
 
-    def remember(self, text: str, max_delay: int, label: str | None, kind: str,
+    def remember(self, text: str, label: str | None, kind: str,
                  body: S.PropBody) -> None:
         stmt = Statement(label, kind, body, text.count("\n"))
-        self.statements[(text, max_delay)] = stmt
+        self.statements[text] = stmt
         self._by_body[id(body)] = stmt
 
     def statement_of(self, body: S.PropBody) -> Statement | None:

@@ -66,10 +66,9 @@ class SvaExprParser(ExprParser):
 
 
 class _PropParser:
-    def __init__(self, cur: Cursor, max_delay: int):
+    def __init__(self, cur: Cursor):
         self.cur = cur
         self.exprs = SvaExprParser(cur)
-        self.max_delay = max_delay
 
     def parse_clock(self) -> S.ClockSpec:
         self.cur.expect("@")
@@ -101,9 +100,9 @@ class _PropParser:
                 raise ParseError(tok.line, tok.col, f"empty delay range [{lo}:{hi}]")
         else:
             raise ParseError(t.line, t.col, "expected ##n or ##[m:n]")
-        if hi > self.max_delay:
+        if hi > S.MAX_DELAY_BOUND:
             raise ParseError(tok.line, tok.col,
-                             f"delay bound {hi} exceeds maximum {self.max_delay}",
+                             f"delay bound {hi} exceeds maximum {S.MAX_DELAY_BOUND}",
                              DiagCode.BOUND_EXCEEDED)
         return lo, hi
 
@@ -154,8 +153,7 @@ def _statement_source(source_lines: list[str], start_line: int, end_line: int) -
     return "\n".join(source_lines[start_line - 1:end_line]).strip()
 
 
-def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOUND,
-                                   memo: StatementMemo | None = None
+def parse_properties_with_recovery(source: str, memo: StatementMemo | None = None
                                    ) -> tuple[S.PropertyFile, Diagnostics]:
     """Parse with per-statement error recovery.
 
@@ -167,7 +165,7 @@ def parse_properties_with_recovery(source: str, max_delay: int = S.MAX_DELAY_BOU
     a statement that parses cleanly on its own is added to it. The result is
     the same as without one.
     """
-    fp = _FileParse(source, max_delay)
+    fp = _FileParse(source)
     try:
         if memo is None:
             fp.parse_region(tokenize(fp.stripped))
@@ -188,8 +186,7 @@ class _FileParse:
     from tokens or from a memo, and share the file-wide state: property ids
     (markers, labels, serial numbers) and the default clock."""
 
-    def __init__(self, source: str, max_delay: int):
-        self.max_delay = max_delay
+    def __init__(self, source: str):
         self.pf = S.PropertyFile()
         self.diags = Diagnostics()
         self.source_lines = source.split("\n")
@@ -250,7 +247,7 @@ class _FileParse:
             if m is None:  # the rest is lexed and parsed as one region
                 self.parse_region(self.next_region(None))
                 break
-            known = memo.statements.get((m["stmt"], self.max_delay))
+            known = memo.statements.get(m["stmt"])
             if known is not None:
                 self.line += text.count("\n", self.pos, m.start("stmt"))
                 self.add(*self.pending_id(self.line, known.label), known.kind,
@@ -264,9 +261,9 @@ class _FileParse:
                 continue
             # one property statement, ending at the region's end
             cur = Cursor(tokens)
-            clean = self.property_statement(cur, _PropParser(cur, self.max_delay))
+            clean = self.property_statement(cur, _PropParser(cur))
             if clean is not None:
-                memo.remember(m["stmt"], self.max_delay, *clean)
+                memo.remember(m["stmt"], *clean)
 
     def next_region(self, m: re.Match | None) -> list[Token]:
         """The tokens from `pos` through the end of `m`, or of the file."""
@@ -298,7 +295,7 @@ class _FileParse:
         rest of the file, `extend(tokens, first)` adds what the statement
         starting with token `first` needs."""
         cur = Cursor(tokens)
-        pp = _PropParser(cur, self.max_delay)
+        pp = _PropParser(cur)
         while cur.peek().kind != "EOF":
             first = cur.peek()
             if extend is not None:
@@ -396,10 +393,10 @@ def _resync(cur: Cursor) -> int:
     return line
 
 
-def parse_properties(source: str, max_delay: int = S.MAX_DELAY_BOUND):
+def parse_properties(source: str):
     """Parse a property file. Returns PropertyFile on success, Diagnostics
     when any statement failed."""
-    pf, diags = parse_properties_with_recovery(source, max_delay)
+    pf, diags = parse_properties_with_recovery(source)
     if diags.has_errors():
         return diags
     return pf

@@ -2,7 +2,7 @@
 
 Writer output is two-valued and bit-exact: header, initial dump at #0,
 then per-cycle change records only where a value differs from the previous
-cycle, one timestamp per cycle at cycle*timescale ticks. The parser also
+cycle, one timestamp per cycle (`#cycle`, timescale 1ns). The parser also
 accepts externally produced files, recording x/z values verbatim.
 """
 
@@ -71,14 +71,13 @@ def _fmt_value(value: int, width: int, code: str) -> str:
     return f"b{value:0{width}b} {code}"
 
 
-def write_vcd(trace: CexTrace, decls: list[tuple[str, int]],
-              timescale: tuple[int, str] = (1, "ns")) -> bytes:
-    """Render a trace for the declared signals. Values come from the per-
-    cycle input/state valuations; a declared name missing from the trace or
-    a value too wide for its declaration is an error."""
+def write_vcd(trace: CexTrace, decls: list[tuple[str, int]]) -> bytes:
+    """Render a trace for the declared signals, one cycle per 1ns. Values
+    come from the per-cycle input/state valuations; a declared name missing
+    from the trace or a value too wide for its declaration is an error."""
     lines: list[str] = []
     lines.append("$comment counterexample trace $end")
-    lines.append(f"$timescale {timescale[0]}{timescale[1]} $end")
+    lines.append("$timescale 1ns $end")
 
     codes: dict[str, str] = {}
     scoped: list[tuple[tuple[str, ...], str, int]] = []
@@ -123,7 +122,7 @@ def write_vcd(trace: CexTrace, decls: list[tuple[str, int]],
             if t == 0 or prev.get(name) != v:
                 changed.append(_fmt_value(v, width, codes[name]))
                 prev[name] = v
-        lines.append(f"#{t * timescale[0]}")
+        lines.append(f"#{t}")
         if t == 0:
             lines.append("$dumpvars")
             lines.extend(changed)

@@ -16,7 +16,12 @@ from verikg.agents.backend import (
     Transcript,
 )
 from verikg.agents.common import Workspace
-from verikg.agents.envelope import PromptEnvelope, ResponseShape, parse_payload
+from verikg.agents.envelope import (
+    DEFAULT_CONTEXT_BUDGET,
+    PromptEnvelope,
+    ResponseShape,
+    parse_payload,
+)
 from verikg.agents.generation import run_generation
 from verikg.agents.roles import system_instructions
 from verikg.agents.scripted import default_rules
@@ -60,9 +65,8 @@ class TestEnvelope:
 
     def test_budget_truncates(self):
         e = PromptEnvelope.build("sva_author", "s", ResponseShape.ANALYSIS,
-                                 budget=300, requirement="r" * 1000)
-        assert len(e.context[0][1]) < 1000
-        assert e.context[0][1].endswith("[truncated]")
+                                 requirement="r" * (DEFAULT_CONTEXT_BUDGET + 1))
+        assert e.context[0][1] == "r" * DEFAULT_CONTEXT_BUDGET + "\n...[truncated]"
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):

@@ -276,11 +276,14 @@ class TestElaborate:
 
     def test_parameter_override(self):
         m = parse_ok(
-            "module t #(parameter W = 2) (input clk, input [W-1:0] d);\n"
+            "module leaf #(parameter W = 2) (input clk, input [W-1:0] d);\n"
             "  reg [W-1:0] r;\n"
-            "  always @(posedge clk) r <= d;\nendmodule\n")
-        net = elaborate(m, "t", {"W": 3})
-        assert net.state_bits == [("t.r", 3)]
+            "  always @(posedge clk) r <= d;\nendmodule\n"
+            "module t (input clk, input [3:0] d);\n"
+            "  leaf #(.W(4)) u0 (.clk(clk), .d(d));\nendmodule\n")
+        net = elaborate(m, "t")
+        assert net.state_bits == [("t.u0.r", 4)]
+        assert net.inputs == [("t.d", 4)]
 
     def test_choice_between_parameters_adapts_to_its_target(self):
         """`?:` over two parameters (unsized literals) is unsized: the usual

@@ -115,13 +115,13 @@ def test_memo_compile_equals_uncached_on_edge_cases(source):
     assert _compile(moved, memo) == _compile(moved, None)
 
 
-def test_memo_keys_on_the_delay_bound():
-    source = "assert property (@(posedge clk) i0 ##3 r0);\n"
+def test_memo_applies_the_delay_bound():
     memo = StatementMemo()
-    for max_delay in (32, 2, 32):
-        got = parse_properties_with_recovery(source, max_delay, memo)
-        assert got == parse_properties_with_recovery(source, max_delay)
-        assert got[1].has_errors() == (max_delay == 2)
+    for hi in (3, S.MAX_DELAY_BOUND + 1, 3):
+        source = f"assert property (@(posedge clk) i0 ##{hi} r0);\n"
+        got = parse_properties_with_recovery(source, memo)
+        assert got == parse_properties_with_recovery(source)
+        assert got[1].has_errors() == (hi > S.MAX_DELAY_BOUND)
 
 
 def test_unchanged_statements_are_not_lexed_again(monkeypatch):
