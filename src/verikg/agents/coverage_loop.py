@@ -13,6 +13,7 @@ from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.ir import types as T
 from verikg.kg import Graph, RetrievalBounds, TaskKind, connected, neighborhood
 from verikg.rtl import ast as rtl
+from verikg.rtl.analyze import statement_key
 from verikg.rtl.ast import DesignModel
 from verikg.sva import ast as S
 
@@ -35,70 +36,33 @@ class CoverageLoopResult:
 def order_gaps(dm: DesignModel, gap_ids: list[str]) -> list[str]:
     """cov_lead_agent policy: functional-path statements first, then
     default/else arms; ids ascending within each group."""
-    by_id = {s.id: s for s in dm.statements}
-
-    def key(sid: str):
-        stmt = by_id.get(sid)
-        is_default = stmt is not None and stmt.detail in _DEFAULT_ARM_DETAILS
-        num = int(sid[1:]) if sid[1:].isdigit() else 1 << 30
-        return (1 if is_default else 0, num, sid)
-
-    return sorted(gap_ids, key=key)
+    defaults = {s.id for s in dm.statements if s.detail in _DEFAULT_ARM_DETAILS}
+    return sorted(gap_ids, key=lambda sid: (sid in defaults, *statement_key(sid)))
 
 
 def source_guard_text(dm: DesignModel, stmt_id: str) -> str:
     """The enabling condition of a statement in module-local source terms:
-    the conjunction of its enclosing branch conditions."""
+    the conjunction of the conditions under which its enclosing arms run."""
     for m in dm.modules:
-        for a in m.assigns:
-            if a.stmt_id == stmt_id:
-                return "1'd1"
-        for b in m.always_blocks:
-            found = _guard_in(b.body, stmt_id, [])
-            if found is not None:
-                if not found:
-                    return "1'd1"
-                return " && ".join(f"({rtl.render_expr(c)})" for c in found)
+        if any(a.stmt_id == stmt_id for a in m.assigns):
+            return "1'd1"
+        stack = [(b.body, ()) for b in m.always_blocks]
+        while stack:
+            body, conds = stack.pop()
+            for stmt in body:
+                if isinstance(stmt, rtl.SeqAssign):
+                    if stmt.stmt_id == stmt_id:
+                        return _conjunction(conds)
+                    continue
+                for arm_id, _match, taken, arm_body in rtl.branches(stmt):
+                    if arm_id == stmt_id:
+                        return _conjunction(conds + (taken,))
+                    stack.append((arm_body, conds + (taken,)))
     return "1'd1"
 
 
-def _guard_in(body, stmt_id: str, conds: list) -> list | None:
-    for stmt in body:
-        if isinstance(stmt, rtl.SeqAssign):
-            if stmt.stmt_id == stmt_id:
-                return list(conds)
-        elif isinstance(stmt, rtl.IfStmt):
-            if stmt.then_id == stmt_id:
-                return conds + [stmt.cond]
-            hit = _guard_in(stmt.then_body, stmt_id, conds + [stmt.cond])
-            if hit is not None:
-                return hit
-            if stmt.else_body is not None:
-                neg = rtl.Unary("!", stmt.cond)
-                if stmt.else_id == stmt_id:
-                    return conds + [neg]
-                hit = _guard_in(stmt.else_body, stmt_id, conds + [neg])
-                if hit is not None:
-                    return hit
-        elif isinstance(stmt, rtl.CaseStmt):
-            prior = None
-            for arm in stmt.arms_by_priority():
-                if arm.labels is None:
-                    cond = rtl.Unary("!", prior) if prior is not None else rtl.Lit(1, 1)
-                else:
-                    eqs = None
-                    for lab in arm.labels:
-                        eq = rtl.Binary("==", stmt.subject, lab)
-                        eqs = eq if eqs is None else rtl.Binary("||", eqs, eq)
-                    cond = eqs if prior is None else \
-                        rtl.Binary("&&", rtl.Unary("!", prior), eqs)
-                    prior = eqs if prior is None else rtl.Binary("||", prior, eqs)
-                if arm.arm_id == stmt_id:
-                    return conds + [cond]
-                hit = _guard_in(arm.body, stmt_id, conds + [cond])
-                if hit is not None:
-                    return hit
-    return None
+def _conjunction(conds: tuple) -> str:
+    return " && ".join(f"({rtl.render_expr(c)})" for c in conds) or "1'd1"
 
 
 def blocking_assumption_candidates(kg: Graph, stmt_id: str,

@@ -9,6 +9,7 @@ agent decision, not an engine one.
 from __future__ import annotations
 
 from verikg.ir.types import CoverageMetrics, DeadCodeClass, ResultStatus
+from verikg.rtl.analyze import statement_key
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
 from verikg.engine.check import (
@@ -46,8 +47,8 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     vacuity = sum(1 for result, _trace in check_many(net, props, cfg)
                   if result.status is ResultStatus.VACUOUS)
 
-    covered_list = sorted(covered, key=_sid_key)
-    unreachable_list = sorted(uncovered, key=_sid_key)
+    covered_list = sorted(covered, key=statement_key)
+    unreachable_list = sorted(uncovered, key=statement_key)
     total = len(covered_list) + len(unreachable_list)
     pct = 100.0 * len(covered_list) / total if total else 100.0
     return CoverageMetrics(
@@ -60,7 +61,3 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
         proof_core_ratio=None,
         partial=partial,
     )
-
-
-def _sid_key(sid: str) -> tuple:
-    return (0, int(sid[1:])) if sid[1:].isdigit() else (1, sid)

@@ -28,6 +28,11 @@ def assign_statement_ids(model: ast.DesignModel, start: int = 1) -> list[ast.Sta
     return refs
 
 
+def statement_key(sid: str) -> tuple:
+    """Sort key of a statement id: S<n> by n, any other id after them."""
+    return (0, int(sid[1:])) if sid[1:].isdigit() else (1, sid)
+
+
 def detect_fsms(model: ast.DesignModel) -> list[ast.FsmDesc]:
     """A register is an FSM state register iff every comparison / case switch
     on it uses named parameter constants (and at least one exists), and every

@@ -292,14 +292,40 @@ class CaseStmt:
     arms: list[CaseArm]
     line: int
 
-    def arms_by_priority(self) -> list[CaseArm]:
-        """The arms in the order they are tried: the labelled items in
-        source order, then the default, which is taken only when no item
-        matches, wherever it stands (IEEE 1800-2017 12.5)."""
-        return sorted(self.arms, key=lambda a: a.labels is None)
-
 
 AlwaysStmt = Union[SeqAssign, IfStmt, CaseStmt]
+
+
+def branches(stmt: Union[IfStmt, CaseStmt], conv=lambda e, line: e):
+    """The arms of an `if` or a `case` in the order they are tried, as
+    (arm id, match, taken, body). `match` is the arm's own condition, None
+    for an `else` or a `default`; `taken` is the condition under which the
+    arm runs: no earlier arm matched, and this one does. A `case` tries its
+    labelled items in source order, then the default, wherever it stands
+    (IEEE 1800-2017 12.5). Each condition is built from `conv(e, line)`,
+    called once for the `if` condition or the `case` subject, at the
+    statement's line, and once per label, at its arm's line, only when
+    that arm is asked for."""
+    if isinstance(stmt, IfStmt):
+        cond = conv(stmt.cond, stmt.line)
+        yield stmt.then_id, cond, cond, stmt.then_body
+        if stmt.else_body is not None:
+            yield stmt.else_id, None, Unary("!", cond), stmt.else_body
+        return
+    subject = conv(stmt.subject, stmt.line)
+    prior = None  # some earlier arm matched
+    for arm in sorted(stmt.arms, key=lambda a: a.labels is None):
+        if arm.labels is None:
+            taken = Lit(1, 1) if prior is None else Unary("!", prior)
+            yield arm.arm_id, None, taken, arm.body
+            return
+        match = None
+        for lab in arm.labels:
+            eq = Binary("==", subject, conv(lab, arm.line))
+            match = eq if match is None else Binary("||", match, eq)
+        taken = match if prior is None else Binary("&&", Unary("!", prior), match)
+        yield arm.arm_id, match, taken, arm.body
+        prior = match if prior is None else Binary("||", prior, match)
 
 
 @dataclass(frozen=True)

@@ -395,58 +395,32 @@ class _Elaborator:
                                             DiagCode.DUPLICATE)
                         seen_nonblocking.add(full)
                         pending[full] = rhs
-                elif isinstance(stmt, ast.IfStmt):
-                    cond = subst(read(stmt.cond, stmt.line))
-                    then_guard = _and(guard, cond)
-                    self.guards[stmt.then_id] = _or(self.guards.get(stmt.then_id), then_guard)
-                    saved_env, saved_pending = dict(blocking_env), dict(pending)
-                    run(stmt.then_body, then_guard)
-                    t_env, t_pending = blocking_env, pending
-                    blocking_env, pending = dict(saved_env), dict(saved_pending)
-                    if stmt.else_body is not None:
-                        else_guard = _and(guard, ast.Unary("!", cond))
-                        self.guards[stmt.else_id] = _or(self.guards.get(stmt.else_id), else_guard)
-                        run(stmt.else_body, else_guard)
-                    e_env, e_pending = blocking_env, pending
-                    blocking_env = _merge(cond, t_env, e_env)
-                    pending = _merge(cond, t_pending, e_pending)
-                elif isinstance(stmt, ast.CaseStmt):
-                    subj = subst(read(stmt.subject, stmt.line))
-                    run_arms(stmt.arms_by_priority(), subj, guard, None)
+                elif isinstance(stmt, (ast.IfStmt, ast.CaseStmt)):
+                    # Each arm runs from copies of the maps as they stand
+                    # before the statement. Its conditions are read between
+                    # arms, so they see those maps too.
+                    saved_env, saved_pending = blocking_env, pending
+                    arms = []
+                    for arm_id, match, taken, body in ast.branches(
+                            stmt, lambda e, line: subst(read(e, line))):
+                        arm_guard = _and(guard, taken)
+                        self.guards[arm_id] = _or(self.guards.get(arm_id), arm_guard)
+                        blocking_env, pending = dict(saved_env), dict(saved_pending)
+                        run(body, arm_guard)
+                        arms.append((match, blocking_env, pending))
+                        blocking_env, pending = saved_env, saved_pending
+                    # fold from the last arm tried back to the first; when no
+                    # arm is taken the maps stay as they were
+                    for match, a_env, a_pending in reversed(arms):
+                        if match is None:
+                            blocking_env, pending = a_env, a_pending
+                        else:
+                            blocking_env = _merge(match, a_env, blocking_env)
+                            pending = _merge(match, a_pending, pending)
                 else:
                     raise ElabError(getattr(stmt, "line", block.line),
                                     f"unsupported statement {stmt!r}",
                                     DiagCode.UNSUPPORTED)
-
-        def run_arms(arms: list[ast.CaseArm], subj: ast.Expr,
-                     guard: ast.Expr | None, prior: ast.Expr | None) -> None:
-            """Chained if/else over the remaining case arms (priority order)."""
-            nonlocal blocking_env, pending
-            if not arms:
-                return
-            arm = arms[0]
-            if arm.labels is None:
-                eq_cond = TRUE
-            else:
-                eq_cond = None
-                for lab in arm.labels:
-                    lab_p = read(lab, arm.line)
-                    eq = ast.Binary("==", subj, lab_p)
-                    eq_cond = eq if eq_cond is None else ast.Binary("||", eq_cond, eq)
-            # Recorded guard reflects priority: no earlier arm matched.
-            pri = eq_cond if prior is None else \
-                ast.Binary("&&", ast.Unary("!", prior), eq_cond)
-            arm_guard = _and(guard, pri)
-            self.guards[arm.arm_id] = _or(self.guards.get(arm.arm_id), arm_guard)
-            saved_env, saved_pending = dict(blocking_env), dict(pending)
-            run(arm.body, arm_guard)
-            t_env, t_pending = blocking_env, pending
-            blocking_env, pending = dict(saved_env), dict(saved_pending)
-            next_prior = eq_cond if prior is None else ast.Binary("||", prior, eq_cond)
-            run_arms(arms[1:], subj, guard, next_prior)
-            e_env, e_pending = blocking_env, pending
-            blocking_env = _merge(eq_cond, t_env, e_env)
-            pending = _merge(eq_cond, t_pending, e_pending)
 
         run(block.body, None)
 
@@ -506,31 +480,42 @@ class _Elaborator:
     # -- wire closure ---------------------------------------------------------
 
     def close_wires(self) -> None:
+        """Inline every wire's definition in dependency order. A depth-first
+        walk in sorted order, iterative: a stack of (wire, its unvisited
+        reads), the wires on the stack being the path from the root."""
+        def reads(w: str):
+            return iter(sorted(ast.expr_ids(self.wire_defs[w])))
+
         order: list[str] = []
-        perm: set[str] = set()
-        temp: list[str] = []
-
-        def visit(w: str) -> None:
-            if w in perm:
-                return
-            if w in temp:
-                cycle = temp[temp.index(w):] + [w]
-                raise ElabError(self.wire_lines.get(w, 0),
-                                "combinational cycle: " + " -> ".join(cycle),
-                                DiagCode.CYCLE)
-            temp.append(w)
-            for name in sorted(ast.expr_ids(self.wire_defs[w])):
-                if name in self.wire_defs:
-                    visit(name)
-                elif name not in self.reg_names and name not in self.input_names:
-                    raise ElabError(self.wire_lines.get(w, 0),
-                                    f"undriven net {name!r} referenced by {w!r}")
-            temp.pop()
-            perm.add(w)
-            order.append(w)
-
-        for w in sorted(self.wire_defs):
-            visit(w)
+        done: set[str] = set()
+        for root in sorted(self.wire_defs):
+            if root in done:
+                continue
+            stack = [(root, reads(root))]
+            on_path = {root}
+            while stack:
+                w, names = stack[-1]
+                for name in names:
+                    if name in self.wire_defs:
+                        if name in done:
+                            continue
+                        if name in on_path:
+                            path = [v for v, _ in stack]
+                            cycle = path[path.index(name):] + [name]
+                            raise ElabError(self.wire_lines.get(name, 0),
+                                            "combinational cycle: " + " -> ".join(cycle),
+                                            DiagCode.CYCLE)
+                        stack.append((name, reads(name)))
+                        on_path.add(name)
+                        break
+                    if name not in self.reg_names and name not in self.input_names:
+                        raise ElabError(self.wire_lines.get(w, 0),
+                                        f"undriven net {name!r} referenced by {w!r}")
+                else:
+                    stack.pop()
+                    on_path.discard(w)
+                    done.add(w)
+                    order.append(w)
         inlined: dict[str, ast.Expr] = {}
         for w in order:
             inlined[w] = _subst_names(self.wire_defs[w], inlined, self.widths)

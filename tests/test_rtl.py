@@ -190,6 +190,34 @@ class TestElaborate:
         assert isinstance(diags, Diagnostics)
         assert any(d.code is DiagCode.CYCLE for d in diags.errors)
 
+    @pytest.mark.parametrize("assigns, code, line, message", [
+        ("assign b = c;\n  assign c = d;\n  assign d = b;", DiagCode.CYCLE, 3,
+         "combinational cycle: t.b -> t.c -> t.d -> t.b"),
+        ("assign b = c;\n  assign c = a ^ z;", DiagCode.UNRESOLVED, 4,
+         "undriven net 't.z' referenced by 't.c'"),
+    ], ids=["cycle", "undriven"])
+    def test_wire_closure_diagnostics_name_the_path(self, assigns, code, line, message):
+        diags = elaborate(parse_ok(
+            "module t (input a, output y);\n  wire b, c, d, z;\n"
+            f"  {assigns}\n  assign y = b;\nendmodule\n"), "t")
+        assert isinstance(diags, Diagnostics)
+        assert [(d.code, d.line, d.message) for d in diags.errors] == \
+            [(code, line, message)]
+
+    def test_long_alias_chain_elaborates(self):
+        """1,500 alias wires, named so that sorted order starts at the far
+        end of the chain, close without recursion."""
+        n = 1500
+        dm = parse_ok(
+            "module t (input clk, input a);\n  reg r;\n"
+            + "".join(f"  wire w{i:05d};\n" for i in range(n))
+            + "".join(f"  assign w{i:05d} = w{i + 1:05d};\n" for i in range(n - 1))
+            + f"  assign w{n - 1:05d} = a;\n"
+            "  always @(posedge clk) r <= w00000;\nendmodule\n")
+        net = elaborate(dm, "t")
+        assert isinstance(net, NetModel), net.render()
+        assert [net.step((0,), (a,)) for a in (0, 1)] == [(0,), (1,)]
+
     def test_width_mismatch_reports_both_widths(self):
         m = parse_ok(
             "module t (input [1:0] a, input [2:0] b, output y);\n"

@@ -4,6 +4,7 @@ replaced (`tests/reference_walkers.py`), on generated designs whose always
 blocks nest `if`/`else` and `case`, and `case` semantics against the oracle."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -56,6 +57,16 @@ def test_statement_ids_and_fsms_match_the_reference_walkers():
     assert fsms >= 25 and defaults_inside >= 100
 
 
+def _steps(net: NetModel, oracle: RefDesign, state: tuple, inputs: tuple):
+    """(next state, executed statement ids) for one (state, input) pair,
+    from the net (the statements whose guards hold) and from the oracle."""
+    regs = [n for n, _w in net.state_bits]
+    next_ref, executed = oracle.step(dict(zip(regs, state)),
+                                     dict(zip((n for n, _w in net.inputs), inputs)))
+    ran = {sid for sid, g in net.guard_fns.items() if g(state + inputs)}
+    return (net.step(state, inputs), ran), (tuple(next_ref[r] for r in regs), executed)
+
+
 def test_elaboration_and_coverage_match_the_reference():
     """State bits are the registers the reference walker finds assigned;
     the engine covers exactly the statements the oracle executes."""
@@ -71,6 +82,31 @@ def test_elaboration_and_coverage_match_the_reference():
         assert set(cm.covered_statements) == \
             oracle_reachable_statements(RefDesign(dm, "top")), source
     assert fsms >= 10 and defaults_inside >= 50
+
+
+def test_elaboration_steps_match_the_reference():
+    """On every reachable state and every input, the net's next state and
+    the statements whose guards hold are the oracle's: the check on how
+    elaboration folds the arms' assignments back into one map."""
+    pairs = 0
+    for source, dm in _designs(120, seed=11):
+        net = elaborate(dm, "top")
+        assert isinstance(net, NetModel), (source, net)
+        oracle = RefDesign(dm, "top")
+        init = net.init_state()
+        assert init == tuple(oracle.init_state()[r] for r, _w in net.state_bits), source
+        combos = list(itertools.product(*(range(1 << w) for _n, w in net.inputs)))
+        seen, frontier = {init}, [init]
+        while frontier:
+            state = frontier.pop()
+            for inputs in combos:
+                ours, theirs = _steps(net, oracle, state, inputs)
+                assert ours == theirs, (source, state, inputs)
+                pairs += 1
+                if ours[0] not in seen:
+                    seen.add(ours[0])
+                    frontier.append(ours[0])
+    assert pairs >= 2500
 
 
 def test_rtl_expressions_print_as_before():
@@ -147,6 +183,37 @@ def test_default_item_is_taken_only_when_no_item_matches():
     matches = rtl.Binary("||", rtl.Binary("==", r, rtl.Lit(0, 2)),
                          rtl.Binary("==", r, rtl.Lit(1, 2)))
     assert source_guard_text(dm, "S1") == f"({rtl.render_expr(rtl.Unary('!', matches))})"
+
+
+_LABEL_AFTER_BLOCKING = """module t (input clk, input [1:0] d);
+  reg [1:0] a, r;
+  always @(posedge clk) begin
+    a = d;
+    case (2'd1)
+      a: r <= 2'd2;
+      default: r <= 2'd3;
+    endcase
+  end
+endmodule
+"""
+
+
+def test_case_label_reads_earlier_blocking_assignments():
+    """A `case` label reads the values left by the blocking assignments
+    before it in its block, as the subject and `if` conditions do: on
+    every (state, input) valuation the net agrees with the oracle."""
+    dm = parse_rtl(_LABEL_AFTER_BLOCKING)
+    net = elaborate(dm, "t")
+    assert isinstance(net, NetModel), net.render()
+    oracle = RefDesign(dm, "t")
+    n_state = len(net.state_bits)
+    item = next(s.id for s in dm.statements if s.detail == "case_item")
+    taken = 0
+    for x in itertools.product(*(range(1 << w) for _n, w in net.state_bits + net.inputs)):
+        ours, theirs = _steps(net, oracle, x[:n_state], x[n_state:])
+        assert ours == theirs, x
+        taken += item in ours[1]
+    assert taken == 16  # the item runs exactly when d == 1
 
 
 def test_second_default_item_is_a_diagnostic():
