@@ -18,7 +18,8 @@ from collections.abc import Mapping
 from verikg.codec import canonical_json
 from verikg.ir import types as T
 from verikg.rtl.ast import DesignModel
-from verikg.rtl.elaborate import ElabError, instances, signal_width
+from verikg.rtl.elaborate import ElabError, instances
+from verikg.rtl.parser import ParseError, range_width
 
 NODE_HEADER = ("id", "type", "run_id", "attributes")
 EDGE_HEADER = ("src", "dst", "type", "run_id", "attributes")
@@ -41,8 +42,8 @@ def _walk_signals(dm: DesignModel):
         try:
             for prefix, m, env, _inst in instances(dm, root):
                 for s in m.signals:
-                    yield m.name, f"{prefix}.{s.name}", signal_width(s, env), s.kind
-        except ElabError:
+                    yield m.name, f"{prefix}.{s.name}", range_width(s, env), s.kind
+        except (ElabError, ParseError):
             continue
 
 

@@ -430,7 +430,7 @@ class Instance:
     name: str
     module: str
     ports: dict[str, Expr]  # named connections
-    params: dict[str, int]  # parameter overrides
+    params: dict[str, Expr]  # parameter overrides, over the parent's parameters
     line: int = 0
 
 

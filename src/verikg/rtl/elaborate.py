@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast
 from verikg.rtl.compile import Compiler, WidthError, define, mask, width_of
-from verikg.rtl.parser import ParseError, eval_const
+from verikg.rtl.parser import ParseError, eval_const, param_values, range_width
 
 TRUE = ast.Lit(1, 1)
 
@@ -145,14 +145,16 @@ def instances(model: ast.DesignModel, top: str):
     """The one walk of the instance tree under `top`, pre-order (children
     in declaration order) and iterative. Yields (prefix, module, env, inst):
     the hierarchical prefix, the module, its parameter values under the
-    instance's overrides, and the instance that made it (None at the top).
-    A child is resolved only when the walk reaches it, after its parent's
-    body was elaborated, so the first fault in walk order is the one
-    reported. An unknown module is an UNRESOLVED ElabError, a module among
-    its own ancestors a CYCLE one; one module may sit in two branches."""
-    stack: list[tuple[str, ast.Instance | None, tuple[str, ...]]] = [(top, None, ())]
+    instance's overrides, each evaluated under the parent's values, and the
+    instance that made it (None at the top). A child is resolved only when
+    the walk reaches it, after its parent's body was elaborated, so the
+    first fault in walk order is the one reported. An unknown module is an
+    UNRESOLVED ElabError, a module among its own ancestors a CYCLE one, an
+    override that is not constant a SYNTAX one; one module may sit in two
+    branches."""
+    stack: list[tuple[str, ast.Instance | None, tuple, dict]] = [(top, None, (), {})]
     while stack:
-        prefix, inst, ancestors = stack.pop()
+        prefix, inst, ancestors, outer = stack.pop()
         name = top if inst is None else inst.module
         line = 0 if inst is None else inst.line
         m = model.module(name)
@@ -163,36 +165,17 @@ def instances(model: ast.DesignModel, top: str):
             cycle = ancestors[ancestors.index(name):] + (name,)
             raise ElabError(line, "cyclic instantiation: " + " -> ".join(cycle),
                             DiagCode.CYCLE)
-        yield prefix, m, _param_env(m, {} if inst is None else inst.params), inst
-        ancestors += (name,)
-        stack += [(f"{prefix}.{i.name}", i, ancestors) for i in reversed(m.instances)]
-
-
-def _param_env(m: ast.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
-    env: dict[str, int] = {}
-    for p in m.parameters:
-        if p.name in overrides:
-            if p.local:
-                raise ElabError(p.line, f"cannot override localparam {p.name!r}")
-            env[p.name] = overrides[p.name]
-        else:
+        overrides: dict[str, int] = {}
+        for pname, e in ({} if inst is None else inst.params).items():
             try:
-                env[p.name] = eval_const(p.expr, env) if p.expr is not None else p.value
+                overrides[pname] = eval_const(e, outer)
             except ParseError:
-                env[p.name] = p.value
-    return env
-
-
-def signal_width(s: ast.Signal, env: dict[str, int]) -> int:
-    """The width of `s` in an instance whose parameter values are `env`."""
-    if s.msb is None:
-        return 1
-    try:
-        hi = eval_const(s.msb, env)
-        lo = eval_const(s.lsb, env)
-    except ParseError:
-        raise ElabError(s.line, f"non-constant range on {s.name!r}")
-    return max(hi - lo + 1, 1)
+                raise ElabError(line, f"non-constant parameter override {pname!r}",
+                                DiagCode.SYNTAX) from None
+        env = param_values(m, overrides)
+        yield prefix, m, env, inst
+        ancestors += (name,)
+        stack += [(f"{prefix}.{i.name}", i, ancestors, env) for i in reversed(m.instances)]
 
 
 class _Elaborator:
@@ -227,21 +210,26 @@ class _Elaborator:
                                     DiagCode.UNSUPPORTED)
                 return ast.Id(self._declared(prefix, x.name, line))
             if isinstance(x, ast.Select):
-                hi, lo = self._select_bounds(x.name, x.msb, x.lsb, env, line)
-                return ast.Select(self._declared(prefix, x.name, line),
-                                  ast.Lit(hi, None), ast.Lit(lo, None))
+                full, hi, lo = self._select_bounds(prefix, x.name, x.msb, x.lsb, env, line)
+                return ast.Select(full, ast.Lit(hi, None), ast.Lit(lo, None))
             return None
 
         return ast.rewrite(e, leaf)
 
-    @staticmethod
-    def _select_bounds(name: str, msb: ast.Expr, lsb: ast.Expr,
-                       env: dict[str, int], line: int) -> tuple[int, int]:
+    def _select_bounds(self, prefix: str, name: str, msb: ast.Expr, lsb: ast.Expr,
+                       env: dict[str, int], line: int) -> tuple[str, int, int]:
+        """The hierarchical name and the bounds, within its width, of `name[msb:lsb]`."""
         try:
-            return eval_const(msb, env), eval_const(lsb, env)
+            hi, lo = eval_const(msb, env), eval_const(lsb, env)
         except ParseError:
             raise ElabError(line, f"non-constant select on {name!r}",
                             DiagCode.UNSUPPORTED)
+        full = self._declared(prefix, name, line)
+        width = self.widths[full]
+        if not 0 <= lo <= hi < width:
+            raise ElabError(line, f"select [{hi}:{lo}] out of range for {full!r} "
+                            f"(width {width})", DiagCode.WIDTH)
+        return full, hi, lo
 
     def _declared(self, prefix: str, name: str, line: int) -> str:
         full = f"{prefix}.{name}"
@@ -261,7 +249,7 @@ class _Elaborator:
 
         for s in m.signals:
             full = f"{prefix}.{s.name}"
-            w = signal_width(s, env)
+            w = range_width(s, env)
             self.widths[full] = w
             if s.kind == "reg" and s.name in assigned_in_always:
                 self.regs.append((full, w))
@@ -374,8 +362,8 @@ class _Elaborator:
                                         f"always-block assignment to non-register {stmt.target!r}")
                     rhs = subst(read(stmt.rhs, stmt.line))
                     if stmt.sel is not None:
-                        hi, lo = self._select_bounds(stmt.target, *stmt.sel, env,
-                                                     stmt.line)
+                        _full, hi, lo = self._select_bounds(prefix, stmt.target,
+                                                            *stmt.sel, env, stmt.line)
                         rhs = _splice(current(full) if stmt.blocking else
                                       pending.get(full, ast.Id(full)),
                                       rhs, hi, lo, self.widths[full])
@@ -590,7 +578,7 @@ def elaborate(model: ast.DesignModel, top: str):
             el.exec_always(prefix, m, block, env)
         el.close_wires()
         el.check_reads()
-    except ElabError as ee:
+    except (ElabError, ParseError) as ee:
         diags.error(ee.line, 0, ee.message, ee.code)
         return diags
 

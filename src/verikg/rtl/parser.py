@@ -263,6 +263,44 @@ def eval_const(e: ast.Expr, env: dict[str, int]) -> int:
     raise ParseError(0, 0, "expression is not constant here")
 
 
+def param_values(m: ast.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
+    """The value of each parameter of `m` under `overrides`, evaluated in
+    declaration order: each default reads the values declared before it. A
+    parameter with no `expr` keeps its stored `value`. A default that is not
+    constant, or an override of a localparam, raises ParseError."""
+    env: dict[str, int] = {}
+    for p in m.parameters:
+        if p.name in overrides:
+            if p.local:
+                raise ParseError(p.line, 1, f"cannot override localparam {p.name!r}")
+            env[p.name] = overrides[p.name]
+        elif p.expr is None:
+            env[p.name] = p.value
+        else:
+            try:
+                env[p.name] = eval_const(p.expr, env)
+            except ParseError:
+                raise ParseError(p.line, 1, f"parameter {p.name!r} is not constant") from None
+    return env
+
+
+def range_width(s: ast.Signal | ast.Port, env: dict[str, int]) -> int:
+    """The width of `s`'s declared range under parameter values `env`; 1
+    with no range. A range that is not constant, does not end at 0 or is
+    ascending raises ParseError at the declaration's line."""
+    if s.msb is None:
+        return 1
+    try:
+        hi, lo = eval_const(s.msb, env), eval_const(s.lsb, env)
+    except ParseError:
+        raise ParseError(s.line, 1, f"non-constant range on {s.name!r}") from None
+    if lo != 0:
+        raise ParseError(s.line, 1, f"range on {s.name!r} must end at 0", DiagCode.UNSUPPORTED)
+    if hi < lo:
+        raise ParseError(s.line, 1, f"ascending range on {s.name!r}", DiagCode.UNSUPPORTED)
+    return hi + 1
+
+
 # ---------------------------------------------------------------------------
 # Module parser
 # ---------------------------------------------------------------------------
@@ -540,20 +578,15 @@ class _ModuleParser:
 
     def _parse_instance(self, m: ast.ModuleDecl) -> None:
         mod_tok = self.cur.expect_id()
-        params: dict[str, int] = {}
+        params: dict[str, ast.Expr] = {}
         if self.cur.accept("#"):
             self.cur.expect("(")
             while True:
                 self.cur.expect(".")
                 pname = self.cur.expect_id().text
                 self.cur.expect("(")
-                pexpr = self.exprs.parse_expr()
+                params[pname] = self.exprs.parse_expr()
                 self.cur.expect(")")
-                try:
-                    params[pname] = eval_const(pexpr, {p.name: p.value for p in m.parameters})
-                except ParseError:
-                    raise ParseError(mod_tok.line, mod_tok.col,
-                                     f"non-constant parameter override {pname!r}")
                 if not self.cur.accept(","):
                     break
             self.cur.expect(")")
@@ -601,22 +634,18 @@ class _ModuleParser:
 
     def _finalize_module(self, m: ast.ModuleDecl,
                          declared: dict, header_order: list[str]) -> None:
-        # Evaluate parameter defaults in declaration order.
-        env: dict[str, int] = {}
-        for p in m.parameters:
-            try:
-                p.value = eval_const(p.expr, env)
-            except ParseError:
-                self.diags.error(p.line, 1,
-                                 f"parameter {p.name!r} is not constant",
-                                 DiagCode.SYNTAX)
-                p.value = 0
-            env[p.name] = p.value
-        # Resolve declared ranges into widths.
-        for s in m.signals:
-            s.width = self._eval_width(s.msb, s.lsb, env, s.name, s.line)
-        for p in m.ports:
-            p.width = self._eval_width(p.msb, p.lsb, env, p.name, p.line)
+        try:
+            env = param_values(m, {})
+        except ParseError as pe:
+            self.diags.error(pe.line, pe.col, pe.message, pe.code)
+        else:
+            for p in m.parameters:
+                p.value = env[p.name]
+            for s in m.signals + m.ports:
+                try:
+                    s.width = range_width(s, env)
+                except ParseError as pe:
+                    self.diags.error(pe.line, pe.col, pe.message, pe.code)
         # Non-ANSI headers: every listed port needs a direction declaration.
         port_names = {p.name for p in m.ports}
         for name in header_order:
@@ -631,28 +660,6 @@ class _ModuleParser:
                                  f"duplicate declaration of {s.name!r}",
                                  DiagCode.DUPLICATE)
             seen.add(s.name)
-
-    def _eval_width(self, msb: ast.Expr | None, lsb: ast.Expr | None,
-                    env: dict[str, int], name: str, line: int) -> int:
-        if msb is None:
-            return 1
-        try:
-            hi = eval_const(msb, env)
-            lo = eval_const(lsb, env)
-        except ParseError:
-            self.diags.error(line, 1, f"non-constant range on {name!r}",
-                             DiagCode.SYNTAX)
-            return 1
-        if lo != 0:
-            self.diags.error(line, 1,
-                             f"range on {name!r} must end at 0",
-                             DiagCode.UNSUPPORTED)
-            return max(hi - lo + 1, 1)
-        if hi < lo:
-            self.diags.error(line, 1, f"ascending range on {name!r}",
-                             DiagCode.UNSUPPORTED)
-            return 1
-        return hi - lo + 1
 
 
 def parse_rtl(source: str, filename: str = "<input>", first_id: int = 1):

@@ -125,7 +125,8 @@ class RefDesign:
             if resolved is not None:
                 self.clock = resolved
         for inst in m.instances:
-            self._walk(inst.module, f"{prefix}.{inst.name}", dict(inst.params),
+            self._walk(inst.module, f"{prefix}.{inst.name}",
+                       {k: self._const(e, env) for k, e in inst.params.items()},
                        inst.ports, prefix, env)
 
     def _resolve_clock(self, name: str) -> str | None:

@@ -364,7 +364,7 @@ def design_model_to_doc(self) -> dict:
                         "name": i.name,
                         "module": i.module,
                         "ports": {k: expr_to_json(v) for k, v in sorted(i.ports.items())},
-                        "params": dict(sorted(i.params.items())),
+                        "params": {k: expr_to_json(v) for k, v in sorted(i.params.items())},
                         "line": i.line,
                     }
                     for i in m.instances
@@ -439,7 +439,7 @@ def design_model_from_doc(doc: dict) -> DesignModel:
                         name=i["name"],
                         module=i["module"],
                         ports={k: expr_from_json(v) for k, v in i["ports"].items()},
-                        params=dict(i["params"]),
+                        params={k: expr_from_json(v) for k, v in i["params"].items()},
                         line=i["line"],
                     )
                     for i in md["instances"]

@@ -271,6 +271,25 @@ class TestElaborate:
         assert [(d.code, d.line, d.message) for d in diags.errors] == \
             [(DiagCode.UNSUPPORTED, line, f"non-constant select on {name!r}")]
 
+    @pytest.mark.parametrize("stmt, name", [
+        ("r <= w[7:4];", "w"),
+        ("r <= a[7:4];", "a"),
+        ("r <= r[7:4];", "r"),
+        ("r[7:4] <= a;", "r"),
+        ("if (w[4]) r <= a;", "w"),
+    ], ids=["wire", "input", "register", "target", "condition"])
+    def test_out_of_range_select_is_a_diagnostic(self, stmt, name):
+        """A select is checked against its signal's declared width where it
+        is read, before a wire is inlined, so a wire's is checked too."""
+        diags = elaborate(parse_ok(
+            "module t (input clk, input [3:0] a);\n"
+            "  wire [3:0] w;\n  reg [3:0] r;\n  assign w = a;\n"
+            f"  always @(posedge clk)\n    {stmt}\nendmodule\n"), "t")
+        assert isinstance(diags, Diagnostics)
+        select = "[4:4]" if "[4]" in stmt else "[7:4]"
+        assert [(d.code, d.line, d.message) for d in diags.errors] == \
+            [(DiagCode.WIDTH, 6, f"select {select} out of range for 't.{name}' (width 4)")]
+
     def test_unresolved_instance(self):
         m = parse_ok("module t (input a);\n  ghost u0 (.p(a));\nendmodule\n")
         diags = elaborate(m, "t")
