@@ -8,6 +8,8 @@ agent decision, not an engine one.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from verikg.ir.types import CoverageMetrics, DeadCodeClass, ResultStatus
 from verikg.rtl.analyze import statement_key
 from verikg.rtl.elaborate import NetModel
@@ -29,17 +31,14 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
     cfg.validate()
     monitors = _bound_assumption_monitors(net, cfg)
 
-    uncovered = set(net.guard_fns)
+    sids = list(net.statement_guards)
     covered: set[str] = set()
 
     def hook(x: tuple) -> bool:
-        """Cover the statements whose guards hold at `x`; True once every
+        """Cover the statements that execute at `x`; True once every
         statement is covered, so the exploration stops asking."""
-        hit = [sid for sid in uncovered if net.guard_fns[sid](x)]
-        for sid in hit:
-            uncovered.discard(sid)
-            covered.add(sid)
-        return not uncovered
+        covered.update(compress(sids, net.executed(x)))
+        return len(covered) == len(sids)
 
     ex = _explore(net, None, monitors, cfg, "", 0, "violation", guard_hook=hook)
     partial = ex.status is ResultStatus.BOUNDED
@@ -48,7 +47,7 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
                   if result.status is ResultStatus.VACUOUS)
 
     covered_list = sorted(covered, key=statement_key)
-    unreachable_list = sorted(uncovered, key=statement_key)
+    unreachable_list = sorted(set(sids) - covered, key=statement_key)
     total = len(covered_list) + len(unreachable_list)
     pct = 100.0 * len(covered_list) / total if total else 100.0
     return CoverageMetrics(

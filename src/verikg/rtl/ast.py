@@ -153,13 +153,18 @@ class Sampled(Node):
 Expr = Union[Lit, Id, Unary, Binary, Ternary, Concat, Select, SliceX]
 
 
-def walk(e: Node):
-    """Every node of `e`, parent before children, children in order."""
+def walk(e: Node, stop=()):
+    """Every node object of `e` once, parent before children, children in
+    order. A node whose id is in `stop` is yielded but not taken apart."""
+    seen = set()  # ids; the nodes stay alive through `e`
     stack = [e]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node
-        kids = node.children()
+        kids = () if id(node) in stop else node.children()
         if kids:
             stack += kids[::-1]
 
@@ -183,9 +188,20 @@ def rewrite(e: Node, leaf) -> Node:
     return e.rebuild(out) if changed else e
 
 
-def expr_ids(e: Node) -> set[str]:
-    """All signal names an expression reads (every Id and Select name)."""
-    return {n.name for n in walk(e) if isinstance(n, (Id, Select))}
+def expr_ids(e: Node, memo: dict | None = None) -> frozenset[str]:
+    """All signal names an expression reads (every Id and Select name).
+    Calls may share `memo` (id -> (root, names)): a root of an earlier call
+    met inside a later one is not walked again, so wires taken in
+    dependency order cost their own nodes only."""
+    memo = {} if memo is None else memo
+    names: set[str] = set()
+    for n in walk(e, memo):
+        if id(n) in memo:
+            names |= memo[id(n)][1]
+        elif isinstance(n, (Id, Select)):
+            names.add(n.name)
+    memo[id(e)] = e, frozenset(names)
+    return memo[id(e)][1]
 
 
 COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}

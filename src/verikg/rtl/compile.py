@@ -43,16 +43,21 @@ class WidthError(Exception):
         self.message = message
 
 
-def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
+def width_of(e: ast.Expr, widths: dict[str, int], memo: dict | None = None) -> int | None:
     """Computed width; None for an unsized literal, or a `?:` choosing
-    between two, that adapts to context."""
+    between two, that adapts to context. Each node object is checked once:
+    `memo` (id -> (node, width)) keeps the widths, and calls over one
+    `widths` may pass one memo to share them across roots."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)][1]
     if isinstance(e, ast.Lit):
-        return e.width
-    if isinstance(e, ast.Id):
+        w = e.width
+    elif isinstance(e, ast.Id):
         if e.name not in widths:
             raise WidthError(f"undeclared name {e.name!r}")
-        return widths[e.name]
-    if isinstance(e, ast.Select):
+        w = widths[e.name]
+    elif isinstance(e, ast.Select):
         if e.name not in widths:
             raise WidthError(f"undeclared name {e.name!r}")
         try:
@@ -64,48 +69,49 @@ def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
         if not (0 <= lo <= hi < base):
             raise WidthError(
                 f"select [{hi}:{lo}] out of range for {e.name!r} (width {base})")
-        return hi - lo + 1
-    if isinstance(e, ast.SliceX):
-        return e.msb - e.lsb + 1
-    if isinstance(e, ast.Unary):
+        w = hi - lo + 1
+    elif isinstance(e, ast.SliceX):
+        w = e.msb - e.lsb + 1
+    elif isinstance(e, ast.Unary):
+        w = width_of(e.operand, widths, memo)
         if e.op == "!":
-            width_of(e.operand, widths)
-            return 1
-        w = width_of(e.operand, widths)
-        if w is None:
+            w = 1
+        elif w is None:
             raise WidthError(f"operator {e.op!r} needs a sized operand")
-        return w
-    if isinstance(e, ast.Binary):
-        lw = width_of(e.left, widths)
-        rw = width_of(e.right, widths)
+    elif isinstance(e, ast.Binary):
+        lw = width_of(e.left, widths, memo)
+        rw = width_of(e.right, widths, memo)
         if e.op in ast.LOGICAL_OPS:
-            return 1
-        if e.op in ast.COMPARISON_OPS:
+            w = 1
+        elif e.op in ast.COMPARISON_OPS:
             if lw is not None and rw is not None and lw != rw:
                 raise WidthError(
                     f"width mismatch in {e.op!r} comparison: {lw} vs {rw}")
-            return 1
-        # bitwise / arithmetic
-        if lw is not None and rw is not None and lw != rw:
-            raise WidthError(f"width mismatch in {e.op!r}: {lw} vs {rw}")
-        w = lw if lw is not None else rw
-        if w is None:
-            raise WidthError(f"operator {e.op!r} over two unsized literals")
-        return w
-    if isinstance(e, ast.Ternary):
-        width_of(e.cond, widths)
-        tw = width_of(e.then, widths)
-        ow = width_of(e.other, widths)
+            w = 1
+        else:  # bitwise / arithmetic
+            if lw is not None and rw is not None and lw != rw:
+                raise WidthError(f"width mismatch in {e.op!r}: {lw} vs {rw}")
+            w = lw if lw is not None else rw
+            if w is None:
+                raise WidthError(f"operator {e.op!r} over two unsized literals")
+    elif isinstance(e, ast.Ternary):
+        width_of(e.cond, widths, memo)
+        tw = width_of(e.then, widths, memo)
+        ow = width_of(e.other, widths, memo)
         if tw is not None and ow is not None and tw != ow:
             raise WidthError(f"width mismatch in ?: arms: {tw} vs {ow}")
         # two unsized arms (`c ? A : B` over parameters) adapt to context
-        return tw if tw is not None else ow
-    if isinstance(e, ast.Concat):
-        return sum(_part_width(width_of(p, widths)) for p in e.parts)
-    if isinstance(e, ast.Sampled):
-        w = width_of(e.expr, widths)
-        return w if e.keeps_width else 1
-    raise WidthError(f"unexpected expression node {e!r}")
+        w = tw if tw is not None else ow
+    elif isinstance(e, ast.Concat):
+        w = sum(_part_width(width_of(p, widths, memo)) for p in e.parts)
+    elif isinstance(e, ast.Sampled):
+        w = width_of(e.expr, widths, memo)
+        if not e.keeps_width:
+            w = 1
+    else:
+        raise WidthError(f"unexpected expression node {e!r}")
+    memo[id(e)] = e, w
+    return w
 
 
 def _part_width(w: int | None) -> int:

@@ -8,6 +8,8 @@ dot-joined hierarchical paths rooted at the top module's name.
 
 from __future__ import annotations
 
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from verikg.diagnostics import DiagCode, Diagnostics
@@ -41,12 +43,13 @@ class NetModel:
     # tuple `state + inputs`, the compiled functions by their source, what
     # the engine builds from this net by key (its input space, and one
     # property monitor per property shape), the next-state function, and
-    # the statement guards over `x`.
+    # `executed(x)`: for the slot tuple `x`, one truth per statement, in
+    # `statement_guards` order, of whether it executes.
     slots: dict = field(init=False, repr=False, compare=False)
     code: dict = field(init=False, repr=False, compare=False)
     engine: dict = field(init=False, repr=False, compare=False)
     _step: object = field(init=False, repr=False, compare=False)
-    guard_fns: dict = field(init=False, repr=False, compare=False)
+    executed: object = field(init=False, repr=False, compare=False)
     # The names with a value every cycle: the state bits, the data inputs
     # and the wires over them. A property may read only these.
     readable: frozenset = field(init=False, repr=False, compare=False)
@@ -55,26 +58,32 @@ class NetModel:
         names = [name for name, _w in self.state_bits + self.inputs]
         self.slots = {name: i for i, name in enumerate(names)}
         slots = frozenset(self.slots)
+        memo: dict = {}
         self.readable = slots | frozenset(
-            w for w, e in self.comb.items() if ast.expr_ids(e) <= slots)
+            w for w, e in self.comb.items() if ast.expr_ids(e, memo) <= slots)
         self.code = {}
         self.engine = {}
-        # step reads locals unpacked from its two tuples; a guard reads x
+        # step reads locals unpacked from its two tuples; executed reads x
         local = Compiler(self.widths, self.slots, read="v{}")
         local.share([self.next_state[name] for name, _w in self.state_bits])
-        nexts = "".join(f"{local.compile(self.next_state[name], w)}, "
-                        for name, w in self.state_bits)
+        comp = Compiler(self.widths, self.slots)
+        comp.share(self.statement_guards.values())
+        nexts = truths = ""
+        try:
+            for root, w in self.state_bits:
+                nexts += f"{local.compile(self.next_state[root], w)}, "
+            for root, g in self.statement_guards.items():
+                truths += f"{comp.condition(g)}, "
+        except RecursionError:
+            raise DepthError(root) from None
         n_state = len(self.state_bits)
         unpack = tuple("".join(f"v{i}, " for i in idx) + f"= {tup}"
                        for tup, idx in (("state", range(n_state)),
                                         ("inputs", range(n_state, len(names))))
                        if idx)
-        comp = Compiler(self.widths, self.slots)
-        guards = [comp.function("x", comp.condition(g))
-                  for g in self.statement_guards.values()]
-        self._step, *fns = self.load(
-            [local.function("state, inputs", f"({nexts})", unpack), *guards])
-        self.guard_fns = dict(zip(self.statement_guards, fns))
+        self._step, self.executed = self.load(
+            [local.function("state, inputs", f"({nexts})", unpack),
+             comp.function("x", f"({truths})")])
 
     def load(self, functions: list[str]) -> list:
         """The functions with generated sources `functions`, each compiled
@@ -100,7 +109,7 @@ class NetModel:
         return _subst_names(e, self.comb, self.widths)
 
 
-def _subst_names(e: ast.Expr, defs: dict[str, ast.Expr],
+def _subst_names(e: ast.Expr, defs: Mapping[str, ast.Expr],
                  widths: dict[str, int]) -> ast.Expr:
     """Replace each name in `defs` by its definition, one level deep: a
     definition is already in terms of names it does not define (start-of-
@@ -141,6 +150,11 @@ class ElabError(Exception):
         self.code = code
 
 
+class DepthError(Exception):
+    """An expression nests deeper than the compiler's recursion reaches;
+    the one argument is the register or statement id it belongs to."""
+
+
 def instances(model: ast.DesignModel, top: str):
     """The one walk of the instance tree under `top`, pre-order (children
     in declaration order) and iterative. Yields (prefix, module, env, inst):
@@ -148,10 +162,10 @@ def instances(model: ast.DesignModel, top: str):
     instance's overrides, each evaluated under the parent's values, and the
     instance that made it (None at the top). A child is resolved only when
     the walk reaches it, after its parent's body was elaborated, so the
-    first fault in walk order is the one reported. An unknown module is an
-    UNRESOLVED ElabError, a module among its own ancestors a CYCLE one, an
-    override that is not constant a SYNTAX one; one module may sit in two
-    branches."""
+    first fault in walk order is the one reported. An unknown module, or an
+    override of a parameter the module does not declare, is an UNRESOLVED
+    ElabError, a module among its own ancestors a CYCLE one, an override
+    that is not constant a SYNTAX one; one module may sit in two branches."""
     stack: list[tuple[str, ast.Instance | None, tuple, dict]] = [(top, None, (), {})]
     while stack:
         prefix, inst, ancestors, outer = stack.pop()
@@ -167,6 +181,8 @@ def instances(model: ast.DesignModel, top: str):
                             DiagCode.CYCLE)
         overrides: dict[str, int] = {}
         for pname, e in ({} if inst is None else inst.params).items():
+            if not any(p.name == pname for p in m.parameters):
+                raise ElabError(line, f"no parameter {pname!r} on module {name!r}")
             try:
                 overrides[pname] = eval_const(e, outer)
             except ParseError:
@@ -337,14 +353,13 @@ class _Elaborator:
         seen_blocking: set[str] = set()
         seen_nonblocking: set[str] = set()
 
-        def subst(e: ast.Expr) -> ast.Expr:
-            return _subst_names(e, blocking_env, self.widths)
-
         def read(e: ast.Expr, line: int) -> ast.Expr:
-            """`e` in hierarchical names, noted as read on `line`."""
+            """`e` in hierarchical names, noted as read on `line`, over the
+            values the names have here: a register assigned with `=` before
+            reads that value, a wire its closed definition."""
             e = self._prefix_expr(e, prefix, env, line)
             self.reads.append((line, e))
-            return e
+            return _subst_names(e, ChainMap(blocking_env, self.wire_defs), self.widths)
 
         def current(name: str) -> ast.Expr:
             return blocking_env.get(name, ast.Id(name))
@@ -360,7 +375,7 @@ class _Elaborator:
                                             f"undeclared identifier {stmt.target!r}")
                         raise ElabError(stmt.line,
                                         f"always-block assignment to non-register {stmt.target!r}")
-                    rhs = subst(read(stmt.rhs, stmt.line))
+                    rhs = read(stmt.rhs, stmt.line)
                     if stmt.sel is not None:
                         _full, hi, lo = self._select_bounds(prefix, stmt.target,
                                                             *stmt.sel, env, stmt.line)
@@ -389,8 +404,7 @@ class _Elaborator:
                     # arms, so they see those maps too.
                     saved_env, saved_pending = blocking_env, pending
                     arms = []
-                    for arm_id, match, taken, body in ast.branches(
-                            stmt, lambda e, line: subst(read(e, line))):
+                    for arm_id, match, taken, body in ast.branches(stmt, read):
                         arm_guard = _and(guard, taken)
                         self.guards[arm_id] = _or(self.guards.get(arm_id), arm_guard)
                         blocking_env, pending = dict(saved_env), dict(saved_pending)
@@ -433,13 +447,9 @@ class _Elaborator:
 
     def _resolve_clock(self, prefix: str, block: ast.AlwaysBlock) -> str:
         full = f"{prefix}.{block.clock}"
-        seen = set()
-        while full in self.wire_defs and isinstance(self.wire_defs[full], ast.Id):
-            if full in seen:
-                raise ElabError(block.line, f"clock alias cycle at {full!r}",
-                                DiagCode.CYCLE)
-            seen.add(full)
-            full = self.wire_defs[full].name
+        alias = self.wire_defs.get(full)  # closed: an alias names no wire
+        if isinstance(alias, ast.Id):
+            full = alias.name
         if full not in self.input_names:
             raise ElabError(block.line,
                             f"clock {block.clock!r} does not resolve to a top-level input")
@@ -514,16 +524,11 @@ class _Elaborator:
         through its wires it may reach only registers and data inputs, not
         an undriven net or the clock."""
         readable = self.reg_names | (self.input_names - {self.clock})
-        wire_reads: dict[str, set[str]] = {}
+        memo: dict = {}  # the wires come in dependency order
+        reaches = {w: ast.expr_ids(e, memo) for w, e in self.wire_defs.items()}
         for line, e in self.reads:
             for name in sorted(ast.expr_ids(e)):
-                if name in self.wire_defs:
-                    if name not in wire_reads:
-                        wire_reads[name] = ast.expr_ids(self.wire_defs[name])
-                    reaches = wire_reads[name]
-                else:
-                    reaches = {name}
-                for leaf in sorted(reaches - readable):
+                for leaf in sorted(reaches.get(name, {name}) - readable):
                     if leaf == self.clock:
                         raise ElabError(line, f"clock {leaf!r} read as data",
                                         DiagCode.UNSUPPORTED)
@@ -574,9 +579,9 @@ def elaborate(model: ast.DesignModel, top: str):
     try:
         for prefix, m, env, inst in instances(model, top):
             el.instance(prefix, m, env, inst)
+        el.close_wires()
         for prefix, m, block, env in el.always_units:
             el.exec_always(prefix, m, block, env)
-        el.close_wires()
         el.check_reads()
     except (ElabError, ParseError) as ee:
         diags.error(ee.line, 0, ee.message, ee.code)
@@ -587,49 +592,47 @@ def elaborate(model: ast.DesignModel, top: str):
         el.next_state.setdefault(full, ast.Id(full))
         el.init.setdefault(full, 0)
 
-    # Inline wires into next-state functions and guards; drop the clock from
-    # enumerable inputs.
-    next_state = {r: _subst_names(e, el.wire_defs, el.widths)
-                  for r, e in el.next_state.items()}
-    guards = {sid: _subst_names(g, el.wire_defs, el.widths)
-              for sid, g in el.guards.items()}
     # Statements in modules never instantiated under `top` cannot execute.
     for s in model.statements:
-        guards.setdefault(s.id, ast.Lit(0, 1))
-    inputs = [(n, w) for n, w in el.inputs if n != el.clock]
+        el.guards.setdefault(s.id, ast.Lit(0, 1))
 
     # Width discipline: every expression must carry a consistent width.
     # `line` follows the checks so an error points at its source line.
-    stmt_lines = {s.id: s.line for s in model.statements}
+    lines = {s.id: s.line for s in model.statements} | el.next_lines
     line = 0
+    checked: dict = {}
     try:
         for r, w in el.regs:
             line = el.next_lines.get(r, 0)
-            ew = width_of(next_state[r], el.widths)
+            ew = width_of(el.next_state[r], el.widths, checked)
             if ew is not None and ew != w:
                 raise WidthError(
                     f"next-state width mismatch for {r!r}: {ew} vs {w}")
         for name, e in el.wire_defs.items():
             line = el.wire_lines[name]
-            ew = width_of(e, el.widths)
+            ew = width_of(e, el.widths, checked)
             if ew is not None and ew != el.widths[name]:
                 raise WidthError(
                     f"width mismatch for {name!r}: {ew} vs {el.widths[name]}")
-        for sid, g in guards.items():
-            line = stmt_lines.get(sid, 0)
-            width_of(g, el.widths)
+        for sid, g in el.guards.items():
+            line = lines.get(sid, 0)
+            width_of(g, el.widths, checked)
+        return NetModel(
+            top=top,
+            clock=el.clock,
+            state_bits=list(el.regs),
+            inputs=[(n, w) for n, w in el.inputs if n != el.clock],
+            next_state=el.next_state,
+            init={r: el.init[r] for r, _ in el.regs},
+            comb=el.wire_defs,
+            statement_guards=el.guards,
+            widths=dict(el.widths),
+        )
     except WidthError as werr:
         diags.error(line, 0, werr.message, DiagCode.WIDTH)
-        return diags
-
-    return NetModel(
-        top=top,
-        clock=el.clock,
-        state_bits=list(el.regs),
-        inputs=inputs,
-        next_state=next_state,
-        init={r: el.init[r] for r, _ in el.regs},
-        comb=el.wire_defs,
-        statement_guards=guards,
-        widths=dict(el.widths),
-    )
+    except (DepthError, RecursionError) as err:
+        if isinstance(err, DepthError):
+            line = lines.get(err.args[0], 0)
+        diags.error(line, 0, "expression nests too deep to elaborate",
+                    DiagCode.BOUND_EXCEEDED)
+    return diags

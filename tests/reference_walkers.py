@@ -9,6 +9,13 @@ designs whose always blocks nest `if`/`else` and `case` statements.
   recursions over the same statement shapes.
 - `render_sva_expr` printed property expressions beside `render_expr`.
 
+And the expression walks as they were before each node object of an
+elaborated expression was walked once (`tests/test_shared_nodes.py`):
+
+- `width_of` and `expr_ids` walked a shared node once per path to it.
+- `guard_fns` compiled each statement's guard into a function of its own,
+  where `NetModel.executed` compiles one function per net.
+
 It lives outside `oracles.py` because the benchmark imports that module
 for its generators, and its peak RSS grows with that file's size.
 """
@@ -19,6 +26,8 @@ import random
 
 from verikg.rtl import ast
 from verikg.rtl import ast as rtl
+from verikg.rtl.compile import Compiler, WidthError, define
+from verikg.rtl.parser import ParseError, eval_const
 from verikg.sva.ast import Fell, MacroRef, Past, Rose, Stable
 
 
@@ -254,6 +263,95 @@ def render_sva_expr(e) -> str:
     if isinstance(e, rtl.Concat):
         return "{" + ", ".join(render_sva_expr(p) for p in e.parts) + "}"
     return rtl.render_expr(e)
+
+
+# ---------------------------------------------------------------------------
+# rtl/compile.py, rtl/ast.py and rtl/elaborate.py
+# ---------------------------------------------------------------------------
+
+def width_of(e: ast.Expr, widths: dict[str, int]) -> int | None:
+    """Computed width; None for an unsized literal, or a `?:` choosing
+    between two, that adapts to context."""
+    if isinstance(e, ast.Lit):
+        return e.width
+    if isinstance(e, ast.Id):
+        if e.name not in widths:
+            raise WidthError(f"undeclared name {e.name!r}")
+        return widths[e.name]
+    if isinstance(e, ast.Select):
+        if e.name not in widths:
+            raise WidthError(f"undeclared name {e.name!r}")
+        try:
+            hi = eval_const(e.msb, {})
+            lo = eval_const(e.lsb, {})
+        except ParseError:
+            raise WidthError(f"non-constant select bounds on {e.name!r}")
+        base = widths[e.name]
+        if not (0 <= lo <= hi < base):
+            raise WidthError(
+                f"select [{hi}:{lo}] out of range for {e.name!r} (width {base})")
+        return hi - lo + 1
+    if isinstance(e, ast.SliceX):
+        return e.msb - e.lsb + 1
+    if isinstance(e, ast.Unary):
+        if e.op == "!":
+            width_of(e.operand, widths)
+            return 1
+        w = width_of(e.operand, widths)
+        if w is None:
+            raise WidthError(f"operator {e.op!r} needs a sized operand")
+        return w
+    if isinstance(e, ast.Binary):
+        lw = width_of(e.left, widths)
+        rw = width_of(e.right, widths)
+        if e.op in ast.LOGICAL_OPS:
+            return 1
+        if e.op in ast.COMPARISON_OPS:
+            if lw is not None and rw is not None and lw != rw:
+                raise WidthError(
+                    f"width mismatch in {e.op!r} comparison: {lw} vs {rw}")
+            return 1
+        # bitwise / arithmetic
+        if lw is not None and rw is not None and lw != rw:
+            raise WidthError(f"width mismatch in {e.op!r}: {lw} vs {rw}")
+        w = lw if lw is not None else rw
+        if w is None:
+            raise WidthError(f"operator {e.op!r} over two unsized literals")
+        return w
+    if isinstance(e, ast.Ternary):
+        width_of(e.cond, widths)
+        tw = width_of(e.then, widths)
+        ow = width_of(e.other, widths)
+        if tw is not None and ow is not None and tw != ow:
+            raise WidthError(f"width mismatch in ?: arms: {tw} vs {ow}")
+        # two unsized arms (`c ? A : B` over parameters) adapt to context
+        return tw if tw is not None else ow
+    if isinstance(e, ast.Concat):
+        return sum(_part_width(width_of(p, widths)) for p in e.parts)
+    if isinstance(e, ast.Sampled):
+        w = width_of(e.expr, widths)
+        return w if e.keeps_width else 1
+    raise WidthError(f"unexpected expression node {e!r}")
+
+
+def _part_width(w: int | None) -> int:
+    if w is None:
+        raise WidthError("unsized literal inside concatenation")
+    return w
+
+
+def expr_ids(e: ast.Node) -> set[str]:
+    """All signal names an expression reads (every Id and Select name)."""
+    return {n.name for n in ast.walk(e) if isinstance(n, (ast.Id, ast.Select))}
+
+
+def guard_fns(net) -> dict:
+    """Each statement's guard compiled into a function of its own over the
+    slot tuple `x`, by statement id."""
+    comp = Compiler(net.widths, net.slots)
+    guards = [comp.function("x", comp.condition(g))
+              for g in net.statement_guards.values()]
+    return dict(zip(net.statement_guards, define(guards)))
 
 
 # ---------------------------------------------------------------------------

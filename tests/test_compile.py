@@ -35,7 +35,7 @@ def _net(source: str, top: str):
 
 
 def _agree_on_net(net: NetModel) -> int:
-    """Assert that the net's step and guard functions agree with the
+    """Assert that the net's step and `executed` functions agree with the
     reference compiler's on every (state, input) pair; returns the pairs."""
     (ref_step,) = define([step_source(net)])
     ref = RefCompiler(net.widths, net.slots)
@@ -50,8 +50,9 @@ def _agree_on_net(net: NetModel) -> int:
             assert nxt == ref_step(state, vec), (state, vec)
             assert all(type(v) is int for v in nxt), nxt
             x = state + vec
-            for sid, ref_fn in zip(net.statement_guards, ref_guards):
-                assert bool(net.guard_fns[sid](x)) == bool(ref_fn(x)), (sid, x)
+            for sid, ref_fn, hit in zip(net.statement_guards, ref_guards,
+                                        net.executed(x), strict=True):
+                assert bool(hit) == bool(ref_fn(x)), (sid, x)
             pairs += 1
     return pairs
 
@@ -303,4 +304,4 @@ def test_deep_expressions_compile_within_the_recursion_limit():
         # the innermost arm whose label matches wins: the last k with k % 16 == s
         k = max(k for k in range(depth) if k % 16 == s)
         assert net.step((0,), (s,)) == ((k * 7) % 16,)
-        assert net.guard_fns["s1"]((0, s))
+        assert net.executed((0, s))[0]

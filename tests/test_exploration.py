@@ -7,6 +7,7 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -130,10 +131,10 @@ def _recorder(net: NetModel, answer_at: int | None):
     answers True once every statement guard has held at some `x` (as
     coverage's hook does), or at its `answer_at`-th call."""
     seen: list[tuple[tuple, bool]] = []
-    uncovered = set(net.guard_fns)
+    uncovered = set(net.statement_guards)
 
     def hook(x: tuple) -> bool:
-        uncovered.difference_update([sid for sid in uncovered if net.guard_fns[sid](x)])
+        uncovered.difference_update(compress(net.statement_guards, net.executed(x)))
         seen.append((x, not uncovered or len(seen) + 1 == answer_at))
         return seen[-1][1]
 
@@ -173,15 +174,14 @@ def test_monitor_free_search_agrees_with_reference():
 def _reference_coverage(net: NetModel, cfg: CheckConfig):
     """Covered and unreachable statements from the reference kernel, with a
     hook that asks about every admitted valuation to the end."""
-    uncovered = set(net.guard_fns)
+    uncovered = set(net.statement_guards)
 
     def hook(x: tuple) -> None:
-        for sid in [sid for sid in uncovered if net.guard_fns[sid](x)]:
-            uncovered.discard(sid)
+        uncovered.difference_update(compress(net.statement_guards, net.executed(x)))
 
     ex = reference_explore(net, None, _bound_assumption_monitors(net, cfg), cfg,
                            "", 0, "violation", guard_hook=hook)
-    return set(net.guard_fns) - uncovered, uncovered, ex
+    return set(net.statement_guards) - uncovered, uncovered, ex
 
 
 def test_coverage_agrees_with_a_hook_that_never_retires():
@@ -272,19 +272,19 @@ def test_fixture_fifo_run_keeps_its_counts(fixtures_dir, tmp_path, monkeypatch):
         pairs.add((id(net), state, inputs))
         return step(net, state, inputs)
 
-    guard_calls: list[tuple[int, str, bool]] = []
+    guard_calls: list[tuple[int, set[str]]] = []  # (net, statements executed)
     post_init = NetModel.__post_init__
 
     def logged_post_init(net):
         post_init(net)
         nets[id(net)] = net
+        executed = net.executed
 
-        def logged(sid, fn):
-            def guard(x):
-                guard_calls.append((id(net), sid, bool(fn(x))))
-                return guard_calls[-1][2]
-            return guard
-        net.guard_fns = {sid: logged(sid, fn) for sid, fn in net.guard_fns.items()}
+        def logged(x):
+            hits = executed(x)
+            guard_calls.append((id(net), set(compress(net.statement_guards, hits))))
+            return hits
+        net.executed = logged
 
     _replace_everywhere(monkeypatch, explore, counted_explore)
     _replace_everywhere(monkeypatch, check_one, counted_check)
@@ -303,12 +303,11 @@ def test_fixture_fifo_run_keeps_its_counts(fixtures_dir, tmp_path, monkeypatch):
 
     # one coverage exploration; its hook answered True once, last
     assert hook_answers.count(True) == 1 and hook_answers[-1]
-    (net_id,) = {net for net, _sid, _hit in guard_calls}
+    (net_id,) = {net for net, _hits in guard_calls}
     covered = set()
-    for i, (_net, sid, hit) in enumerate(guard_calls):
-        if hit:
-            covered.add(sid)
-        if covered == set(nets[net_id].guard_fns):
+    for i, (_net, hits) in enumerate(guard_calls):
+        covered |= hits
+        if covered == set(nets[net_id].statement_guards):
             assert i == len(guard_calls) - 1, "a guard was called after full coverage"
             break
     else:

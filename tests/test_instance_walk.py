@@ -166,7 +166,9 @@ LEAF = ("module leaf #(parameter W = 2) (input clk);\n"
     ("leaf #(.V(3)) u (.clk(clk));", DiagCode.SYNTAX, 2, "cannot override localparam 'V'", []),
     ("leaf #(.W(d)) u (.clk(clk));", DiagCode.SYNTAX, 7,
      "non-constant parameter override 'W'", []),
-], ids=["ascending", "localparam", "signal"])
+    ("leaf #(.X(5)) u (.clk(clk));", DiagCode.UNRESOLVED, 7,
+     "no parameter 'X' on module 'leaf'", []),
+], ids=["ascending", "localparam", "signal", "unknown"])
 def test_a_bad_override_is_a_diagnostic(instance, code, line, message, reached):
     """An override is evaluated per instance, under the same rule as the
     defaults: a fault is a diagnostic from elaboration, and the graph lists

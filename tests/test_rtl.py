@@ -1,5 +1,6 @@
 import copy
 import random
+from itertools import compress
 
 import pytest
 
@@ -217,6 +218,38 @@ class TestElaborate:
         net = elaborate(dm, "t")
         assert isinstance(net, NetModel), net.render()
         assert [net.step((0,), (a,)) for a in (0, 1)] == [(0,), (1,)]
+
+    @pytest.mark.parametrize("shape, wires, read, deep", [
+        ("xor", 600, 600, False),
+        ("xor", 800, 800, False),
+        ("xor", 1000, 1000, True),
+        ("xor", 1500, 0, False),
+        ("twice", 200, 200, False),
+        ("twice", 400, 400, True),
+    ])
+    def test_wire_chain_too_deep_to_compile_is_a_diagnostic(self, shape, wires, read, deep):
+        """A chain `w_i = w_{i-1} ^ a`, or `w_i = w_{i-1} ^ (w_{i-1} & a)`,
+        with the register reading wire `read`. Where the register's next
+        state nests too deep for the compiler, elaboration gives one
+        BOUND_EXCEEDED diagnostic at its always block, not a RecursionError;
+        a chain no register reads to its end elaborates at any length."""
+        rhs = "w{0} ^ a" if shape == "xor" else "w{0} ^ (w{0} & a)"
+        dm = parse_ok(
+            "module t (input clk, input a);\n  reg r;\n  wire w0;\n  assign w0 = a;\n"
+            + "".join(f"  wire w{i};\n  assign w{i} = {rhs.format(i - 1)};\n"
+                      for i in range(1, wires + 1))
+            + f"  always @(posedge clk) r <= w{read};\nendmodule\n")
+        net = elaborate(dm, "t")
+        if deep:
+            assert [(d.code, d.line, d.message) for d in net.errors] == [
+                (DiagCode.BOUND_EXCEEDED, 2 * wires + 5,
+                 "expression nests too deep to elaborate")]
+            return
+        assert isinstance(net, NetModel), net.render()
+        # a ^ a = 0 and w & ~a = 0 when a = 1; w0 is a itself
+        expected = 1 if read == 0 or (shape == "xor" and read % 2 == 0) else 0
+        assert net.step((0,), (1,)) == (expected,)
+        assert len(net.readable) == wires + 3  # a, r and every wire
 
     def test_width_mismatch_reports_both_widths(self):
         m = parse_ok(
@@ -439,7 +472,7 @@ class TestElaborationSoundness:
         s_net, s_ref = net.init_state(), ref.init_state()
         for _ in range(12):
             next_ref, executed = ref.step(s_ref, {"t.rst": 0})
-            hit = {sid for sid, guard in net.guard_fns.items() if guard(s_net + (0,))}
+            hit = set(compress(net.statement_guards, net.executed(s_net + (0,))))
             assert hit == executed
             s_net, s_ref = net.step(s_net, (0,)), next_ref
             assert s_net == (s_ref["t.r"],)
@@ -468,9 +501,9 @@ class TestElaborationSoundness:
                 combo = {n: rng.randrange(1 << widths[n]) for n in names}
                 vec = tuple(combo.get(n, 0) for n, _ in net.inputs)
                 next_ref, executed = ref.step(s_ref, combo)
-                for sid, guard in net.guard_fns.items():
-                    hit = guard(s_net + vec) != 0
-                    assert hit == (sid in executed), (sid, src)
+                for sid, hit in zip(net.statement_guards, net.executed(s_net + vec),
+                                    strict=True):
+                    assert bool(hit) == (sid in executed), (sid, src)
                 s_net = net.step(s_net, vec)
                 s_ref = next_ref
                 assert dict(zip((n for n, _ in net.state_bits), s_net)) == s_ref, src

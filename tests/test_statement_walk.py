@@ -63,7 +63,7 @@ def _steps(net: NetModel, oracle: RefDesign, state: tuple, inputs: tuple):
     regs = [n for n, _w in net.state_bits]
     next_ref, executed = oracle.step(dict(zip(regs, state)),
                                      dict(zip((n for n, _w in net.inputs), inputs)))
-    ran = {sid for sid, g in net.guard_fns.items() if g(state + inputs)}
+    ran = set(itertools.compress(net.statement_guards, net.executed(state + inputs)))
     return (net.step(state, inputs), ran), (tuple(next_ref[r] for r in regs), executed)
 
 
@@ -173,7 +173,7 @@ def test_default_item_is_taken_only_when_no_item_matches():
     for r in range(4):
         next_ref, executed = oracle.step({"t.r": r}, {})
         assert net.step((r,), ()) == (next_ref["t.r"],)
-        assert {sid for sid, g in net.guard_fns.items() if g((r,))} == executed
+        assert set(itertools.compress(net.statement_guards, net.executed((r,)))) == executed
     cm = coverage(net, [])
     assert set(cm.covered_statements) == oracle_reachable_statements(oracle) \
         == {f"S{k}" for k in range(1, 7)}
