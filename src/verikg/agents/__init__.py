@@ -1,30 +1,1 @@
 """Agent pipelines: generation, syntax repair, CEX correction, coverage."""
-
-from verikg.agents.backend import (
-    Backend,
-    LiveBackend,
-    ProtocolError,
-    RecordingBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    ScriptedRule,
-    Transcript,
-)
-from verikg.agents.envelope import AgentResponse, PromptEnvelope, ResponseShape
-from verikg.agents.roles import ROLE_NAMES, system_instructions
-
-__all__ = [
-    "Backend",
-    "LiveBackend",
-    "ProtocolError",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ScriptedBackend",
-    "ScriptedRule",
-    "Transcript",
-    "AgentResponse",
-    "PromptEnvelope",
-    "ResponseShape",
-    "ROLE_NAMES",
-    "system_instructions",
-]

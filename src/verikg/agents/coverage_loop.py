@@ -40,28 +40,30 @@ def order_gaps(dm: DesignModel, gap_ids: list[str]) -> list[str]:
     return sorted(gap_ids, key=lambda sid: (sid in defaults, *statement_key(sid)))
 
 
-def source_guard_text(dm: DesignModel, stmt_id: str) -> str:
-    """The enabling condition of a statement in module-local source terms:
-    the conjunction of the conditions under which its enclosing arms run."""
+def enabling_conditions(dm: DesignModel) -> dict[str, tuple[rtl.Expr, ...]]:
+    """Each statement's enabling condition in module-local source terms: the
+    conditions under which its enclosing arms run, outermost first (none for
+    a continuous assign), from one walk over every always block."""
+    out: dict[str, tuple[rtl.Expr, ...]] = {}
     for m in dm.modules:
-        if any(a.stmt_id == stmt_id for a in m.assigns):
-            return "1'd1"
+        for a in m.assigns:
+            out.setdefault(a.stmt_id, ())
         stack = [(b.body, ()) for b in m.always_blocks]
         while stack:
             body, conds = stack.pop()
             for stmt in body:
                 if isinstance(stmt, rtl.SeqAssign):
-                    if stmt.stmt_id == stmt_id:
-                        return _conjunction(conds)
+                    out.setdefault(stmt.stmt_id, conds)
                     continue
                 for arm_id, _match, taken, arm_body in rtl.branches(stmt):
-                    if arm_id == stmt_id:
-                        return _conjunction(conds + (taken,))
-                    stack.append((arm_body, conds + (taken,)))
-    return "1'd1"
+                    inner = conds + (taken,)
+                    out.setdefault(arm_id, inner)
+                    stack.append((arm_body, inner))
+    return out
 
 
-def _conjunction(conds: tuple) -> str:
+def guard_text(conds: tuple[rtl.Expr, ...]) -> str:
+    """The conjunction of `conds` as source text, `1'd1` for none."""
     return " && ".join(f"({rtl.render_expr(c)})" for c in conds) or "1'd1"
 
 
@@ -107,10 +109,13 @@ def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
     requirements = sorted(n.id for n in kg.nodes.values() if n.type == "requirement")
 
     stmts_by_id = {s.id: s for s in dm.statements}
+    conditions = enabling_conditions(dm)
+    # the graph does not change inside the loop: each component is searched once
+    components: dict[str, set[str]] = {}
     for sid in order_gaps(dm, list(cov.unreachable_statements)):
         if already_targeted(kg, sid):
             continue
-        guard_text = source_guard_text(dm, sid)
+        condition = guard_text(conditions.get(sid, ()))
         candidates = blocking_assumption_candidates(kg, sid, ws.bounds)
         stmt = stmts_by_id.get(sid)
         detail = stmt.detail if stmt and stmt.detail else stmt.kind if stmt else "unknown"
@@ -121,7 +126,7 @@ def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
             spec_fragment="",
             signal_table=ws.signal_table,
             prior_code=f"statement {sid} kind: {detail}\n"
-                       f"enabling condition: {guard_text}",
+                       f"enabling condition: {condition}",
             diagnostics="candidate blocking assumptions: "
                         + (", ".join(candidates) if candidates else "(none)")))
         text = str(analysis.payload)
@@ -136,14 +141,17 @@ def run_coverage_loop(ws: Workspace, cov: T.CoverageMetrics,
 
         # cov_processor role: link the gap to the requirements it has a
         # trace path to, that is, those in its connected component
-        reachable = connected(kg, sid) if sid in kg.nodes else set()
+        reachable = components.get(sid)
+        if reachable is None:
+            reachable = connected(kg, sid) if sid in kg.nodes else set()
+            components.update(dict.fromkeys(reachable, reachable))
         linked = [rid for rid in requirements if rid in reachable]
 
         block_resp = send_step(ws.backend, PromptEnvelope.build(
             "cov_improver", f"cov/{sid}/improve", ResponseShape.PROPERTY_BLOCK,
             signal_table=ws.signal_table, rulebook=ws.rulebook,
             prior_code=f"// unreachable statement {sid}\n"
-                       f"// enabling condition: {guard_text}"))
+                       f"// enabling condition: {condition}"))
         for decl in parse_property_block(str(block_resp.payload), ws.memo):
             prop_id = T.make_id("PROP", next_id)
             next_id += 1

@@ -1,15 +1,1 @@
 """Desk-scale explicit-state formal checker."""
-
-from verikg.engine.check import CheckConfig, CexTrace, check, check_cover, check_many
-from verikg.engine.coverage import coverage
-from verikg.engine.external import import_external_results
-
-__all__ = [
-    "CheckConfig",
-    "CexTrace",
-    "check",
-    "check_cover",
-    "check_many",
-    "coverage",
-    "import_external_results",
-]

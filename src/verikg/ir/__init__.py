@@ -1,50 +1,1 @@
 """Typed IR artifacts: validation, persistence, graph export, run diffing."""
-
-from verikg.ir.types import (
-    ARTIFACT_FILE_NAMES,
-    ARTIFACT_KINDS,
-    AttemptNote,
-    CexCase,
-    CoverageMetrics,
-    FormalResult,
-    PropertyRecord,
-    Requirement,
-    RunBundle,
-    RunContext,
-    SpecChunk,
-    TestPlanEntry,
-    TraceLink,
-    make_id,
-)
-from verikg.ir.validate import ValidationReport, validate_artifact, validate_bundle
-from verikg.ir.store import content_hash, load_run, make_run_id, save_run
-from verikg.ir.export import export_graph, render_csv
-from verikg.ir.diff import RunDiff, diff_runs
-
-__all__ = [
-    "ARTIFACT_FILE_NAMES",
-    "ARTIFACT_KINDS",
-    "AttemptNote",
-    "CexCase",
-    "CoverageMetrics",
-    "FormalResult",
-    "PropertyRecord",
-    "Requirement",
-    "RunBundle",
-    "RunContext",
-    "SpecChunk",
-    "TestPlanEntry",
-    "TraceLink",
-    "ValidationReport",
-    "RunDiff",
-    "make_id",
-    "validate_artifact",
-    "validate_bundle",
-    "save_run",
-    "load_run",
-    "make_run_id",
-    "content_hash",
-    "export_graph",
-    "render_csv",
-    "diff_runs",
-]

@@ -16,6 +16,10 @@ elaborated expression was walked once (`tests/test_shared_nodes.py`):
 - `guard_fns` compiled each statement's guard into a function of its own,
   where `NetModel.executed` compiles one function per net.
 
+And the coverage loop's enabling-condition text as it was before one walk
+per call built every statement's conditions (`source_guard_text` walked
+every always block again for each statement asked for).
+
 It lives outside `oracles.py` because the benchmark imports that module
 for its generators, and its peak RSS grows with that file's size.
 """
@@ -352,6 +356,35 @@ def guard_fns(net) -> dict:
     guards = [comp.function("x", comp.condition(g))
               for g in net.statement_guards.values()]
     return dict(zip(net.statement_guards, define(guards)))
+
+
+# ---------------------------------------------------------------------------
+# agents/coverage_loop.py
+# ---------------------------------------------------------------------------
+
+def source_guard_text(dm: ast.DesignModel, stmt_id: str) -> str:
+    """The enabling condition of a statement in module-local source terms:
+    the conjunction of the conditions under which its enclosing arms run."""
+    for m in dm.modules:
+        if any(a.stmt_id == stmt_id for a in m.assigns):
+            return "1'd1"
+        stack = [(b.body, ()) for b in m.always_blocks]
+        while stack:
+            body, conds = stack.pop()
+            for stmt in body:
+                if isinstance(stmt, rtl.SeqAssign):
+                    if stmt.stmt_id == stmt_id:
+                        return _conjunction(conds)
+                    continue
+                for arm_id, _match, taken, arm_body in rtl.branches(stmt):
+                    if arm_id == stmt_id:
+                        return _conjunction(conds + (taken,))
+                    stack.append((arm_body, conds + (taken,)))
+    return "1'd1"
+
+
+def _conjunction(conds: tuple) -> str:
+    return " && ".join(f"({rtl.render_expr(c)})" for c in conds) or "1'd1"
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,8 @@ import random
 import time
 from pathlib import Path
 
-from oracles import (
-    RefDesign,
-    bfs_ball,
-    evidence_reachable,
-    gen_design_source,
-    gen_property_source,
-    oracle_min_violation,
-)
+from independent_oracles import RefDesign, bfs_ball, evidence_reachable, oracle_min_violation
+from oracles import gen_design_source, gen_property_source
 from test_ir_store import random_bundle
 from test_kg import random_graph
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
@@ -23,8 +17,9 @@ from verikg.agents.cex_loop import run_cex_loop
 from verikg.agents.common import Workspace
 from verikg.agents.scripted import default_rules
 from verikg.agents.syntax_loop import run_syntax_loop
-from verikg.engine import CheckConfig, check, coverage, import_external_results
-from verikg.engine.check import CexTrace
+from verikg.engine.check import CexTrace, CheckConfig, check
+from verikg.engine.coverage import coverage
+from verikg.engine.external import import_external_results
 from verikg.ir import types as T
 from verikg.ir.diff import diff_runs
 from verikg.ir.export import export_graph, render_csv

@@ -3,7 +3,7 @@ from verikg.agents.backend import ScriptedBackend, ScriptedRule
 from verikg.agents.cex_loop import run_cex_loop
 from verikg.agents.common import Workspace
 from verikg.agents.scripted import default_rules
-from verikg.engine import CheckConfig, check
+from verikg.engine.check import CheckConfig, check
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
 from verikg.pipeline import rebuild_graph

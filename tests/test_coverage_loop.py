@@ -3,12 +3,14 @@ from verikg.agents.backend import ScriptedBackend
 from verikg.agents.common import Workspace
 from verikg.agents.coverage_loop import (
     blocking_assumption_candidates,
+    enabling_conditions,
+    guard_text,
     order_gaps,
     run_coverage_loop,
-    source_guard_text,
 )
 from verikg.agents.scripted import default_rules
-from verikg.engine import CheckConfig, coverage
+from verikg.engine.check import CheckConfig
+from verikg.engine.coverage import coverage
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
 from verikg.pipeline import link_assumptions_to_statements, rebuild_graph
@@ -50,7 +52,7 @@ class TestGapOrdering:
     def test_source_guard_text(self):
         dm = parse_rtl(GAPPY)
         then_arm = next(s for s in dm.statements if s.detail == "if_then")
-        assert source_guard_text(dm, then_arm.id) == "(1'd0)"
+        assert guard_text(enabling_conditions(dm)[then_arm.id]) == "(1'd0)"
 
 
 class TestCoverageLoop:

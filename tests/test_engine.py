@@ -6,23 +6,18 @@ import tokenize
 
 import pytest
 
-from oracles import (
-    RefDesign,
-    gen_design_source,
-    gen_property_source,
-    oracle_min_violation,
-    oracle_reachable_statements,
-)
-from verikg.engine import (
+from independent_oracles import RefDesign, oracle_min_violation, oracle_reachable_statements
+from oracles import gen_design_source, gen_property_source
+from verikg.engine.check import (
+    MAX_INPUT_BITS,
     CheckConfig,
+    EngineError,
     check,
     check_cover,
     check_many,
-    coverage,
-    import_external_results,
 )
-from verikg.engine.check import MAX_INPUT_BITS, EngineError
-from verikg.engine.external import ExternalReportError
+from verikg.engine.coverage import coverage
+from verikg.engine.external import ExternalReportError, import_external_results
 from verikg.ir.types import DeadCodeClass, ResultStatus
 from verikg.kg import SignalIndex
 from verikg.rtl.ast import DesignModel

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import verikg.engine.check as check_module
 from oracles import gen_design_source, gen_property_source
 from reference_kernel import reference_explore
 from verikg.agents.backend import RecordingBackend
-from verikg.engine import CheckConfig, check, coverage
-from verikg.engine.check import _bound_assumption_monitors, _explore
+from verikg.engine.check import CheckConfig, _bound_assumption_monitors, _explore, check
+from verikg.engine.coverage import coverage
 from verikg.engine.monitor import monitor_for
 from verikg.ir.types import ResultStatus
 from verikg.kg import SignalIndex
@@ -245,7 +246,6 @@ def test_fixture_fifo_run_keeps_its_counts(fixtures_dir, tmp_path, monkeypatch):
     3,072 distinct (state, input) pairs and 96 states. Once every statement
     is covered, coverage's hook is not asked again and no statement guard
     is called."""
-    check_module = sys.modules["verikg.engine.check"]
     explore, check_one, step = check_module._explore, check_module.check, NetModel.step
     counts: Counter = Counter()
     hook_answers: list[bool] = []
@@ -323,4 +323,4 @@ def test_benchmark_wrappers_still_find_their_functions():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     # patched by attribute, besides the functions above
     assert callable(NetModel.step) and callable(RecordingBackend.send)
-    assert callable(sys.modules["verikg.engine.check"]._explore)
+    assert callable(check_module._explore)

@@ -12,7 +12,7 @@ from verikg.agents.cex_loop import run_cex_loop
 from verikg.agents.common import FIXER_UNAVAILABLE, Workspace
 from verikg.agents.scripted import default_rules
 from verikg.agents.syntax_loop import run_syntax_loop
-from verikg.engine import CheckConfig
+from verikg.engine.check import CheckConfig
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import RefDesign
+from independent_oracles import RefDesign
 from verikg.diagnostics import DiagCode
 from verikg.ir import types as T
 from verikg.ir.store import load_run

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import bfs_ball, evidence_reachable
+from independent_oracles import bfs_ball, evidence_reachable
 from verikg.htmlview import render_html
 from verikg.kg import (
     ADMITTED_EDGES,

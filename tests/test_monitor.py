@@ -9,7 +9,8 @@ import pytest
 
 from oracles import gen_design_source, gen_property_source
 from reference_monitor import ReferenceMonitor
-from verikg.engine import CheckConfig, check, check_many, coverage
+from verikg.engine.check import CheckConfig, check, check_many
+from verikg.engine.coverage import coverage
 from verikg.engine.monitor import Monitor, UnboundIdentifierError, monitor_for
 from verikg.ir.types import ResultStatus
 from verikg.kg import SignalIndex

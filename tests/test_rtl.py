@@ -4,7 +4,8 @@ from itertools import compress
 
 import pytest
 
-from oracles import RefDesign, gen_design_source
+from independent_oracles import RefDesign
+from oracles import gen_design_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.rtl import ast as rtl
 from verikg.pipeline import parse_rtl_files

@@ -16,7 +16,8 @@ import pytest
 import reference_walkers as ref
 from oracles import gen_design_source
 from reference_walkers import gen_stmt_design
-from verikg.engine import CheckConfig, coverage
+from verikg.engine.check import CheckConfig
+from verikg.engine.coverage import coverage
 from verikg.rtl import ast
 from verikg.rtl.compile import WidthError, width_of
 from verikg.rtl.elaborate import NetModel, elaborate

@@ -1,19 +1,22 @@
-"""The shared statement traversal (`rtl.ast.walk_stmts`) and expression
-printer (`rtl.ast.render_expr`) against the walkers and the printer they
-replaced (`tests/reference_walkers.py`), on generated designs whose always
-blocks nest `if`/`else` and `case`, and `case` semantics against the oracle."""
+"""The shared statement traversal (`rtl.ast.walk_stmts`), expression
+printer (`rtl.ast.render_expr`) and the coverage loop's enabling conditions
+against the walkers and the printer they replaced
+(`tests/reference_walkers.py`), on generated designs whose always blocks
+nest `if`/`else` and `case`, and `case` semantics against the oracle."""
 
 import copy
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import reference_walkers as ref
-from oracles import RefDesign, gen_property_source, oracle_reachable_statements
-from verikg.agents.coverage_loop import source_guard_text
+from independent_oracles import RefDesign, oracle_reachable_statements
+from oracles import gen_property_source
+from verikg.agents.coverage_loop import enabling_conditions, guard_text
 from verikg.diagnostics import DiagCode, Diagnostics
-from verikg.engine import coverage
+from verikg.engine.coverage import coverage
 from verikg.rtl import ast as rtl
 from verikg.rtl.analyze import assign_statement_ids, detect_fsms
 from verikg.rtl.elaborate import NetModel, elaborate
@@ -182,7 +185,8 @@ def test_default_item_is_taken_only_when_no_item_matches():
     r = rtl.Id("r")
     matches = rtl.Binary("||", rtl.Binary("==", r, rtl.Lit(0, 2)),
                          rtl.Binary("==", r, rtl.Lit(1, 2)))
-    assert source_guard_text(dm, "S1") == f"({rtl.render_expr(rtl.Unary('!', matches))})"
+    assert guard_text(enabling_conditions(dm)["S1"]) == \
+        f"({rtl.render_expr(rtl.Unary('!', matches))})"
 
 
 _LABEL_AFTER_BLOCKING = """module t (input clk, input [1:0] d);
@@ -221,3 +225,22 @@ def test_second_default_item_is_a_diagnostic():
     diags = parse_rtl(source)
     assert isinstance(diags, Diagnostics)
     assert [(d.code, d.line) for d in diags.items] == [(DiagCode.DUPLICATE, 7)]
+
+
+def test_enabling_conditions_match_the_per_statement_walk():
+    """One walk per design gives every statement the guard text that the
+    per-statement walk gives it, on the fixtures and on generated designs;
+    an id the design does not have reads `1'd1` on both."""
+    fixtures = Path(__file__).parent / "fixtures"
+    models = [parse_rtl(p.read_text()) for p in sorted(fixtures.glob("*.v"))]
+    models += [parse_rtl(_DEFAULT_FIRST), parse_rtl(_LABEL_AFTER_BLOCKING)]
+    models += [dm for _source, dm in _designs(150, seed=12)]
+    nested = 0
+    for dm in models:
+        assert isinstance(dm, rtl.DesignModel), dm.render()
+        conditions = enabling_conditions(dm)
+        assert set(conditions) == {s.id for s in dm.statements}
+        for sid in [s.id for s in dm.statements] + ["S0"]:
+            assert guard_text(conditions.get(sid, ())) == ref.source_guard_text(dm, sid), sid
+        nested += any(len(conds) > 1 for conds in conditions.values())
+    assert nested >= 100
