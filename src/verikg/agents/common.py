@@ -133,7 +133,7 @@ def compile_alone(ws: Workspace, decl: S.PropertyDecl,
     given macros and default clock; None on any parse or bind error."""
     c = compile_properties(S.PropertyFile(macros=list(macros), properties=[decl],
                                           default_clock=default_clock),
-                           ws.dm, ws.idx, ws.memo)
+                           ws.idx, ws.memo)
     if c.diags.has_errors() or c.errors or not c.bound:
         return None
     return c.bound[0]

@@ -158,7 +158,7 @@ def run_syntax_loop(ws: Workspace, pf: S.PropertyFile,
             report.attempts[r.prop_id] = used
 
     while True:
-        compiled = compile_properties(pf, ws.dm, ws.idx, ws.memo)
+        compiled = compile_properties(pf, ws.idx, ws.memo)
         pf.properties = compiled.parsed.properties
         pf.line_map = compiled.parsed.line_map
         active_failures = {pid: f for pid, f in _failures(compiled).items()

@@ -270,7 +270,7 @@ check_cover = check
 def check_many(net: NetModel, props: list[S.BoundProperty],
                cfg: CheckConfig | None = None
                ) -> list[tuple[FormalResult, CexTrace | None]]:
-    """Check a batch; results merged in prop_id order regardless of any
-    execution interleaving, so output is schedule-independent."""
+    """Check a batch, one property after another; results in prop_id
+    order, whatever the order of `props`."""
     return [check(net, bp, cfg) for bp in sorted(props, key=lambda p: p.prop_id)
             if bp.kind != "assumption"]

@@ -493,7 +493,7 @@ class _Run:
             bundle.cex_cases = _merge_cases(bundle.cex_cases, loop.cases)
             if not loop.patched:
                 break
-            self.activate(compile_properties(pf, dm, ws.idx, ws.memo).bound)
+            self.activate(compile_properties(pf, ws.idx, ws.memo).bound)
             # a patch's new macros move every property's lines
             sync_records(pf, bundle.properties)
             self.recheck(_invalidate(kg, loop.patched))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from verikg.diagnostics import Diagnostics
 from verikg.kg import SignalIndex, resolve_signal
 from verikg.rtl import ast as rtl
-from verikg.rtl.ast import DesignModel
 from verikg.rtl.compile import WidthError, width_of
 from verikg.rtl.lexer import LexError, tokenize
 from verikg.rtl.parser import Cursor, ParseError
@@ -125,8 +124,7 @@ class _Binder:
             for s in seq.steps))
 
 
-def bind(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex,
-         memo: StatementMemo | None = None
+def bind(pf: S.PropertyFile, idx: SignalIndex, memo: StatementMemo | None = None
          ) -> tuple[list[S.BoundProperty], S.BindErrors]:
     """Resolve every parseable property; returns the bound list alongside
     per-property errors (a property appears in exactly one of the two).
@@ -223,7 +221,7 @@ class Compiled:
     errors: S.BindErrors
 
 
-def compile_properties(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex,
+def compile_properties(pf: S.PropertyFile, idx: SignalIndex,
                        memo: StatementMemo | None = None) -> Compiled:
     """Compile a property file as a tool sees it: emit the canonical text,
     parse it back, keep the file's default clock, and bind every property.
@@ -236,5 +234,5 @@ def compile_properties(pf: S.PropertyFile, dm: DesignModel, idx: SignalIndex,
     """
     parsed, diags = parse_properties_with_recovery(emit_properties(pf), memo=memo)
     parsed.default_clock = parsed.default_clock or pf.default_clock
-    bound, errors = bind(parsed, dm, idx, memo)
+    bound, errors = bind(parsed, idx, memo)
     return Compiled(parsed, diags, bound, errors)

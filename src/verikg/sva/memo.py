@@ -3,11 +3,10 @@
 Each compile emits the whole property file, then parses and binds every
 statement of it, although most statements have not changed since the last
 compile. A `StatementMemo` maps a statement's text, from its first token
-through its `;`, to the statement's parse; and the parse, the file's
-macro table and its default clock to the statement's bind outcome. Only
-a statement that parsed cleanly on its own is kept. Its lines are kept
-relative to the statement; where it is found again, it takes its
-property id and its lines from the file it is in.
+through its `;`, to its parse, failed or clean; and a clean parse, the
+file's macro table and its default clock to the bind outcome. Lines and
+error positions are kept relative to the statement; where it is found
+again, it takes its property id and position from the file it is in.
 
 A memo serves one run. It binds against the one signal index it is first
 used with, and the run's design does not change. Each run makes its own
@@ -20,17 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from verikg.kg import SignalIndex
+from verikg.rtl.parser import ParseError
 from verikg.sva import ast as S
 
 
 @dataclass
 class Statement:
-    """One statement that parsed cleanly on its own."""
+    """The parse of one property statement."""
 
     label: str | None
     kind: str
-    body: S.PropBody  # shared by every parse of the text: never changed
+    body: S.PropBody | None  # None if it failed; else shared, never changed
     newlines: int  # the statement's lines, less one
+    # what stopped the parse: its `line` counts lines after the first, and
+    # on the first line its `col` counts columns after the first token's
+    error: ParseError | None = None
     # bind outcome per bind context (`StatementMemo.context`), with the
     # property id and line of the statement it was first computed for
     binds: dict[int, S.BoundProperty | S.BindErrorItem] = field(default_factory=dict)
@@ -45,11 +48,10 @@ class StatementMemo:
         self._contexts: dict[tuple, int] = {}
         self._index: SignalIndex | None = None
 
-    def remember(self, text: str, label: str | None, kind: str,
-                 body: S.PropBody) -> None:
-        stmt = Statement(label, kind, body, text.count("\n"))
+    def remember(self, text: str, stmt: Statement) -> None:
         self.statements[text] = stmt
-        self._by_body[id(body)] = stmt
+        if stmt.body is not None:
+            self._by_body[id(stmt.body)] = stmt
 
     def statement_of(self, body: S.PropBody) -> Statement | None:
         """The statement whose parse `body` is, if it came from this memo."""

@@ -15,7 +15,7 @@ from verikg.rtl import ast as rtl
 from verikg.rtl.lexer import STATEMENT_RE, LexError, Token, tokenize
 from verikg.rtl.parser import Cursor, ExprParser, ParseError
 from verikg.sva import ast as S
-from verikg.sva.memo import StatementMemo
+from verikg.sva.memo import Statement, StatementMemo
 
 _DEFINE_RE = re.compile(r"^\s*`define\s+([A-Za-z_][A-Za-z0-9_$]*)\s+(.*?)\s*$")
 _MARKER_RE = re.compile(r"^\s*//\s*property:\s*(\S+)\s*$")
@@ -162,8 +162,8 @@ def parse_properties_with_recovery(source: str, memo: StatementMemo | None = Non
     the enclosing property id when determinable.
 
     With a `memo`, a statement found in it is neither lexed nor parsed, and
-    a statement that parses cleanly on its own is added to it. The result is
-    the same as without one.
+    a statement parsed on its own is added to it, failed or clean. The
+    result is the same as without one.
     """
     fp = _FileParse(source)
     try:
@@ -214,7 +214,7 @@ class _FileParse:
             stripped_lines.append(line)
         self.stripped = "\n".join(stripped_lines)
         self.prepass_errors = len(self.diags.items)
-        # where the statements not yet taken start (memo path only)
+        # where the text not yet lexed or looked up in the memo starts
         self.pos = 0
         self.line = 1
 
@@ -233,12 +233,19 @@ class _FileParse:
         self.serial += 1
         return f"P{self.serial:03d}", line
 
-    def add(self, prop_id: str, span_start: int, kind: str, body: S.PropBody | None,
-            start_line: int, end_line: int) -> None:
+    def take(self, stmt: Statement, line: int, col: int) -> None:
+        """Take into the file the property statement whose parse is `stmt`
+        and whose first token is at `line`, `col`."""
+        prop_id, span_start = self.pending_id(line, stmt.label)
+        pe = stmt.error
+        if pe is not None:
+            self.diags.error(line + pe.line, pe.col if pe.line else col + pe.col,
+                             pe.message, pe.code, prop_id=prop_id)
+        end_line = line + stmt.newlines
         self.pf.properties.append(S.PropertyDecl(
-            prop_id, kind, body, start_line,
-            _statement_source(self.source_lines, start_line, end_line)))
-        self.pf.line_map[prop_id] = (min(span_start, start_line), end_line)
+            prop_id, stmt.kind, stmt.body, line,
+            _statement_source(self.source_lines, line, end_line)))
+        self.pf.line_map[prop_id] = (min(span_start, line), end_line)
 
     def parse_with_memo(self, memo: StatementMemo) -> None:
         text = self.stripped
@@ -247,23 +254,21 @@ class _FileParse:
             if m is None:  # the rest is lexed and parsed as one region
                 self.parse_region(self.next_region(None))
                 break
-            known = memo.statements.get(m["stmt"])
-            if known is not None:
-                self.line += text.count("\n", self.pos, m.start("stmt"))
-                self.add(*self.pending_id(self.line, known.label), known.kind,
-                         known.body, self.line, self.line + known.newlines)
-                self.line += known.newlines
-                self.pos = m.end()
-                continue
-            tokens = self.next_region(m)
-            if tokens[0].text == "default":
-                self.parse_region(tokens, self.extend)
-                continue
-            # one property statement, ending at the region's end
-            cur = Cursor(tokens)
-            clean = self.property_statement(cur, _PropParser(cur))
-            if clean is not None:
-                memo.remember(m["stmt"], *clean)
+            start = m.start("stmt")
+            line = self.line + text.count("\n", self.pos, start)
+            stmt = memo.statements.get(m["stmt"])
+            if stmt is None:
+                tokens = self.next_region(m)
+                if tokens[0].text == "default":
+                    self.parse_region(tokens, self.extend)
+                    continue
+                # one property statement, ending at the region's end
+                cur = Cursor(tokens)
+                stmt = _statement(cur, _PropParser(cur))
+                memo.remember(m["stmt"], stmt)
+            self.take(stmt, line, start - text.rfind("\n", 0, start))
+            self.line = line + stmt.newlines
+            self.pos = m.end()
 
     def next_region(self, m: re.Match | None) -> list[Token]:
         """The tokens from `pos` through the end of `m`, or of the file."""
@@ -303,7 +308,7 @@ class _FileParse:
             if first.text == "default":
                 self.default_clocking(cur, pp)
             else:
-                self.property_statement(cur, pp)
+                self.take(_statement(cur, pp), first.line, first.col)
 
     def default_clocking(self, cur: Cursor, pp: _PropParser) -> None:
         t = cur.next()
@@ -319,43 +324,6 @@ class _FileParse:
         except ParseError as pe:
             self.diags.error(pe.line, pe.col, pe.message, pe.code)
             _resync(cur)
-
-    def property_statement(self, cur: Cursor, pp: _PropParser
-                           ) -> tuple[str | None, str, S.PropBody] | None:
-        """Parse one property statement; returns its label, kind and body
-        when it parsed cleanly."""
-        t = cur.peek()
-        label = None
-        start_line = t.line
-        prop_id = None
-        span_start = start_line
-        kind = "assertion"
-        try:
-            if t.kind == "ID" and t.text not in _KIND_BY_KEYWORD \
-                    and cur.peek(1).text == ":":
-                label = cur.next().text
-                cur.next()
-                t = cur.peek()
-            if t.text not in _KIND_BY_KEYWORD:
-                raise ParseError(t.line, t.col,
-                                 f"expected assert/assume/cover, found {t.text!r}")
-            kind = _KIND_BY_KEYWORD[cur.next().text]
-            prop_id, span_start = self.pending_id(start_line, label)
-            cur.expect("property")
-            cur.expect("(")
-            body = pp.parse_body(kind)
-            cur.expect(")")
-            end_tok = cur.expect(";")
-        except ParseError as pe:
-            if prop_id is None:
-                prop_id, span_start = self.pending_id(start_line, label)
-            self.diags.error(pe.line, pe.col, pe.message, pe.code, prop_id=prop_id)
-            end_line = _resync(cur)
-            self.add(prop_id, span_start, kind, None, start_line,
-                     max(end_line, start_line))
-            return None
-        self.add(prop_id, span_start, kind, body, start_line, end_tok.line)
-        return label, kind, body
 
     def check_whole_file(self) -> None:
         seen: set[str] = set()
@@ -381,6 +349,36 @@ class _FileParse:
                                          f"macro {name!r} used before its definition "
                                          f"(line {def_line})",
                                          DiagCode.UNDEFINED_MACRO, prop_id=p.prop_id)
+
+
+def _statement(cur: Cursor, pp: _PropParser) -> Statement:
+    """Parse one property statement, through its `;` (or, when it fails,
+    the next `;`), with positions relative to its first token."""
+    first = t = cur.peek()
+    label = None
+    kind = "assertion"
+    try:
+        if t.kind == "ID" and t.text not in _KIND_BY_KEYWORD \
+                and cur.peek(1).text == ":":
+            label = cur.next().text
+            cur.next()
+            t = cur.peek()
+        if t.text not in _KIND_BY_KEYWORD:
+            raise ParseError(t.line, t.col,
+                             f"expected assert/assume/cover, found {t.text!r}")
+        kind = _KIND_BY_KEYWORD[cur.next().text]
+        cur.expect("property")
+        cur.expect("(")
+        body = pp.parse_body(kind)
+        cur.expect(")")
+        end_line = cur.expect(";").line
+    except ParseError as pe:
+        end_line = _resync(cur)
+        line = pe.line - first.line
+        error = ParseError(line, pe.col if line else pe.col - first.col,
+                           pe.message, pe.code)
+        return Statement(label, kind, None, end_line - first.line, error)
+    return Statement(label, kind, body, end_line - first.line)
 
 
 def _resync(cur: Cursor) -> int:

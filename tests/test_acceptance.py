@@ -63,7 +63,7 @@ def _index_for(net) -> SignalIndex:
 def _bind_one(src: str, dm, net):
     pf = parse_properties(CLOCKED + src)
     assert isinstance(pf, S.PropertyFile), pf.render()
-    bound, errs = bind(pf, dm, _index_for(net))
+    bound, errs = bind(pf, _index_for(net))
     assert not errs.items, [str(i) for i in errs.items]
     return bound
 
@@ -159,7 +159,7 @@ def test_criterion_04_engine_vs_oracle():
         pf = parse_properties(CLOCKED + gen_property_source(rng, one_bit, two_bit))
         if not isinstance(pf, S.PropertyFile):
             continue
-        bound, errs = bind(pf, dm, _index_for(net))
+        bound, errs = bind(pf, _index_for(net))
         if errs.items or not bound:
             continue
         bp = bound[0]
@@ -225,7 +225,7 @@ def test_criterion_05_coverage_semantics(fixtures_dir, fifo_model, fifo_net):
         apf = parse_properties(CLOCKED + f"assume property ({body});")
         if not isinstance(apf, S.PropertyFile):
             continue
-        bound, errs = bind(apf, ddm, _index_for(dnet))
+        bound, errs = bind(apf, _index_for(dnet))
         if errs.items or not bound:
             continue
         pairs += 1
@@ -388,7 +388,7 @@ def test_criterion_08_cex_loop(fixtures_dir, fifo_model, fifo_net, tmp_path):
     extra_pf, _ = parse_properties_with_recovery(extra_src)
     pf.properties.extend(extra_pf.properties)
     idx = _index_for(fifo_net)
-    extra_bound, errs = bind(extra_pf, fifo_model, idx)
+    extra_bound, errs = bind(extra_pf, idx)
     assert not errs.items
     for i, bp in enumerate(sorted(extra_bound, key=lambda b: b.prop_id)):
         result, _tr = check(fifo_net, bp)
@@ -417,7 +417,7 @@ def test_criterion_08_cex_loop(fixtures_dir, fifo_model, fifo_net, tmp_path):
                     rtl_paths=[str(fixtures_dir / "fifo.v")],
                     out_root=str(tmp_path))
     recheck_properties(loop.patched, fifo_net,
-                       compile_properties(pf, fifo_model, idx).bound, bundle,
+                       compile_properties(pf, idx).bound, bundle,
                        cfg, artifacts)
     save_run(bundle, tmp_path / "after")
 

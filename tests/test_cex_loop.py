@@ -24,7 +24,7 @@ def cex_setup(fifo_model, net, prop_line, prop_id="PROP-001"):
     records = [T.PropertyRecord(prop_id, ["REQ-001"], T.PropKind.ASSERTION,
                                 prop_line, (1, 1))]
     bundle.properties = records
-    bound, errs = bind(pf, fifo_model, idx)
+    bound, errs = bind(pf, idx)
     assert not errs.items, [str(i) for i in errs.items]
     result, trace = check(net, bound[0])
     artifacts = {}

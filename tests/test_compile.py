@@ -186,7 +186,7 @@ def _bound(source: str, dm, net) -> list[S.BoundProperty]:
     idx = SignalIndex()
     for name, width in net.widths.items():
         idx.add(name, width)
-    bound, errs = bind(pf, dm, idx)
+    bound, errs = bind(pf, idx)
     return [] if errs.items else bound
 
 

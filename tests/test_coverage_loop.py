@@ -112,7 +112,7 @@ class TestCoverageLoop:
                    for l in bundle.tracelinks)
         kg = rebuild_graph(bundle)
 
-        bound, errs = bind(pf, fifo_model, idx)
+        bound, errs = bind(pf, idx)
         cov = coverage(fifo_net, [],
                        CheckConfig(input_assumptions=bound), run_ref="self")
         assert cov.unreachable_statements

@@ -44,7 +44,7 @@ def compile_props(source: str, dm, net):
         idx.add(name, width)
     pf = parse_properties(CLOCKED + source)
     assert isinstance(pf, S.PropertyFile), pf.render()
-    bound, errs = bind(pf, dm, idx)
+    bound, errs = bind(pf, idx)
     assert not errs.items, [str(i) for i in errs.items]
     return bound
 
@@ -358,7 +358,7 @@ class TestOracleAgreement:
             idx = SignalIndex()
             for name, w in net.widths.items():
                 idx.add(name, w)
-            bound, errs = bind(pf, dm, idx)
+            bound, errs = bind(pf, idx)
             if errs.items or not bound:
                 continue
             bp = bound[0]

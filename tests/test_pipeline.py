@@ -191,9 +191,9 @@ class TestRunAll:
 
         compiled = []
 
-        def counting(pf, dm, idx, memo=None):
+        def counting(pf, idx, memo=None):
             compiled.append(len(pf.properties))
-            return compile_properties(pf, dm, idx, memo)
+            return compile_properties(pf, idx, memo)
 
         for module in (pipeline, syntax_loop, common):
             monkeypatch.setattr(module, "compile_properties", counting)

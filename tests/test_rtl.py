@@ -524,7 +524,7 @@ _UNSIZED = {
     ("rtl", "operator"), ("sva", "operator"), ("rtl", "ternary"), ("sva", "ternary"),
 ], ids=["compile", "rtl", "sva", "rtl-operator", "sva-operator",
         "rtl-ternary", "sva-ternary"])
-def test_unsized_concat_part_has_no_width(layer, case, fifo_model, fifo_index):
+def test_unsized_concat_part_has_no_width(layer, case, fifo_index):
     """The compiler, the elaborator and the binder share width_of's rule:
     an unsized literal has no width inside a concatenation, and neither
     has an operator or `?:` whose operands are all unsized literals.
@@ -544,16 +544,16 @@ def test_unsized_concat_part_has_no_width(layer, case, fifo_model, fifo_index):
         pf = parse_properties("default clocking @(posedge clk); endclocking\n"
                               "// property: PROP-001\n"
                               f"assert property ({prop});")
-        _bound, errs = bind(pf, fifo_model, fifo_index)
+        _bound, errs = bind(pf, fifo_index)
         assert [i.kind for i in errs.for_prop("PROP-001")] == \
             [S.BindErrorKind.WIDTH_MISMATCH]
 
 
-def test_choice_between_unsized_literals_binds_in_a_property(fifo_model, fifo_index):
+def test_choice_between_unsized_literals_binds_in_a_property(fifo_index):
     pf = parse_properties("default clocking @(posedge clk); endclocking\n"
                           "// property: PROP-001\n"
                           "assert property (count == (wr_en ? 1 : 2));")
-    _bound, errs = bind(pf, fifo_model, fifo_index)
+    _bound, errs = bind(pf, fifo_index)
     assert not errs.for_prop("PROP-001")
 
 

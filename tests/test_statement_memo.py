@@ -62,8 +62,8 @@ def _compile(source: str, memo: StatementMemo | None):
     pf, diags = parse_properties_with_recovery(source, memo=memo)
     parsed = (list(pf.properties), dict(pf.line_map), list(pf.macros),
               pf.default_clock, list(diags.items))
-    bound, errors = bind(pf, _DM, _IDX, memo)
-    c = compile_properties(pf, _DM, _IDX, memo)
+    bound, errors = bind(pf, _IDX, memo)
+    c = compile_properties(pf, _IDX, memo)
     return (parsed, bound, errors.items, c.parsed.properties, c.parsed.line_map,
             c.diags.items, c.bound, c.errors.items)
 
@@ -147,12 +147,64 @@ def test_unchanged_statements_are_not_lexed_again(monkeypatch):
     assert cold > 10 * sum(lexed)
 
 
+# Statements that fail to parse: on a line after their first, at their
+# first token, at their `;`, after a label and after a marker; one of two
+# statements on a line, with its error on that line; with an error code
+# other than SYNTAX.
+_FAILING = [
+    "assert property (@(posedge clk) i0\n  ##1 r0 r1);",
+    "foo bar;",
+    "assert property (@(posedge clk) i0;",
+    "lab: assert property (@(posedge clk) r1 == );",
+    "// property: m1\nassume property (@(posedge clk) ##[3:1] i0);",
+    "assert property (@(posedge clk) r0); cover property (@(posedge clk) i0 |-> r0);",
+    f"assert property (@(posedge clk) i0 ##{S.MAX_DELAY_BOUND + 1} r0);",
+    "assert property (@(posedge clk) i0 |-> r0 |-> i0);",
+    "assert property (@(posedge clk) r1 == 2'd1);",
+]
+
+
+def test_each_statement_is_lexed_once_in_a_run(monkeypatch):
+    """Through one memo, a statement text is lexed once, whether it parsed
+    or not; compiled again, and again at other lines and columns, the
+    file gives what an uncached compile gives."""
+    import verikg.sva.parser as parser
+    from verikg.rtl.lexer import STATEMENT_RE
+
+    source = "\n".join(_FAILING) + "\n"
+    moved = "\n\n" + "".join(f"  {s}\n\n" for s in _FAILING).replace(
+        "); cover", ");   cover")
+    want = [_compile(s, None) for s in (source, source, moved)]
+    _decls, line_map, _macros, _clock, diags = want[0][0]
+    assert [(d.line, d.col, d.prop_id, d.code.value) for d in diags] == [
+        (2, 10, "P001", "SYNTAX"), (3, 1, "P002", "SYNTAX"),
+        (4, 35, "P003", "SYNTAX"), (5, 44, "lab", "SYNTAX"),
+        (7, 33, "m1", "SYNTAX"), (8, 72, "P005", "SYNTAX"),
+        (9, 36, "P006", "BOUND_EXCEEDED"), (10, 43, "P007", "NESTED_IMPLICATION")]
+    assert (line_map["P001"], line_map["m1"]) == ((1, 2), (6, 7))
+
+    lexed = []
+    tokenize = parser.tokenize
+
+    def counting(text, start=0, end=None, line=1):
+        m = STATEMENT_RE.match(text, start, end)
+        if m is not None:
+            lexed.append(m["stmt"])
+        return tokenize(text, start, end, line)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    memo = StatementMemo()
+    assert [_compile(s, memo) for s in (source, source, moved)] == want
+    assert "foo bar;" in lexed
+    assert len(lexed) == len(set(lexed))
+
+
 def test_memo_binds_against_one_index():
     memo = StatementMemo()
     pf, _diags = parse_properties_with_recovery(_PROPERTY_CORPUS[0], memo=memo)
-    bind(pf, _DM, _IDX, memo)
+    bind(pf, _IDX, memo)
     with pytest.raises(ValueError):
-        bind(pf, _DM, SignalIndex(), memo)
+        bind(pf, SignalIndex(), memo)
 
 
 @pytest.mark.parametrize("line, rule, old, new", [
@@ -165,7 +217,7 @@ def test_rule_repair_leaves_memoised_body_untouched(fifo_model, line, rule, old,
     _b, kg, pf, records = loop_setup(fifo_model, [line])
     idx = build_signal_index(kg)
     memo = StatementMemo()
-    compile_properties(pf, fifo_model, idx, memo)
+    compile_properties(pf, idx, memo)
     shared = {key: (stmt.body, S.render_body(stmt.body))
               for key, stmt in memo.statements.items()}
     assert any(old in text for _body, text in shared.values())

@@ -9,7 +9,7 @@ from oracles import gen_property_source
 from verikg.diagnostics import DiagCode, Diagnostics
 from verikg.engine.check import check
 from verikg.kg import SignalIndex
-from verikg.rtl.ast import DesignModel, Id
+from verikg.rtl.ast import Id
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
 from verikg.sva.bind import bind, compile_properties
@@ -44,7 +44,7 @@ class TestParse:
         idx = SignalIndex()
         idx.add("t.clk", 1)
         idx.add("t.a", 1)
-        _bound, errs = bind(pf, DesignModel(), idx)
+        _bound, errs = bind(pf, idx)
         items = errs.for_prop("PROP-001")
         assert items and items[0].kind is S.BindErrorKind.UNDEFINED_MACRO
 
@@ -202,16 +202,16 @@ class TestBind:
             idx.add(name, width)
         return idx
 
-    def test_declared_ports_bind_clean(self, fifo_model, fifo_net, fifo_index):
+    def test_declared_ports_bind_clean(self, fifo_net, fifo_index):
         pf = parse_ok(CLOCKED + "assert property (full |-> ##1 count != 2'd0);")
-        bound, errs = bind(pf, fifo_model, fifo_index)
+        bound, errs = bind(pf, fifo_index)
         assert not errs.items
         assert bound[0].clock_net == "fifo.clk"
 
-    def test_typo_reports_undeclared(self, fifo_model, fifo_index):
+    def test_typo_reports_undeclared(self, fifo_index):
         pf = parse_ok(CLOCKED + "// property: PROP-001\n"
                                 "assert property (wr_enn |-> full);")
-        bound, errs = bind(pf, fifo_model, fifo_index)
+        bound, errs = bind(pf, fifo_index)
         assert not bound
         item = errs.for_prop("PROP-001")[0]
         assert item.kind is S.BindErrorKind.UNDECLARED_IDENTIFIER
@@ -225,7 +225,7 @@ class TestBind:
         idx = self._index(net)
         pf = parse_ok(CLOCKED + "// property: PROP-001\n"
                                 "assert property (r |-> mid);")
-        _bound, errs = bind(pf, dm, idx)
+        _bound, errs = bind(pf, idx)
         item = errs.for_prop("PROP-001")[0]
         assert item.kind is S.BindErrorKind.AMBIGUOUS_PATH
         assert item.candidates == ["top.a.r", "top.b.r"]
@@ -237,7 +237,7 @@ class TestBind:
         net = elaborate(dm, "top")
         idx = self._index(net)
         pf = parse_ok(CLOCKED + "assert property (a.r |-> mid);")
-        bound, errs = bind(pf, dm, idx)
+        bound, errs = bind(pf, idx)
         assert not errs.items, [str(i) for i in errs.items]
         step = bound[0].antecedent.steps[0]
         assert step.expr == Id("top.a.r")
@@ -249,27 +249,27 @@ class TestBind:
         net = elaborate(dm, "top")
         idx = self._index(net)
         pf = parse_ok(CLOCKED + "assert property (a.r |-> a.r);")
-        bound, errs = bind(pf, dm, idx)
+        bound, errs = bind(pf, idx)
         assert not errs.items
         assert bound[0].clock_net == "top.clk"
 
-    def test_recursive_macro_diagnostic(self, fifo_model, fifo_index):
+    def test_recursive_macro_diagnostic(self, fifo_index):
         pf = parse_ok("`define A (`B)\n`define B (`A)\n" + CLOCKED
                       + "// property: PROP-001\nassert property (`A);")
-        _bound, errs = bind(pf, fifo_model, fifo_index)
+        _bound, errs = bind(pf, fifo_index)
         item = errs.for_prop("PROP-001")[0]
         assert item.kind is S.BindErrorKind.UNDEFINED_MACRO
 
-    def test_width_mismatch(self, fifo_model, fifo_index):
+    def test_width_mismatch(self, fifo_index):
         pf = parse_ok(CLOCKED + "// property: PROP-001\n"
                                 "assert property (count == 3'd1);")
-        _bound, errs = bind(pf, fifo_model, fifo_index)
+        _bound, errs = bind(pf, fifo_index)
         item = errs.for_prop("PROP-001")[0]
         assert item.kind is S.BindErrorKind.WIDTH_MISMATCH
 
-    def test_missing_clock(self, fifo_model, fifo_index):
+    def test_missing_clock(self, fifo_index):
         pf = parse_ok("// property: PROP-001\nassert property (full);")
-        _bound, errs = bind(pf, fifo_model, fifo_index)
+        _bound, errs = bind(pf, fifo_index)
         assert errs.for_prop("PROP-001")
 
 
@@ -303,7 +303,7 @@ def test_property_reading_a_name_with_no_value_fails_to_bind(expr, name):
                   + "assert property (y == b || d);\n"
                   + "// property: PROP-002\n"
                   + f"assert property ({expr});\n")
-    bound, errs = bind(pf, dm, idx)
+    bound, errs = bind(pf, idx)
     assert [b.prop_id for b in bound] == ["PROP-001"]
     [item] = errs.items
     assert (item.prop_id, item.identifier, item.line, item.kind) == \
@@ -315,35 +315,35 @@ def test_property_reading_a_name_with_no_value_fails_to_bind(expr, name):
 
 
 class TestCompile:
-    def test_errors_attributed_per_property(self, fifo_model, fifo_index):
+    def test_errors_attributed_per_property(self, fifo_index):
         pf, _diags = parse_properties_with_recovery(
             CLOCKED
             + "// property: PROP-001\nassert property (count <= |-> 2'd2);\n"
             + "// property: PROP-002\nassert property (wr_enn |-> full);\n"
             + "// property: PROP-003\nassert property (count <= 2'd2);\n")
-        c = compile_properties(pf, fifo_model, fifo_index)
+        c = compile_properties(pf, fifo_index)
         assert {d.prop_id for d in c.diags.errors} == {"PROP-001"}
         assert [i.prop_id for i in c.errors.items] == ["PROP-002"]
         assert [b.prop_id for b in c.bound] == ["PROP-003"]
         assert c.bound[0].line == c.parsed.line_map["PROP-003"][0] \
             == pf.line_map["PROP-003"][0]
 
-    def test_default_clock_carries_over(self, fifo_model, fifo_index):
+    def test_default_clock_carries_over(self, fifo_index):
         pf = S.PropertyFile(default_clock=S.ClockSpec("posedge", Id("clk")))
         pf.properties = parse_ok(
             "// property: PROP-001\nassert property (full |-> !empty);").properties
-        c = compile_properties(pf, fifo_model, fifo_index)
+        c = compile_properties(pf, fifo_index)
         assert c.parsed.default_clock == pf.default_clock
         assert not c.errors and c.bound[0].clock_net == "fifo.clk"
 
-    def test_single_property_in_isolation(self, fifo_model, fifo_index):
+    def test_single_property_in_isolation(self, fifo_index):
         pf = parse_ok("`define FULL fifo.full\n" + CLOCKED
                       + "// property: PROP-001\nassert property (wr_enn);\n"
                       + "// property: PROP-002\nassert property (`FULL |-> !empty);")
         alone = S.PropertyFile(macros=list(pf.macros),
                                properties=[pf.get("PROP-002")],
                                default_clock=pf.default_clock)
-        c = compile_properties(alone, fifo_model, fifo_index)
+        c = compile_properties(alone, fifo_index)
         assert not c.diags.has_errors() and not c.errors
         assert [b.prop_id for b in c.bound] == ["PROP-002"]
         assert c.bound[0].antecedent.steps[0].expr == Id("fifo.full")
