@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from verikg.ir.types import FormalResult, ResultStatus
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.engine.monitor import Monitor, monitor_for
+from verikg.engine.monitor import Monitor, monitor_for, shape
 
 
 class EngineError(Exception):
@@ -102,16 +102,17 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
              stop_on: str, guard_hook=None) -> _Exploration:
     """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
     (cover). guard_hook(x) is called for every admitted valuation, with the
-    slot tuple `state + inputs` the monitors read, until it returns True:
-    nothing is left for it to see. A successor that takes the product past
-    `cfg.max_states` stops the search bounded at the last completed cycle.
+    slot tuple `state + inputs` the monitors read. Its first True ends the
+    search there, proven at that cycle: nothing is left for it to see. A
+    successor that takes the product past `cfg.max_states` stops the search
+    bounded at the last completed cycle.
 
-    With no target and no assumption monitor (coverage without input
-    assumptions) the search walks design states: a node is the state tuple
-    itself, not the product node `(state, ())`. The two are one-to-one, so
-    `explored` counts the same nodes, in the same order; each (state, input)
-    pair costs one `step` call and one lookup, and `x` is built only while
-    the guard hook is live."""
+    With a guard hook, no target and no assumption monitor (coverage without
+    input assumptions) the search walks design states: a node is the state
+    tuple itself, not the product node `(state, ())`. The two are
+    one-to-one, so `explored` counts the same nodes, in the same order; each
+    (state, input) pair costs one hook call, one `step` call and one
+    lookup."""
     space = _input_space(net)
     if space is None:
         return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
@@ -123,7 +124,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     found = ResultStatus.CEX if stop_on_violation else ResultStatus.PROVEN
     n_target = 1 if target is not None else 0
     n_assumptions = len(assumptions)
-    design_only = target is None and not assumptions
+    design_only = target is None and not assumptions and guard_hook is not None
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
     init_node = net.init_state() if design_only else (net.init_state(), init_monitors)
 
@@ -150,6 +151,10 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
         return _Exploration(ResultStatus.BOUNDED, deepest, len(parents),
                             ante_matched, None, "max_states")
 
+    def hook_done() -> _Exploration:
+        return _Exploration(ResultStatus.PROVEN, depth, len(parents),
+                            ante_matched, None)
+
     while frontier:
         if depth >= cfg.max_depth:
             return _Exploration(ResultStatus.BOUNDED, depth - 1, len(parents),
@@ -157,24 +162,15 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
         next_frontier = []
         for node in frontier:
             if design_only:
-                if guard_hook is not None:
-                    for vec, net_vec in vectors:
-                        if guard_hook is not None and guard_hook(node + net_vec):
-                            guard_hook = None
-                        succ = step(node, net_vec)
-                        if succ not in parents:
-                            parents[succ] = (node, vec)
-                            if len(parents) > max_states:
-                                return out_of_states()
-                            next_frontier.append(succ)
-                else:
-                    for vec, net_vec in vectors:
-                        succ = step(node, net_vec)
-                        if succ not in parents:
-                            parents[succ] = (node, vec)
-                            if len(parents) > max_states:
-                                return out_of_states()
-                            next_frontier.append(succ)
+                for vec, net_vec in vectors:
+                    if guard_hook(node + net_vec):
+                        return hook_done()
+                    succ = step(node, net_vec)
+                    if succ not in parents:
+                        parents[succ] = (node, vec)
+                        if len(parents) > max_states:
+                            return out_of_states()
+                        next_frontier.append(succ)
                 continue
             design_state, monitor_states = node
             assume_states = monitor_states[n_target:]
@@ -191,7 +187,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                         continue  # pruned before the target sees it
                     kept = tuple(kept)
                 if guard_hook is not None and guard_hook(x):
-                    guard_hook = None
+                    return hook_done()
                 monitors = kept
                 if target is not None:
                     tstate, ev = target.step(monitor_states[0], x)
@@ -240,27 +236,42 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     names it ("max_depth" or "max_states"), or "max_input_bits" when the
     net has more than `MAX_INPUT_BITS` input bits and nothing was explored.
     runtime_ms is the deterministic explored-state count.
+
+    The outcome is kept on the net, keyed by the property's shape, the
+    shapes of the input assumptions and the budgets, so a repeated check
+    of a property (or of another with the same shape) explores nothing.
+    Every call returns new objects carrying `bp`'s own id and line.
     """
     cfg = cfg or CheckConfig()
     cfg.validate()
-    monitors = _bound_assumption_monitors(net, cfg)
-    target = monitor_for(net, bp)
-    cover = bp.kind == "cover"
-    ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line,
-                  "completion" if cover else "violation")
-    status = ex.status
-    if status is ResultStatus.PROVEN and ex.trace is None and (
-            cover or (bp.impl is not S.ImplKind.NONE and not ex.ante_matched)):
-        status = ResultStatus.VACUOUS
+    key = ("check", shape(bp), tuple(shape(a) for a in cfg.input_assumptions),
+           cfg.max_states, cfg.max_depth)
+    memo = net.engine.get(key)
+    if memo is None:
+        monitors = _bound_assumption_monitors(net, cfg)
+        target = monitor_for(net, bp)
+        cover = bp.kind == "cover"
+        ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line,
+                      "completion" if cover else "violation")
+        status = ex.status
+        if status is ResultStatus.PROVEN and ex.trace is None and (
+                cover or (bp.impl is not S.ImplKind.NONE and not ex.ante_matched)):
+            status = ResultStatus.VACUOUS
+        proof_depth = ex.proof_depth if ex.trace is None else ex.trace.failure_cycle
+        memo = net.engine[key] = (status, proof_depth, ex.explored, ex.budget, ex.trace)
+    status, proof_depth, explored, budget, trace = memo
     result = FormalResult(
         result_id="",
         prop_id=bp.prop_id,
         status=status,
-        proof_depth=ex.proof_depth if ex.trace is None else ex.trace.failure_cycle,
-        runtime_ms=ex.explored,
-        note=ex.budget,
+        proof_depth=proof_depth,
+        runtime_ms=explored,
+        note=budget,
     )
-    return result, ex.trace
+    if trace is not None:
+        trace = CexTrace(bp.prop_id, [(dict(i), dict(v)) for i, v in trace.cycles],
+                         trace.failure_cycle, bp.line)
+    return result, trace
 
 
 # Alias of `check`, for callers that look cover checks up by this name.

@@ -22,10 +22,12 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
              cfg: CheckConfig | None = None, run_ref: str = "") -> CoverageMetrics:
     """Reachability metrics plus the vacuity count over `props`.
 
-    Budget exhaustion flags the metrics partial instead of failing: covered
+    The search ends once every statement is covered. Budget exhaustion
+    before that flags the metrics partial instead of failing: covered
     statements stay covered, the remainder may be falsely unreachable. A
     net with more than `MAX_INPUT_BITS` input bits is not explored: the
-    metrics are partial, with nothing covered.
+    metrics are partial, with nothing covered. The vacuity count's checks
+    are mostly answered from the net's check memo.
     """
     cfg = cfg or CheckConfig()
     cfg.validate()
@@ -36,7 +38,8 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
 
     def hook(x: tuple) -> bool:
         """Cover the statements that execute at `x`; True once every
-        statement is covered, so the exploration stops asking."""
+        statement is covered, which ends the search: nothing is left to
+        learn from the rest of the reachable space."""
         covered.update(compress(sids, net.executed(x)))
         return len(covered) == len(sids)
 

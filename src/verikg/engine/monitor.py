@@ -102,11 +102,17 @@ def _require_bound(e, net: NetModel, prop_id: str) -> None:
                 f"{prop_id}: unbound identifier {name!r} (bind contract violation)")
 
 
+def shape(bp: S.BoundProperty) -> tuple:
+    """What a property's monitor is built from: all of it but its id, line
+    and clock."""
+    return (bp.kind, bp.impl, bp.antecedent, bp.consequent, bp.disable_net)
+
+
 def monitor_for(net: NetModel, bp: S.BoundProperty) -> Monitor:
     """The monitor of `bp` on `net`, built once per net and property shape:
     properties that differ only in id and line share one, with its
     transition table. A property that does not bind leaves nothing cached."""
-    key = (bp.kind, bp.impl, bp.antecedent, bp.consequent, bp.disable_net)
+    key = shape(bp)
     mon = net.engine.get(key)
     if mon is None:
         mon = net.engine[key] = Monitor(bp, net)

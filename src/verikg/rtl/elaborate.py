@@ -41,8 +41,9 @@ class NetModel:
 
     # Set on construction: each state bit and input's position in the slot
     # tuple `state + inputs`, the compiled functions by their source, what
-    # the engine builds from this net by key (its input space, and one
-    # property monitor per property shape), the next-state function, and
+    # the engine builds from this net by key (its input space, one property
+    # monitor per property shape, and one check outcome per property shape,
+    # assumption shapes and budgets), the next-state function, and
     # `executed(x)`: for the slot tuple `x`, one truth per statement, in
     # `statement_guards` order, of whether it executes.
     slots: dict = field(init=False, repr=False, compare=False)

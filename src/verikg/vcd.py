@@ -54,14 +54,16 @@ class WindowSummary:
     missing: list[str] = field(default_factory=list)
 
 
+# printable identifier codes: ! " # ... excluding whitespace
+_CODE_CHARS = "".join(chr(c) for c in range(33, 127))
+
+
 def _code_for(i: int) -> str:
-    # printable identifier codes: ! " # ... excluding whitespace
-    chars = [chr(c) for c in range(33, 127)]
     out = ""
     i += 1
     while i > 0:
-        i, rem = divmod(i - 1, len(chars))
-        out = chars[rem] + out
+        i, rem = divmod(i - 1, len(_CODE_CHARS))
+        out = _CODE_CHARS[rem] + out
     return out
 
 

@@ -18,11 +18,11 @@ from reference_kernel import reference_explore
 from verikg.agents.backend import RecordingBackend
 from verikg.engine.check import CheckConfig, _bound_assumption_monitors, _explore, check
 from verikg.engine.coverage import coverage
-from verikg.engine.monitor import monitor_for
+from verikg.engine.monitor import UnboundIdentifierError, monitor_for
 from verikg.ir.types import ResultStatus
 from verikg.kg import SignalIndex
 from verikg.pipeline import RunConfig, run_all
-from verikg.rtl.ast import DesignModel
+from verikg.rtl.ast import DesignModel, Id
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva import ast as S
@@ -127,49 +127,129 @@ def test_kernel_agrees_with_reference_on_generated_checks():
         assert {s for _k, _a, w, s in outcomes if w == within} == ends
 
 
+def _ghost(kind: str, net: NetModel) -> S.BoundProperty:
+    """A property of `kind` that reads a signal `net` does not have."""
+    return S.BoundProperty(
+        prop_id="PROP-GHOST", kind=kind, impl=S.ImplKind.NONE, antecedent=None,
+        consequent=S.Sequence((S.SeqStep(0, 0, Id(f"{net.top}.ghost")),)),
+        clock_net=f"{net.top}.clk", disable_net=None, line=1)
+
+
+def test_check_memo_agrees_with_a_fresh_net(monkeypatch):
+    """A repeated check is answered from the net's memo: a property checked
+    again under another id and line explores nothing, and gives what the
+    same property gives on a copy of the net with nothing remembered, with
+    its own id and line. Every call returns new objects. A property that
+    does not bind leaves the memo as it was."""
+    explorations = Counter()
+
+    def counted(*args, **kwargs):
+        explorations["n"] += 1
+        return explore(*args, **kwargs)
+
+    explore = check_module._explore
+    monkeypatch.setattr(check_module, "_explore", counted)
+    seen = Counter()
+    for net, bp, assume in _generated_cases(seed=9404, count=20):
+        for cfg in BUDGETS:
+            cfg = CheckConfig(cfg.max_states, cfg.max_depth, assume)
+            first = check(net, bp, cfg)
+            twin = dataclasses.replace(bp, prop_id=bp.prop_id + "-TWIN", line=bp.line + 100)
+            before = explorations["n"]
+            again, second = check(net, bp, cfg), check(net, twin, cfg)
+            assert explorations["n"] == before
+            fresh = check(dataclasses.replace(net), twin, cfg)  # an empty memo
+            assert explorations["n"] == before + 1
+            assert second == fresh and again == first
+            result, trace = fresh
+            assert first[0] == dataclasses.replace(result, prop_id=bp.prop_id)
+            if trace is None:
+                assert first[1] is None
+            else:
+                assert first[1] == dataclasses.replace(
+                    trace, prop_id=bp.prop_id, violated_at_line=bp.line)
+                assert trace.prop_id == twin.prop_id and trace.violated_at_line == twin.line
+            for one, other in ((first, again), (first, second), (again, second)):
+                assert one[0] is not other[0]
+                if one[1] is not None:
+                    assert one[1] is not other[1]
+                    assert all(a[0] is not b[0] and a[1] is not b[1]
+                               for a, b in zip(one[1].cycles, other[1].cycles))
+            before = dict(net.engine)
+            with pytest.raises(UnboundIdentifierError):
+                check(net, _ghost(bp.kind, net), cfg)
+            with pytest.raises(UnboundIdentifierError):
+                check(net, bp, CheckConfig(cfg.max_states, cfg.max_depth,
+                                           [*assume, _ghost("assumption", net)]))
+            assert net.engine == before
+            if len(assume) == 2:  # another assumption set of the same size
+                other = CheckConfig(cfg.max_states, cfg.max_depth, assume[1:])
+                assert check(net, bp, other) == check(dataclasses.replace(net), bp, other)
+            seen[bp.kind, len(assume), result.status] += 1
+    assert {(k, n) for k, n, _s in seen} == {
+        (k, n) for k in ("assertion", "cover") for n in (0, 1, 2)}
+    assert {s for _k, _n, s in seen} == {ResultStatus.CEX, ResultStatus.PROVEN,
+                                        ResultStatus.VACUOUS, ResultStatus.BOUNDED}
+
+
 def _recorder(net: NetModel, answer_at: int | None):
     """A guard hook that records each `x` it is shown with its answer. It
-    answers True once every statement guard has held at some `x` (as
-    coverage's hook does), or at its `answer_at`-th call."""
+    answers True at its `answer_at`-th call or, with no `answer_at`, once
+    every statement guard has held at some `x` (as coverage's hook does)."""
     seen: list[tuple[tuple, bool]] = []
     uncovered = set(net.statement_guards)
 
     def hook(x: tuple) -> bool:
         uncovered.difference_update(compress(net.statement_guards, net.executed(x)))
-        seen.append((x, not uncovered or len(seen) + 1 == answer_at))
+        seen.append((x, len(seen) + 1 == answer_at if answer_at else not uncovered))
         return seen[-1][1]
 
     return hook, seen
 
 
 def test_monitor_free_search_agrees_with_reference():
-    """With no target and no assumption, the kernel walks design states. It
-    explores the same nodes to the same depth and budget as the reference
-    product search, and its guard hook sees the same `x` values in the same
-    order up to and including its first True, and none after."""
+    """With no target and no assumption, the kernel walks design states. Its
+    guard hook sees the same `x` values in the same order as the reference
+    product search's, up to and including its first True, where the search
+    ends, proven. A hook that never answers True sees them all, and the
+    search explores the same nodes to the same depth and budget as the
+    reference."""
     outcomes = Counter()
     nets = {id(net): net for net, _bp, _assume in _generated_cases(seed=9303, count=30)}
     for net in nets.values():
         for cfg in BUDGETS:
-            for answer_at in (1, 5, None):
+            for answer_at in (1, 5, 40, None):
                 hook, seen = _recorder(net, answer_at)
                 new = _explore(net, None, [], cfg, "", 0, "violation", guard_hook=hook)
                 ref_hook, ref_seen = _recorder(net, answer_at)
                 ref = reference_explore(net, None, [], cfg, "", 0, "violation",
                                         guard_hook=ref_hook)
-                within = _agree(new, ref, cfg.max_states)
+                within = ref.explored <= cfg.max_states
                 answers = [answer for _x, answer in ref_seen]
                 retired = True in answers
                 expected = ref_seen[:answers.index(True) + 1] if retired else ref_seen
-                if within:
+                if not retired:
+                    assert _agree(new, ref, cfg.max_states) == within
+                if within or seen == expected:
                     assert seen == expected
+                    if retired:
+                        # ended at the hook's first True, inside what the
+                        # reference walked
+                        assert new == dataclasses.replace(
+                            new, status=ResultStatus.PROVEN, trace=None, budget=None)
+                        assert new.explored <= ref.explored
+                        assert new.proof_depth <= ref.proof_depth
                 else:
-                    # stopped inside the layer the reference finished
+                    # ran out of states inside a layer the reference finished
+                    assert new.budget == "max_states"
                     assert seen == expected[:len(seen)]
                 outcomes[within, retired, new.status] += 1
     assert {(w, r) for w, r, _s in outcomes} == {
         (w, r) for w in (True, False) for r in (True, False)}
-    assert {s for _w, _r, s in outcomes} == {ResultStatus.PROVEN, ResultStatus.BOUNDED}
+    # a retired search ends proven at the hook, or bounded before it
+    assert {s for _w, r, s in outcomes if r} == {ResultStatus.PROVEN, ResultStatus.BOUNDED}
+    assert {s for _w, r, s in outcomes if not r} == {
+        ResultStatus.PROVEN, ResultStatus.BOUNDED}
 
 
 def _reference_coverage(net: NetModel, cfg: CheckConfig):
@@ -186,21 +266,32 @@ def _reference_coverage(net: NetModel, cfg: CheckConfig):
 
 
 def test_coverage_agrees_with_a_hook_that_never_retires():
+    """Coverage ends its search once every statement is covered; it is
+    partial only when a budget ran out with a statement still uncovered."""
     seen = Counter()
     for net, _bp, assume in _generated_cases(seed=9202, count=30):
         for cfg in BUDGETS:
             cfg = CheckConfig(cfg.max_states, cfg.max_depth, assume)
             cm = coverage(net, [], cfg)
             covered, unreachable, ref = _reference_coverage(net, cfg)
-            assert cm.partial == (ref.status is ResultStatus.BOUNDED)
-            if ref.explored <= cfg.max_states:
+            within = ref.explored <= cfg.max_states
+            if within:
                 assert set(cm.covered_statements) == covered
                 assert set(cm.unreachable_statements) == unreachable
+                assert cm.partial == (ref.status is ResultStatus.BOUNDED
+                                      and bool(unreachable))
             else:
-                # stopped earlier inside the same layer: a subset, still partial
-                assert cm.partial and set(cm.covered_statements) <= covered
-            seen[cm.partial, ref.explored <= cfg.max_states] += 1
-    assert set(seen) == {(False, True), (True, True), (True, False)}
+                # stopped earlier inside the same layer: a subset
+                assert set(cm.covered_statements) <= covered
+                assert cm.partial == bool(cm.unreachable_statements)
+            seen[cm.partial, within, ref.status] += 1
+    assert set(seen) == {
+        (False, True, ResultStatus.PROVEN),
+        (False, True, ResultStatus.BOUNDED),  # covered before the budget ran out
+        (True, True, ResultStatus.BOUNDED),
+        (False, False, ResultStatus.BOUNDED),
+        (True, False, ResultStatus.BOUNDED),
+    }
 
 
 REGISTER8 = """
@@ -213,7 +304,9 @@ endmodule
 
 def test_max_states_bounds_the_product_inside_a_layer():
     """An 8-bit input register takes all 256 values in one cycle; a budget
-    of 16 stops the search at the 17th state, not at the end of the layer."""
+    of 16 stops the search at the 17th state, not at the end of the layer.
+    Coverage is not partial: the register's one statement is covered at
+    the first valuation, where its search ends."""
     dm = parse_rtl(REGISTER8)
     net = elaborate(dm, "wide")
     (bp,) = _bound("assert property (r <= 8'd255);", dm, net)
@@ -225,7 +318,8 @@ def test_max_states_bounds_the_product_inside_a_layer():
                             "violation")
     assert ref.explored == 256
     cm = coverage(net, [], cfg)
-    assert cm.partial
+    assert not cm.partial and cm.unreachable_statements == []
+    assert len(cm.covered_statements) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +336,11 @@ def _replace_everywhere(monkeypatch, fn, replacement) -> None:
 
 
 def test_fixture_fifo_run_keeps_its_counts(fixtures_dir, tmp_path, monkeypatch):
-    """One fixture FIFO run: 9 explorations, 8 checks and 21,888 steps over
-    3,072 distinct (state, input) pairs and 96 states. Once every statement
-    is covered, coverage's hook is not asked again and no statement guard
-    is called."""
+    """One fixture FIFO run: 5 explorations, 8 checks and 9,444 steps over
+    3,072 distinct (state, input) pairs and 96 states. Four checks repeat
+    an earlier one and explore nothing. Once every statement is covered,
+    coverage's search ends: its hook is not asked again and no statement
+    guard is called."""
     explore, check_one, step = check_module._explore, check_module.check, NetModel.step
     counts: Counter = Counter()
     hook_answers: list[bool] = []
@@ -295,10 +390,10 @@ def test_fixture_fifo_run_keeps_its_counts(fixtures_dir, tmp_path, monkeypatch):
                       rulebook_path=str(fixtures_dir / "rulebook.txt"),
                       out_root=str(tmp_path), created_at="2026-01-01T00:00:00Z"))
 
-    assert counts["steps"] == 21888
+    assert counts["steps"] == 9444
     assert len(pairs) == 3072
     assert len({(net, state) for net, state, _inputs in pairs}) == 96
-    assert counts["explorations"] == 9
+    assert counts["explorations"] == 5
     assert counts["checks"] == 8
 
     # one coverage exploration; its hook answered True once, last

@@ -11,7 +11,7 @@ from oracles import gen_design_source, gen_property_source
 from reference_monitor import ReferenceMonitor
 from verikg.engine.check import CheckConfig, check, check_many
 from verikg.engine.coverage import coverage
-from verikg.engine.monitor import Monitor, UnboundIdentifierError, monitor_for
+from verikg.engine.monitor import Monitor, UnboundIdentifierError, monitor_for, shape
 from verikg.ir.types import ResultStatus
 from verikg.kg import SignalIndex
 from verikg.rtl.ast import DesignModel, Id
@@ -163,11 +163,14 @@ def test_one_monitor_per_shape_across_checks_and_coverage(
     second = check_many(fifo_net, props, cfg)
     cm = coverage(fifo_net, props, cfg)
     assert first == second and cm.vacuity_count == 0
-    shapes = {(bp.kind, bp.impl, bp.antecedent, bp.consequent, bp.disable_net)
-              for bp in props}
+    shapes = {shape(bp) for bp in props}
     assert len(shapes) == 4  # two pairs of properties share a shape
     assert built[id(fifo_net)] == len(shapes)
-    assert len([key for key in fifo_net.engine if key != "inputs"]) == len(shapes)
+    monitors = [v for v in fifo_net.engine.values() if isinstance(v, Monitor)]
+    assert len(monitors) == len(shapes)
+    # beside the monitors and the input space, one remembered check outcome
+    # per checked shape: two assertion shapes and the cover
+    assert len(fifo_net.engine) == len(shapes) + 1 + 3
 
 
 def test_shared_monitor_keeps_each_property_identity(fifo_model, fifo_net):
