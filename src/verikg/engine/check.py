@@ -57,6 +57,13 @@ class CexTrace:
 # budget in `CheckConfig`, so no run's recorded configuration changes.
 MAX_INPUT_BITS = 16
 
+# The most (node, input vector) pairs one search may try, which bounds its
+# time as `max_states` bounds its memory: a search that would pass it is
+# `bounded` (note "max_steps"). At about 1 us a pair, a 16-input-bit latch
+# stops after 32 nodes, within seconds. A constant for the same reason as
+# MAX_INPUT_BITS.
+MAX_STEPS = 1 << 21
+
 
 class _InputSpace:
     """Input vectors in exploration order (names sorted, values ascending),
@@ -94,25 +101,24 @@ class _Exploration:
     explored: int
     ante_matched: bool
     trace: CexTrace | None  # where the search stopped (violation or completion)
-    budget: str | None = None  # on bounded: "max_depth", "max_states" or "max_input_bits"
+    # on bounded: "max_depth", "max_states", "max_steps" or "max_input_bits"
+    budget: str | None = None
 
 
 def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
-             cfg: CheckConfig, prop_id: str, line: int,
-             stop_on: str, guard_hook=None) -> _Exploration:
-    """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
-    (cover). guard_hook(x) is called for every admitted valuation, with the
-    slot tuple `state + inputs` the monitors read. Its first True ends the
-    search there, proven at that cycle: nothing is left for it to see. A
-    successor that takes the product past `cfg.max_states` stops the search
-    bounded at the last completed cycle.
+             cfg: CheckConfig, prop_id: str, line: int, guard_hook=None) -> _Exploration:
+    """Breadth-first search of the (design state, monitor states) product,
+    for checks and coverage alike. A cover target stops the search at its
+    first completion, any other target at its first violation; with no
+    target and no assumption (coverage without input assumptions) each node
+    is `(state, ())`, one per design state. guard_hook(x) is called for
+    every admitted valuation, with the slot tuple `state + inputs` the
+    monitors read. Its first True ends the search there, proven at that
+    cycle: nothing is left for it to see.
 
-    With a guard hook, no target and no assumption monitor (coverage without
-    input assumptions) the search walks design states: a node is the state
-    tuple itself, not the product node `(state, ())`. The two are
-    one-to-one, so `explored` counts the same nodes, in the same order; each
-    (state, input) pair costs one hook call, one `step` call and one
-    lookup."""
+    A successor that takes the product past `cfg.max_states`, or a node
+    whose input vectors would take the pairs tried past `MAX_STEPS`, stops
+    the search bounded at the last completed cycle."""
     space = _input_space(net)
     if space is None:
         return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
@@ -120,19 +126,19 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     vectors = space.vectors
     step = net.step
     max_states = cfg.max_states
-    stop_on_violation = stop_on == "violation"
-    found = ResultStatus.CEX if stop_on_violation else ResultStatus.PROVEN
+    cover = target is not None and target.kind == "cover"
+    found = ResultStatus.PROVEN if cover else ResultStatus.CEX
     n_target = 1 if target is not None else 0
     n_assumptions = len(assumptions)
-    design_only = target is None and not assumptions and guard_hook is not None
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
-    init_node = net.init_state() if design_only else (net.init_state(), init_monitors)
+    init_node = (net.init_state(), init_monitors)
 
     parents: dict = {init_node: None}  # also the visited set
     frontier = [init_node]
     depth = 0
     ante_matched = False
     deepest = 0
+    tried = 0  # (node, input) pairs, counted a node at a time
     kept = ()  # the successor's assumption states
 
     def reconstruct(node, vec, cycle) -> CexTrace:
@@ -147,31 +153,18 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
         cycles.append((space.as_dict(vec), net.values(node[0], ())))
         return CexTrace(prop_id, cycles, cycle, line)
 
-    def out_of_states() -> _Exploration:
+    def bounded(budget: str) -> _Exploration:
         return _Exploration(ResultStatus.BOUNDED, deepest, len(parents),
-                            ante_matched, None, "max_states")
-
-    def hook_done() -> _Exploration:
-        return _Exploration(ResultStatus.PROVEN, depth, len(parents),
-                            ante_matched, None)
+                            ante_matched, None, budget)
 
     while frontier:
         if depth >= cfg.max_depth:
-            return _Exploration(ResultStatus.BOUNDED, depth - 1, len(parents),
-                                ante_matched, None, "max_depth")
+            return bounded("max_depth")
         next_frontier = []
         for node in frontier:
-            if design_only:
-                for vec, net_vec in vectors:
-                    if guard_hook(node + net_vec):
-                        return hook_done()
-                    succ = step(node, net_vec)
-                    if succ not in parents:
-                        parents[succ] = (node, vec)
-                        if len(parents) > max_states:
-                            return out_of_states()
-                        next_frontier.append(succ)
-                continue
+            tried += len(vectors)
+            if tried > MAX_STEPS:
+                return bounded("max_steps")
             design_state, monitor_states = node
             assume_states = monitor_states[n_target:]
             for vec, net_vec in vectors:
@@ -187,23 +180,23 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                         continue  # pruned before the target sees it
                     kept = tuple(kept)
                 if guard_hook is not None and guard_hook(x):
-                    return hook_done()
+                    return _Exploration(ResultStatus.PROVEN, depth, len(parents),
+                                        ante_matched, None)
                 monitors = kept
                 if target is not None:
                     tstate, ev = target.step(monitor_states[0], x)
                     if ev.ante_matched:
                         ante_matched = True
-                    if (ev.violated if stop_on_violation else ev.completed):
-                        return _Exploration(
-                            found, depth, len(parents),
-                            ante_matched or not stop_on_violation,
-                            reconstruct(node, vec, depth))
+                    if ev.completed if cover else ev.violated:
+                        return _Exploration(found, depth, len(parents),
+                                            ante_matched or cover,
+                                            reconstruct(node, vec, depth))
                     monitors = (tstate, *kept)
                 succ = (step(design_state, net_vec), monitors)
                 if succ not in parents:
                     parents[succ] = (node, vec)
                     if len(parents) > max_states:
-                        return out_of_states()
+                        return bounded("max_states")
                     next_frontier.append(succ)
         deepest = depth
         depth += 1
@@ -233,8 +226,9 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     (an unsatisfiable cover).
 
     Either kind is bounded when a budget ran out first; the result's note
-    names it ("max_depth" or "max_states"), or "max_input_bits" when the
-    net has more than `MAX_INPUT_BITS` input bits and nothing was explored.
+    names it ("max_depth", "max_states" or "max_steps"), or
+    "max_input_bits" when the net has more than `MAX_INPUT_BITS` input bits
+    and nothing was explored.
     runtime_ms is the deterministic explored-state count.
 
     The outcome is kept on the net, keyed by the property's shape, the
@@ -251,8 +245,7 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
         monitors = _bound_assumption_monitors(net, cfg)
         target = monitor_for(net, bp)
         cover = bp.kind == "cover"
-        ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line,
-                      "completion" if cover else "violation")
+        ex = _explore(net, target, monitors, cfg, bp.prop_id, bp.line)
         status = ex.status
         if status is ResultStatus.PROVEN and ex.trace is None and (
                 cover or (bp.impl is not S.ImplKind.NONE and not ex.ante_matched)):
@@ -276,12 +269,3 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
 
 # Alias of `check`, for callers that look cover checks up by this name.
 check_cover = check
-
-
-def check_many(net: NetModel, props: list[S.BoundProperty],
-               cfg: CheckConfig | None = None
-               ) -> list[tuple[FormalResult, CexTrace | None]]:
-    """Check a batch, one property after another; results in prop_id
-    order, whatever the order of `props`."""
-    return [check(net, bp, cfg) for bp in sorted(props, key=lambda p: p.prop_id)
-            if bp.kind != "assumption"]

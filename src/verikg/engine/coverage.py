@@ -14,8 +14,7 @@ from verikg.ir.types import CoverageMetrics, DeadCodeClass, ResultStatus
 from verikg.rtl.analyze import statement_key
 from verikg.rtl.elaborate import NetModel
 from verikg.sva import ast as S
-from verikg.engine.check import (
-    CheckConfig, _bound_assumption_monitors, _explore, check_many)
+from verikg.engine.check import CheckConfig, _bound_assumption_monitors, _explore, check
 
 
 def coverage(net: NetModel, props: list[S.BoundProperty],
@@ -43,11 +42,11 @@ def coverage(net: NetModel, props: list[S.BoundProperty],
         covered.update(compress(sids, net.executed(x)))
         return len(covered) == len(sids)
 
-    ex = _explore(net, None, monitors, cfg, "", 0, "violation", guard_hook=hook)
+    ex = _explore(net, None, monitors, cfg, "", 0, guard_hook=hook)
     partial = ex.status is ResultStatus.BOUNDED
 
-    vacuity = sum(1 for result, _trace in check_many(net, props, cfg)
-                  if result.status is ResultStatus.VACUOUS)
+    vacuity = sum(1 for bp in props if bp.kind != "assumption"
+                  and check(net, bp, cfg)[0].status is ResultStatus.VACUOUS)
 
     covered_list = sorted(covered, key=statement_key)
     unreachable_list = sorted(set(sids) - covered, key=statement_key)

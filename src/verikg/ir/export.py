@@ -216,12 +216,11 @@ def export_graph(bundle: T.RunBundle) -> tuple[list[tuple[str, ...]], list[tuple
 
 
 def render_csv(rows: list[tuple[str, ...]]) -> str:
-    """Comma-separated with doubled-quote escaping, LF line endings."""
+    """Comma-separated with doubled-quote escaping, LF line endings; a
+    None field is written empty."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL,
-                        doublequote=True)
-    for row in rows:
-        writer.writerow(["" if x is None else str(x) for x in row])
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL,
+               doublequote=True).writerows(rows)
     return buf.getvalue()
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 import time
@@ -8,18 +9,19 @@ import pytest
 
 from independent_oracles import RefDesign, oracle_min_violation, oracle_reachable_statements
 from oracles import gen_design_source, gen_property_source
+import verikg.engine.coverage as coverage_module
 from verikg.engine.check import (
     MAX_INPUT_BITS,
     CheckConfig,
     EngineError,
     check,
     check_cover,
-    check_many,
 )
 from verikg.engine.coverage import coverage
 from verikg.engine.external import ExternalReportError, import_external_results
 from verikg.ir.types import DeadCodeClass, ResultStatus
 from verikg.kg import SignalIndex
+from verikg.pipeline import RunConfig, run_all
 from verikg.rtl.ast import DesignModel
 from verikg.rtl.elaborate import NetModel, elaborate
 from verikg.rtl.parser import parse_rtl
@@ -203,14 +205,6 @@ class TestCheckFifo:
         assert r1 == r2
         assert t1.cycles == t2.cycles
 
-    def test_check_many_merges_in_prop_order(self, fifo_model, fifo_net):
-        props = compile_props(
-            "// property: PROP-002\nassert property (count <= 2'd2);\n"
-            "// property: PROP-001\ncover property (empty);\n",
-            fifo_model, fifo_net)
-        out = check_many(fifo_net, props)
-        assert [r.prop_id for r, _t in out] == ["PROP-001", "PROP-002"]
-
 
 class TestCoverage:
     def test_const_false_arm_unreachable(self):
@@ -330,6 +324,88 @@ class TestInputBits:
         result, _trace = check(net, bp)
         assert result.status is ResultStatus.PROVEN and result.note is None
         assert len(net.engine["inputs"].vectors) == 1 << MAX_INPUT_BITS
+
+
+LATCH = """
+module latch (input clk, input [15:0] d);
+  reg [15:0] q;
+  always @(posedge clk) q <= d;
+endmodule
+"""
+
+# The dead arm leaves two statements uncovered, so coverage's search cannot
+# end before a budget runs out.
+DEAD_ARM_LATCH = LATCH.replace("q <= d;", "if (1'd0) q <= 16'd0; else q <= d;")
+
+
+def _latch(source: str):
+    dm = parse_rtl(source)
+    net = elaborate(dm, "latch")
+    assert isinstance(net, NetModel), net.render()
+    return dm, net
+
+
+class TestWorkBudget:
+    """A 16-input-bit latch reaches its 65,536 states in one cycle, and each
+    state takes 65,536 input vectors: neither `max_states` nor `max_depth`
+    stops its search before 2**32 (node, input) pairs. `MAX_STEPS` stops it
+    within seconds, bounded at the last completed cycle. Each search runs
+    twice, on a fresh net, and gives the same result."""
+
+    def test_check_stops_at_the_work_budget(self):
+        results = []
+        for _run in range(2):
+            dm, net = _latch(LATCH)
+            assert sum(w for _n, w in net.inputs) == MAX_INPUT_BITS
+            (bp,) = compile_props("assert property (q == q);\n", dm, net)
+            start = time.perf_counter()
+            result, trace = check(net, bp)
+            assert time.perf_counter() - start < 10.0
+            assert (result.status, result.note, trace) == (
+                ResultStatus.BOUNDED, "max_steps", None)
+            assert result.proof_depth == 0
+            results.append(result)
+        assert results[0] == results[1]
+
+    def test_coverage_stops_at_the_work_budget(self, monkeypatch):
+        explorations = []
+
+        def recorded(*args, **kwargs):
+            explorations.append(explore(*args, **kwargs))
+            return explorations[-1]
+
+        explore = coverage_module._explore
+        monkeypatch.setattr(coverage_module, "_explore", recorded)
+        metrics = []
+        for _run in range(2):
+            dm, net = _latch(DEAD_ARM_LATCH)
+            start = time.perf_counter()
+            cm = coverage(net, [])
+            assert time.perf_counter() - start < 10.0
+            assert cm.partial
+            dead_arm = next(s.id for s in dm.statements if s.detail == "if_then")
+            assert cm.unreachable_statements == [dead_arm, "S2"]
+            metrics.append(cm)
+        assert [(ex.status, ex.budget) for ex in explorations] == [
+            (ResultStatus.BOUNDED, "max_steps")] * 2
+        assert explorations[0] == explorations[1] and metrics[0] == metrics[1]
+
+    def test_run_stops_at_the_work_budget(self, tmp_path):
+        (tmp_path / "latch.v").write_text(LATCH)
+        (tmp_path / "latch_spec.md").write_text(
+            "REQ[functional,medium]: q holds its value. ASSERT: q == q\n")
+        results = []
+        for out in ("first", "second"):
+            start = time.perf_counter()
+            report = run_all(RunConfig(spec_path=str(tmp_path / "latch_spec.md"),
+                                       rtl_paths=[str(tmp_path / "latch.v")],
+                                       out_root=str(tmp_path / out),
+                                       created_at="2026-01-01T00:00:00Z"))
+            assert time.perf_counter() - start < 10.0
+            results.append((tmp_path / out / report.run_id / "formal_results.json").read_bytes())
+        assert results[0] == results[1]
+        assert [(r["status"], r["note"]) for r in json.loads(results[0])] == [
+            ("bounded", "max_steps")]
 
 
 class TestOracleAgreement:

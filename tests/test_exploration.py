@@ -114,9 +114,9 @@ def test_kernel_agrees_with_reference_on_generated_checks():
         for cfg in BUDGETS:
             cfg = CheckConfig(cfg.max_states, cfg.max_depth, assume)
             args = (net, monitor_for(net, bp), _bound_assumption_monitors(net, cfg), cfg,
-                    bp.prop_id, bp.line,
-                    "completion" if bp.kind == "cover" else "violation")
-            new, ref = _explore(*args), reference_explore(*args)
+                    bp.prop_id, bp.line)
+            new = _explore(*args)
+            ref = reference_explore(*args, "completion" if bp.kind == "cover" else "violation")
             within = _agree(new, ref, cfg.max_states)
             outcomes[bp.kind, len(assume), within, ref.status] += 1
     kinds = {(kind, n_assume) for kind, n_assume, _w, _s in outcomes}
@@ -208,9 +208,10 @@ def _recorder(net: NetModel, answer_at: int | None):
 
 
 def test_monitor_free_search_agrees_with_reference():
-    """With no target and no assumption, the kernel walks design states. Its
-    guard hook sees the same `x` values in the same order as the reference
-    product search's, up to and including its first True, where the search
+    """With no target and no assumption (coverage without input
+    assumptions), each product node is `(state, ())`, one per design state.
+    The guard hook sees the same `x` values in the same order as the
+    reference's, up to and including its first True, where the search
     ends, proven. A hook that never answers True sees them all, and the
     search explores the same nodes to the same depth and budget as the
     reference."""
@@ -220,7 +221,7 @@ def test_monitor_free_search_agrees_with_reference():
         for cfg in BUDGETS:
             for answer_at in (1, 5, 40, None):
                 hook, seen = _recorder(net, answer_at)
-                new = _explore(net, None, [], cfg, "", 0, "violation", guard_hook=hook)
+                new = _explore(net, None, [], cfg, "", 0, guard_hook=hook)
                 ref_hook, ref_seen = _recorder(net, answer_at)
                 ref = reference_explore(net, None, [], cfg, "", 0, "violation",
                                         guard_hook=ref_hook)
