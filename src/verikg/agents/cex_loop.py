@@ -70,6 +70,9 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
     """
     report = CexLoopReport()
     records_by_id = {r.prop_id: r for r in records}
+    # VCD bytes -> parsed WaveDb, so a trace that several results share is
+    # parsed once (failure_window only reads the WaveDb)
+    waves = {}
     next_cex = cex_id_start
 
     def proven_or_vacuous(bp: S.BoundProperty) -> bool:
@@ -99,7 +102,9 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
             continue
 
         # vcd_parser role: deterministic waveform triage
-        db = parse_vcd(blob)
+        db = waves.get(blob)
+        if db is None:
+            db = waves[blob] = parse_vcd(blob)
         failure_time = (result.proof_depth or db.end_time()) * db.timescale[0]
         prop_signals = sorted(db.signal_names())
         window = failure_window(db, failure_time, prop_signals, PRE_CYCLES)

@@ -25,7 +25,7 @@ _ENV_API_KEY = "VERIKG_API_KEY"
 
 # RunConfig's retrieval bounds, budgets and iteration caps, one integer flag
 # each (`--type-cap` for `type_cap`)
-_BOUND_FIELDS = ("radius", "type_cap", "max_states", "max_depth", "cex_iters", "cov_iters")
+_BOUND_FIELDS = ("radius", "type_cap", "max_states", "cex_iters", "cov_iters")
 
 
 def _add_run_parser(sub) -> None:

@@ -25,11 +25,12 @@ class EngineError(Exception):
 @dataclass
 class CheckConfig:
     max_states: int = 1 << 20
-    max_depth: int = 64
+    max_depth: int | None = None  # a horizon in cycles; None searches to closure
     input_assumptions: list[S.BoundProperty] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.max_states <= 0 or self.max_depth <= 0:
+        if self.max_states <= 0 or (
+                self.max_depth is not None and self.max_depth <= 0):
             raise EngineError("budgets must be positive")
 
 
@@ -101,7 +102,8 @@ class _Exploration:
     explored: int
     ante_matched: bool
     trace: CexTrace | None  # where the search stopped (violation or completion)
-    # on bounded: "max_depth", "max_states", "max_steps" or "max_input_bits"
+    # on bounded: "max_states", "max_steps", "max_input_bits", or "max_depth"
+    # when the caller set a horizon
     budget: str | None = None
 
 
@@ -118,7 +120,8 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
 
     A successor that takes the product past `cfg.max_states`, or a node
     whose input vectors would take the pairs tried past `MAX_STEPS`, stops
-    the search bounded at the last completed cycle."""
+    the search bounded at the last completed cycle, as does reaching
+    `cfg.max_depth` cycles when it is set."""
     space = _input_space(net)
     if space is None:
         return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
@@ -158,7 +161,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                             ante_matched, None, budget)
 
     while frontier:
-        if depth >= cfg.max_depth:
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
             return bounded("max_depth")
         next_frontier = []
         for node in frontier:
@@ -225,10 +228,13 @@ def check(net: NetModel, bp: S.BoundProperty, cfg: CheckConfig | None = None
     vacuous when the fully explored reachable product contains no witness
     (an unsatisfiable cover).
 
-    Either kind is bounded when a budget ran out first; the result's note
-    names it ("max_depth", "max_states" or "max_steps"), or
+    With the default `CheckConfig`, a search ends only when the reachable
+    product closes or a budget runs out: `max_states` bounds its memory and
+    `MAX_STEPS` its time. Either kind is bounded when a budget ran out
+    first; the result's note names it ("max_states" or "max_steps"), or
     "max_input_bits" when the net has more than `MAX_INPUT_BITS` input bits
-    and nothing was explored.
+    and nothing was explored. A caller that sets `cfg.max_depth` also gets
+    "max_depth" when the search reaches that many cycles.
     runtime_ms is the deterministic explored-state count.
 
     The outcome is kept on the net, keyed by the property's shape, the

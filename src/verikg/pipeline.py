@@ -74,7 +74,6 @@ class RunConfig:
     radius: int = 2
     type_cap: int = 20
     max_states: int = 1 << 20
-    max_depth: int = 64
     cex_iters: int = 2
     cov_iters: int = 2
     created_at: str | None = None
@@ -90,12 +89,12 @@ class RunConfig:
         if self.backend == "replay":
             if not self.transcript_path or not Path(self.transcript_path).is_file():
                 raise PipelineError("replay backend needs --transcript")
-        if min(self.radius, self.type_cap, self.max_states, self.max_depth,
+        if min(self.radius, self.type_cap, self.max_states,
                self.cex_iters, self.cov_iters) <= 0:
             raise PipelineError("bounds and iteration caps must be positive")
 
     def check_config(self, assumptions=None) -> CheckConfig:
-        return CheckConfig(self.max_states, self.max_depth, assumptions or [])
+        return CheckConfig(self.max_states, input_assumptions=assumptions or [])
 
     def snapshot(self) -> dict:
         return {
@@ -107,7 +106,6 @@ class RunConfig:
             "radius": self.radius,
             "type_cap": self.type_cap,
             "max_states": self.max_states,
-            "max_depth": self.max_depth,
             "cex_iters": self.cex_iters,
             "cov_iters": self.cov_iters,
         }

@@ -49,7 +49,7 @@ def reference_explore(net: NetModel, target: Monitor | None,
         return CexTrace(prop_id, cycles, cycle, line)
 
     while frontier:
-        if depth >= cfg.max_depth:
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
             return _Exploration(ResultStatus.BOUNDED, depth - 1, len(visited),
                                 ante_matched, None)
         next_frontier = []

@@ -1,3 +1,4 @@
+import verikg.agents.cex_loop as cex_loop_module
 from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
 from verikg.agents.cex_loop import run_cex_loop
@@ -6,12 +7,12 @@ from verikg.agents.scripted import default_rules
 from verikg.engine.check import CheckConfig, check
 from verikg.ir import types as T
 from verikg.kg import build_signal_index
-from verikg.pipeline import rebuild_graph
+from verikg.pipeline import RunConfig, rebuild_graph, run_all
 from verikg.rtl.elaborate import elaborate
 from verikg.rtl.parser import parse_rtl
 from verikg.sva.bind import bind
 from verikg.sva.parser import parse_properties_with_recovery
-from verikg.vcd import write_vcd
+from verikg.vcd import failure_window, parse_vcd, write_vcd
 
 CLOCKED = "default clocking @(posedge clk); endclocking\n"
 
@@ -140,3 +141,38 @@ class TestCexLoop:
                               CheckConfig())
         assert report.manual_review == ["PROP-001"]
         assert report.cases[0].attempts == []
+
+
+def test_repeated_traces_are_parsed_once(fixtures_dir, tmp_path, monkeypatch):
+    """Three requirements state the same failing assertion, so their
+    counterexamples are one trace and their VCDs one byte string. The loop
+    parses it once, and each case's failure window equals one computed from
+    a fresh parse."""
+    parsed, windows = [], []
+
+    def counting_parse(blob):
+        parsed.append(blob)
+        return parse_vcd(blob)
+
+    def recording_window(db, t, signals, pre_cycles):
+        window = failure_window(db, t, signals, pre_cycles)
+        windows.append((t, list(signals), pre_cycles, window))
+        return window
+
+    monkeypatch.setattr(cex_loop_module, "parse_vcd", counting_parse)
+    monkeypatch.setattr(cex_loop_module, "failure_window", recording_window)
+    spec = tmp_path / "spec.md"
+    spec.write_text("".join(
+        f"REQ[safety,high]: Occupancy bound {i}. ASSERT: count <= 2'd2\n"
+        for i in range(3)))
+    report = run_all(RunConfig(spec_path=str(spec),
+                               rtl_paths=[str(fixtures_dir / "fifo_bug.v")],
+                               out_root=str(tmp_path / "runs"),
+                               created_at="2026-01-01T00:00:00Z"))
+    run_dir = tmp_path / "runs" / report.run_id
+    vcds = [p.read_bytes() for p in sorted((run_dir / "artifacts").glob("*.vcd"))]
+    assert len(vcds) == 3 and len(set(vcds)) == 1
+    assert parsed == vcds[:1]
+    assert len(windows) == 3
+    for t, signals, pre_cycles, window in windows:
+        assert window == failure_window(parse_vcd(vcds[0]), t, signals, pre_cycles)

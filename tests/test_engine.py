@@ -347,8 +347,8 @@ def _latch(source: str):
 
 class TestWorkBudget:
     """A 16-input-bit latch reaches its 65,536 states in one cycle, and each
-    state takes 65,536 input vectors: neither `max_states` nor `max_depth`
-    stops its search before 2**32 (node, input) pairs. `MAX_STEPS` stops it
+    state takes 65,536 input vectors: `max_states` does not stop its search
+    before 2**32 (node, input) pairs. `MAX_STEPS` stops it
     within seconds, bounded at the last completed cycle. Each search runs
     twice, on a fresh net, and gives the same result."""
 

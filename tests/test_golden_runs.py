@@ -42,7 +42,7 @@ GOLDEN = {
         "requirements.json":
             "0ef9d8d37faaf9a0cd462b4a15290fabfbf45a707dbc9f98a216f983410ecb7e",
         "run_context.json":
-            "17c2ef2942746bf0644c993bba901c895ff4d56a3424611fbfdb22c334435fb8",
+            "f696f2495085a086cf10a0448e2cde19c1c9a1d6431b410dc4d02fb26033b459",
         "spec_chunks.json":
             "0fc2e2c67c5862f58161da8b223cff7b5de9f491c742c1df01fec76b001a8398",
         "testplan.json":
@@ -76,7 +76,7 @@ GOLDEN = {
         "requirements.json":
             "d6f14e2bf01dbb7cc2e6e88e7838e23efd1bea3ca9b08e9336097226d12a0e67",
         "run_context.json":
-            "7a177a6408ccc2b83e87fdd64fd07c0217067b893bd5ff7b7303763018939aac",
+            "3f00987a220c33b7fc25b37dc07f798ee3b67d54f55eee46f5d728a2ef38f451",
         "spec_chunks.json":
             "463ec46b04cf99928f6362c9a5c3114546f62e616f01cde70aefdbdad3b9fd71",
         "testplan.json":
@@ -108,7 +108,7 @@ GOLDEN = {
         "requirements.json":
             "d584698f669743a3beaf2fa67c66f87cf87787f8a824b3a3124d316b71a37b39",
         "run_context.json":
-            "df638efe04161f88f2ff632b8e434f0a1774bd794f1ed96a27b1cb2e5712b057",
+            "9aaadd34b41313813cc3bd5999f97e18dd8f5a7d2d495aae1ed557aff9a2d134",
         "spec_chunks.json":
             "0485405533211ed2b9835d9dee5fcf00f735e73bd5100a6bc006b8f077ad1dad",
         "testplan.json":

@@ -271,7 +271,7 @@ class TestCli:
     def test_config_file_supplies_flags(self, fixtures_dir, tmp_path, capsys):
         out_root = str(tmp_path / "runs")
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"max_depth": 32, "cov_iters": 1}))
+        config.write_text(json.dumps({"max_states": 4096, "cov_iters": 1}))
         rc = cli_main([
             "run", "--spec", str(fixtures_dir / "fifo_spec.md"),
             "--rtl", str(fixtures_dir / "fifo.v"),
@@ -280,7 +280,7 @@ class TestCli:
         assert rc == 0
         run_id = capsys.readouterr().out.split()[1]
         bundle = load_run(out_root, run_id)
-        assert bundle.context.config_snapshot["max_depth"] == 32
+        assert bundle.context.config_snapshot["max_states"] == 4096
 
     def test_unknown_config_key_rejected(self, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "cfg.json"
