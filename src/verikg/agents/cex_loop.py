@@ -16,6 +16,7 @@ from verikg.agents.common import (
     attempts_used,
     record_requirements,
     send_step,
+    sync_records,
 )
 from verikg.agents.envelope import PromptEnvelope, ResponseShape
 from verikg.engine.check import CheckConfig, check
@@ -160,7 +161,7 @@ def run_cex_loop(ws: Workspace, results: list[T.FormalResult], net: NetModel,
                 record.attempt_history.append(note)
             if fixed:
                 if record is not None:
-                    record.sva_text = render_statement(decl)
+                    sync_records(pf, [record])
                 report.corrected.append(pid)
                 report.patched.append(pid)
                 break

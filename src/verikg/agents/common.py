@@ -87,12 +87,14 @@ def sibling_property_text(g: Graph, ctx: ContextBundle) -> str:
 
 def sync_records(pf: S.PropertyFile, records: list[T.PropertyRecord]) -> None:
     """Align each record of a property in `pf` with the file just emitted
-    from it: its statement text and its line span (`emit_properties` gives
-    every property one)."""
+    from it: its kind (a fix may turn an assertion into an assumption), its
+    statement text and its line span (`emit_properties` gives every
+    property one)."""
     by_id = {p.prop_id: p for p in pf.properties}
     for record in records:
         decl = by_id.get(record.prop_id)
         if decl is not None:
+            record.kind = T.PropKind(decl.kind)
             record.line_span = pf.line_map[record.prop_id]
             record.sva_text = render_statement(decl)
 

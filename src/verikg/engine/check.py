@@ -1,8 +1,10 @@
 """Explicit-state property checking over the (state x monitor) product.
 
-Breadth-first from the reset state with inputs enumerated name-sorted,
-values ascending, so the first counterexample found is the shortest and,
-among equals, the lexicographically least input sequence. "Proven" means
+Breadth-first from the reset state with the input vectors enumerated in
+the net's input order, which elaboration makes name order, values
+ascending. So the first counterexample found is the shortest and, among
+equals, the lexicographically least input sequence; each vector is one
+tuple, stepped and recorded as it is. "Proven" means
 the reachable product closed within budget; otherwise the verdict is
 "bounded" with the deepest completed cycle.
 """
@@ -66,32 +68,16 @@ MAX_INPUT_BITS = 16
 MAX_STEPS = 1 << 21
 
 
-class _InputSpace:
-    """Input vectors in exploration order (names sorted, values ascending),
-    each paired with the same values in the net's input order."""
-
-    def __init__(self, net: NetModel):
-        self.sorted_names = sorted(n for n, _ in net.inputs)
-        widths = dict(net.inputs)
-        order = [self.sorted_names.index(n) for n, _ in net.inputs]
-        self.vectors = [
-            (vec, tuple(vec[i] for i in order))
-            for vec in itertools.product(
-                *[range(1 << widths[n]) for n in self.sorted_names])
-        ]
-
-    def as_dict(self, vec: tuple) -> dict[str, int]:
-        return dict(zip(self.sorted_names, vec))
-
-
-def _input_space(net: NetModel) -> _InputSpace | None:
-    """The net's input space, built once per net; None when the net has
-    more than MAX_INPUT_BITS input bits."""
+def _input_space(net: NetModel) -> list[tuple[int, ...]] | None:
+    """The net's input vectors in exploration order (`net.inputs` order,
+    which is name order, values ascending), built once per net; None when
+    the net has more than MAX_INPUT_BITS input bits."""
     try:
         return net.engine["inputs"]
     except KeyError:
         space = net.engine["inputs"] = (
-            None if sum(w for _n, w in net.inputs) > MAX_INPUT_BITS else _InputSpace(net))
+            None if sum(w for _n, w in net.inputs) > MAX_INPUT_BITS
+            else list(itertools.product(*[range(1 << w) for _n, w in net.inputs])))
         return space
 
 
@@ -122,11 +108,10 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
     whose input vectors would take the pairs tried past `MAX_STEPS`, stops
     the search bounded at the last completed cycle, as does reaching
     `cfg.max_depth` cycles when it is set."""
-    space = _input_space(net)
-    if space is None:
+    vectors = _input_space(net)
+    if vectors is None:
         return _Exploration(ResultStatus.BOUNDED, None, 0, False, None,
                             "max_input_bits")
-    vectors = space.vectors
     step = net.step
     max_states = cfg.max_states
     cover = target is not None and target.kind == "cover"
@@ -152,8 +137,8 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
             chain.append((parent, pvec))
             cur = parent
         chain.reverse()
-        cycles = [(space.as_dict(pv), net.values(pn[0], ())) for pn, pv in chain]
-        cycles.append((space.as_dict(vec), net.values(node[0], ())))
+        cycles = [(net.values((), pv), net.values(pn[0], ())) for pn, pv in chain]
+        cycles.append((net.values((), vec), net.values(node[0], ())))
         return CexTrace(prop_id, cycles, cycle, line)
 
     def bounded(budget: str) -> _Exploration:
@@ -170,8 +155,8 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                 return bounded("max_steps")
             design_state, monitor_states = node
             assume_states = monitor_states[n_target:]
-            for vec, net_vec in vectors:
-                x = design_state + net_vec
+            for vec in vectors:
+                x = design_state + vec
                 if assumptions:
                     kept = []
                     for mon, mstate in zip(assumptions, assume_states):
@@ -195,7 +180,7 @@ def _explore(net: NetModel, target: Monitor | None, assumptions: list[Monitor],
                                             ante_matched or cover,
                                             reconstruct(node, vec, depth))
                     monitors = (tstate, *kept)
-                succ = (step(design_state, net_vec), monitors)
+                succ = (step(design_state, vec), monitors)
                 if succ not in parents:
                     parents[succ] = (node, vec)
                     if len(parents) > max_states:

@@ -151,8 +151,6 @@ class RetrievalBounds:
 
 @dataclass
 class ContextBundle:
-    anchor_id: str
-    task_kind: TaskKind
     members: list[tuple[str, InclusionReason]]
     truncated: bool
 
@@ -278,7 +276,7 @@ def neighborhood(g: Graph, anchor: str, task: TaskKind,
             members.append((node_id, InclusionReason.ANCHOR))
         else:
             members.append((node_id, _reason_for(etype or "")))
-    return ContextBundle(anchor, task, members, truncated)
+    return ContextBundle(members, truncated)
 
 
 def build_signal_index(g: Graph, readable: frozenset[str] | None = None

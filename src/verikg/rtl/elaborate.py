@@ -28,8 +28,8 @@ TRUE = ast.Lit(1, 1)
 class NetModel:
     top: str
     clock: str | None
-    state_bits: list[tuple[str, int]]
-    inputs: list[tuple[str, int]]
+    state_bits: list[tuple[str, int]]  # in declaration order
+    inputs: list[tuple[str, int]]  # sorted by name, the order the search tries them
     next_state: dict[str, ast.Expr]
     init: dict[str, int]
     comb: dict[str, ast.Expr]
@@ -204,7 +204,7 @@ class _Elaborator:
         self.inputs: list[tuple[str, int]] = []
         self.input_names: set[str] = set()
         self.reg_names: set[str] = set()
-        self.always_units: list[tuple[str, ast.ModuleDecl, ast.AlwaysBlock, dict[str, int]]] = []
+        self.always_units: list[tuple[str, ast.AlwaysBlock, dict[str, int]]] = []
         self.envs: dict[str, dict[str, int]] = {}  # instance prefix -> parameter values
         self.clock: str | None = None
         self.guards: dict[str, ast.Expr] = {}
@@ -296,7 +296,7 @@ class _Elaborator:
             self.guards[a.stmt_id] = TRUE  # continuous assigns run every cycle
 
         for b in m.always_blocks:
-            self.always_units.append((prefix, m, b, env))
+            self.always_units.append((prefix, b, env))
 
     def _connect(self, prefix: str, m: ast.ModuleDecl, inst: ast.Instance) -> None:
         """Wire the ports of instance `prefix` to its parent's signals."""
@@ -339,7 +339,7 @@ class _Elaborator:
 
     # -- always-block symbolic execution -------------------------------------
 
-    def exec_always(self, prefix: str, m: ast.ModuleDecl, block: ast.AlwaysBlock,
+    def exec_always(self, prefix: str, block: ast.AlwaysBlock,
                     env: dict[str, int]) -> None:
         clk_full = self._resolve_clock(prefix, block)
         if self.clock is None:
@@ -581,8 +581,8 @@ def elaborate(model: ast.DesignModel, top: str):
         for prefix, m, env, inst in instances(model, top):
             el.instance(prefix, m, env, inst)
         el.close_wires()
-        for prefix, m, block, env in el.always_units:
-            el.exec_always(prefix, m, block, env)
+        for prefix, block, env in el.always_units:
+            el.exec_always(prefix, block, env)
         el.check_reads()
     except (ElabError, ParseError) as ee:
         diags.error(ee.line, 0, ee.message, ee.code)
@@ -622,7 +622,7 @@ def elaborate(model: ast.DesignModel, top: str):
             top=top,
             clock=el.clock,
             state_bits=list(el.regs),
-            inputs=[(n, w) for n, w in el.inputs if n != el.clock],
+            inputs=sorted((n, w) for n, w in el.inputs if n != el.clock),
             next_state=el.next_state,
             init={r: el.init[r] for r, _ in el.regs},
             comb=el.wire_defs,

@@ -316,7 +316,6 @@ class _ModuleParser:
         kw = self.cur.expect("module")
         name_tok = self.cur.expect_id()
         m = ast.ModuleDecl(name=name_tok.text, line=kw.line)
-        declared_dirs: dict[str, tuple[str, Token]] = {}
         header_order: list[str] = []
 
         if self.cur.accept("#"):
@@ -331,7 +330,7 @@ class _ModuleParser:
         if self.cur.accept("("):
             if not self.cur.at(")"):
                 while True:
-                    self._parse_header_port(m, declared_dirs, header_order)
+                    self._parse_header_port(m, header_order)
                     if not self.cur.accept(","):
                         break
             self.cur.expect(")")
@@ -349,11 +348,10 @@ class _ModuleParser:
                 self._resync_item(start)
         self.cur.expect("endmodule")
 
-        self._finalize_module(m, declared_dirs, header_order)
+        self._finalize_module(m, header_order)
         return m
 
-    def _parse_header_port(self, m: ast.ModuleDecl,
-                           declared: dict, order: list[str]) -> None:
+    def _parse_header_port(self, m: ast.ModuleDecl, order: list[str]) -> None:
         t = self.cur.peek()
         if t.text in ("input", "output"):
             direction = self.cur.next().text
@@ -367,7 +365,6 @@ class _ModuleParser:
             if self.cur.at("["):
                 msb, lsb = self._parse_range()
             name = self.cur.expect_id()
-            declared[name.text] = (direction, name)
             order.append(name.text)
             m.ports.append(ast.Port(name.text, direction, 1, name.line, msb, lsb))
             m.signals.append(ast.Signal(name.text, 1, kind, name.line, msb, lsb))
@@ -632,8 +629,7 @@ class _ModuleParser:
                     and not self.cur.at("else"):
                 return
 
-    def _finalize_module(self, m: ast.ModuleDecl,
-                         declared: dict, header_order: list[str]) -> None:
+    def _finalize_module(self, m: ast.ModuleDecl, header_order: list[str]) -> None:
         try:
             env = param_values(m, {})
         except ParseError as pe:

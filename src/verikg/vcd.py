@@ -50,7 +50,6 @@ class WaveDb:
 class WindowSummary:
     center_time: int
     window: list[tuple[int, str, int | str | None, int | str]]  # (t, signal, old, new)
-    signals_of_interest: list[str]
     missing: list[str] = field(default_factory=list)
 
 
@@ -280,4 +279,4 @@ def failure_window(db: WaveDb, t: int, signals: list[str],
                 window.append((time, name, prev, value))
             prev = value
     window.sort(key=lambda item: (item[0], item[1]))
-    return WindowSummary(t, window, list(signals), missing)
+    return WindowSummary(t, window, missing)

@@ -3,7 +3,9 @@
 `reference_explore` is `engine.check._explore` kept verbatim as the
 reference the rewrite is compared against (`tests/test_exploration.py`):
 a `visited` set beside `parents`, a guard hook called for every admitted
-valuation, and `max_states` checked only between BFS layers.
+valuation, `max_states` checked only between BFS layers, and its own
+input enumeration: vectors in name order, each paired with a copy in the
+net's input order for `step`.
 
 It lives outside `oracles.py` because the benchmark imports that module
 for its generators: with no bytecode cache, every import compiles it, and
@@ -12,7 +14,9 @@ this copy there raised the benchmark's peak RSS by about 0.8 MB.
 
 from __future__ import annotations
 
-from verikg.engine.check import CexTrace, CheckConfig, _Exploration, _InputSpace
+import itertools
+
+from verikg.engine.check import CexTrace, CheckConfig, _Exploration
 from verikg.engine.monitor import Monitor
 from verikg.ir.types import ResultStatus
 from verikg.rtl.elaborate import NetModel
@@ -24,7 +28,19 @@ def reference_explore(net: NetModel, target: Monitor | None,
     """Shared BFS. stop_on: 'violation' (assert/assume) or 'completion'
     (cover). guard_hook(x) is called for every admitted valuation, with the
     slot tuple `state + inputs` the monitors read."""
-    space = _InputSpace(net)
+    # Input vectors in name order, values ascending, each paired with the
+    # same values in the net's input order, which `step` reads: built here
+    # rather than taken from the engine, so a change to the net's input
+    # order shows as a difference from this kernel.
+    names = sorted(n for n, _ in net.inputs)
+    widths = dict(net.inputs)
+    order = [names.index(n) for n, _ in net.inputs]
+    vectors = [(vec, tuple(vec[i] for i in order))
+               for vec in itertools.product(*[range(1 << widths[n]) for n in names])]
+
+    def as_dict(vec: tuple) -> dict[str, int]:
+        return dict(zip(names, vec))
+
     init_design = net.init_state()
     init_monitors = tuple(m.initial() for m in ([target] if target else []) + assumptions)
     init_node = (init_design, init_monitors)
@@ -44,8 +60,8 @@ def reference_explore(net: NetModel, target: Monitor | None,
             chain.append((parent, pvec))
             cur = parent
         chain.reverse()
-        cycles = [(space.as_dict(pv), net.values(pn[0], ())) for pn, pv in chain]
-        cycles.append((space.as_dict(vec), net.values(node[0], ())))
+        cycles = [(as_dict(pv), net.values(pn[0], ())) for pn, pv in chain]
+        cycles.append((as_dict(vec), net.values(node[0], ())))
         return CexTrace(prop_id, cycles, cycle, line)
 
     while frontier:
@@ -56,7 +72,7 @@ def reference_explore(net: NetModel, target: Monitor | None,
         for node in frontier:
             design_state, monitor_states = node
             n_target = 1 if target else 0
-            for vec, net_vec in space.vectors:
+            for vec, net_vec in vectors:
                 x = design_state + net_vec
                 # assumptions prune the branch before the target sees it
                 new_assume = []

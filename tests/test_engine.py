@@ -323,7 +323,7 @@ class TestInputBits:
         (bp,) = compile_props("cover property (!hit);\n", dm, net)
         result, _trace = check(net, bp)
         assert result.status is ResultStatus.PROVEN and result.note is None
-        assert len(net.engine["inputs"].vectors) == 1 << MAX_INPUT_BITS
+        assert len(net.engine["inputs"]) == 1 << MAX_INPUT_BITS
 
 
 LATCH = """

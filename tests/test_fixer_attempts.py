@@ -38,9 +38,10 @@ def over_specified(payload: str) -> ScriptedBackend:
     ] + default_rules())
 
 
-def run_syntax(fifo_model, payload):
-    backend = ScriptedBackend([ScriptedRule("syntax_fixer", "*", lambda e: payload)])
-    _b, kg, pf, records = loop_setup(fifo_model, ["assert property (wr_enn |-> !full);"])
+def run_syntax(fifo_model, payload, prop="assert property (wr_enn |-> !full);"):
+    backend = ScriptedBackend([ScriptedRule("syntax_fixer", "*", lambda e: payload)]
+                              + default_rules())
+    _b, kg, pf, records = loop_setup(fifo_model, [prop])
     run_syntax_loop(Workspace(kg, build_signal_index(kg), fifo_model, backend),
                     pf, records)
     return pf, records[0]
@@ -82,6 +83,31 @@ def test_refusing_cex_fixer_spends_three_attempts(fifo_model, fifo_net):
     assert report.not_corrected == ["PROP-001"]
     assert not report.patched
     assert pf.get("PROP-001").raw_source == CEX_PROP
+
+
+# A fix may change a property's kind; its record follows the file.
+ASSUME_FIX = "assume property (count <= 2'd2);"
+
+
+def test_cex_fix_to_an_assumption_updates_the_record_kind(fifo_model, fifo_net):
+    backend = ScriptedBackend([
+        ScriptedRule("spec_assertion_analyzer", "cex/*",
+                     lambda e: "root_cause: missing_assumption"),
+        ScriptedRule("cex_fixer", "cex/*", lambda e: ASSUME_FIX),
+    ] + default_rules())
+    pf, record, report = run_cex(fifo_model, fifo_net, backend)
+    assert report.patched == ["PROP-001"]
+    assert pf.get("PROP-001").kind == "assumption"
+    assert record.kind is T.PropKind.ASSUMPTION
+    assert record.sva_text.startswith("assume property")
+
+
+def test_syntax_fix_to_an_assumption_updates_the_record_kind(fifo_model):
+    pf, record = run_syntax(fifo_model, ASSUME_FIX, "assert property (nosuch_sig);")
+    assert record.attempt_history[0].outcome is T.AttemptOutcome.FIXED
+    assert pf.get("PROP-001").kind == "assumption"
+    assert record.kind is T.PropKind.ASSUMPTION
+    assert record.sva_text.startswith("assume property")
 
 
 

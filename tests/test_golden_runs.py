@@ -54,7 +54,7 @@ GOLDEN = {
     }),
     "fifo_overconstrained": ("fifo_overconstrained_spec.md", "fifo.v", "rulebook.txt", "20260101T000000Z-91778cd3", {
         "artifacts/PROP-003.vcd":
-            "19a40d67aa4eca53ebf94f739020b4a71f7097528a20c23392bea8c61846440e",
+            "5f24ae8e316abb96ceb2ae76d99f749421a51ef777efe81fb865315bb63c2e1b",
         "cex_cases.json":
             "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "coverage_metrics.json":
