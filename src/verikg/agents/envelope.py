@@ -7,6 +7,7 @@ are stable across runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,10 @@ SECTION_ORDER = (
 )
 
 DEFAULT_CONTEXT_BUDGET = 16000  # characters of rendered context
+
+# Quoted strings kept for reuse: consecutive prompts of one loop repeat the
+# same spec fragment, signal table and rulebook sections.
+QUOTED_CACHE_SIZE = 32
 
 
 class ResponseShape(Enum):
@@ -75,6 +80,7 @@ class PromptEnvelope:
         return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+@functools.lru_cache(maxsize=QUOTED_CACHE_SIZE)
 def _quoted(s: str) -> bytes:
     """`s` as a JSON string with non-ASCII kept, UTF-8 encoded."""
     return encode_basestring(s).encode("utf-8")

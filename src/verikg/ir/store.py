@@ -3,7 +3,10 @@
 Layout: <root>/<run_id>/<artifact>.json using the canonical artifact file
 names, plus nodes.csv / edges.csv and any binary attachments (VCD traces,
 transcripts). Writes go to a staging directory first and are renamed into
-place, so a crashed run never leaves a half-written bundle.
+place, so a crashed run never leaves a half-written bundle. Attachments with
+equal bytes are one file: each after the first is a hard link to it, where
+the filesystem allows links. So treat a saved run directory as read-only:
+writing one of its files in place also changes every path linked to it.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ def save_run(bundle: T.RunBundle, root: str | Path,
 
     Returns the updated context (run_id recomputed from content, artifact
     paths filled with run-directory-relative names). Attachments are extra
-    files (relative path -> bytes) written alongside the documents.
+    files (relative path -> bytes) written alongside the documents. Each
+    distinct byte string is written once: a later attachment with the same
+    bytes is a hard link to the first file, or, where `os.link` fails, a
+    copy. The paths and the bytes of every file are the same either way.
     validate=False is for crash-path preservation of partial bundles.
     `run_id` is the bundle's `make_run_id`, and `docs` its
     `collection_docs`, when the caller has already computed them; they are
@@ -121,7 +127,15 @@ def save_run(bundle: T.RunBundle, root: str | Path,
         targets = {staging / rel: data for rel, data in (attachments or {}).items()}
         for parent in dict.fromkeys(target.parent for target in targets):
             parent.mkdir(parents=True, exist_ok=True)
+        first: dict[bytes, Path] = {}  # bytes -> the file that holds them
         for target, data in targets.items():
+            source = first.setdefault(data, target)
+            if source is not target:
+                try:
+                    os.link(source, target)
+                    continue
+                except OSError:  # no links on this filesystem, or too many
+                    pass
             target.write_bytes(data)
         final = root / run_id
         if final.exists():

@@ -610,6 +610,8 @@ def recheck_properties(prop_ids, net, bound: list[S.BoundProperty], bundle,
     next_res = _next_id((r.result_id for r in results.values()), "RES")
 
     for pid in sorted(set(prop_ids)):
+        rel = f"artifacts/{pid}.vcd"
+        artifacts.pop(rel, None)  # a superseded or dropped result keeps no VCD
         bp = by_id.get(pid)
         if bp is None or bp.kind == "assumption":
             results.pop(pid, None)
@@ -620,7 +622,6 @@ def recheck_properties(prop_ids, net, bound: list[S.BoundProperty], bundle,
         if not prior:
             next_res += 1
         if trace is not None and result.status is T.ResultStatus.CEX:
-            rel = f"artifacts/{pid}.vcd"
             decls = list(net.inputs) + list(net.state_bits)
             artifacts[rel] = write_vcd(trace, decls)
             result.artifact_path = rel

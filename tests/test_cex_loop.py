@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import verikg.agents.cex_loop as cex_loop_module
 from test_agents import generation_setup
 from verikg.agents.backend import ScriptedBackend, ScriptedRule
@@ -143,6 +145,21 @@ class TestCexLoop:
         assert report.cases[0].attempts == []
 
 
+def run_repeated_traces(fixtures_dir, tmp_path, **cfg) -> Path:
+    """Three requirements that state the same failing assertion on
+    fifo_bug.v, run under `tmp_path`; returns the run directory."""
+    spec = tmp_path / "spec.md"
+    spec.write_text("".join(
+        f"REQ[safety,high]: Occupancy bound {i}. ASSERT: count <= 2'd2\n"
+        for i in range(3)))
+    out = tmp_path / cfg.get("backend", "scripted")
+    report = run_all(RunConfig(spec_path=str(spec),
+                               rtl_paths=[str(fixtures_dir / "fifo_bug.v")],
+                               out_root=str(out),
+                               created_at="2026-01-01T00:00:00Z", **cfg))
+    return out / report.run_id
+
+
 def test_repeated_traces_are_parsed_once(fixtures_dir, tmp_path, monkeypatch):
     """Three requirements state the same failing assertion, so their
     counterexamples are one trace and their VCDs one byte string. The loop
@@ -161,18 +178,33 @@ def test_repeated_traces_are_parsed_once(fixtures_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cex_loop_module, "parse_vcd", counting_parse)
     monkeypatch.setattr(cex_loop_module, "failure_window", recording_window)
-    spec = tmp_path / "spec.md"
-    spec.write_text("".join(
-        f"REQ[safety,high]: Occupancy bound {i}. ASSERT: count <= 2'd2\n"
-        for i in range(3)))
-    report = run_all(RunConfig(spec_path=str(spec),
-                               rtl_paths=[str(fixtures_dir / "fifo_bug.v")],
-                               out_root=str(tmp_path / "runs"),
-                               created_at="2026-01-01T00:00:00Z"))
-    run_dir = tmp_path / "runs" / report.run_id
+    run_dir = run_repeated_traces(fixtures_dir, tmp_path)
     vcds = [p.read_bytes() for p in sorted((run_dir / "artifacts").glob("*.vcd"))]
     assert len(vcds) == 3 and len(set(vcds)) == 1
     assert parsed == vcds[:1]
     assert len(windows) == 3
     for t, signals, pre_cycles, window in windows:
         assert window == failure_window(parse_vcd(vcds[0]), t, signals, pre_cycles)
+
+
+def test_repeated_traces_are_one_file(fixtures_dir, tmp_path):
+    """The three equal VCDs are one file with three names. The run id is
+    the one the run had when each VCD was a file of its own, and a replay
+    of the transcript writes the same bytes under the same paths."""
+    run_dir = run_repeated_traces(fixtures_dir, tmp_path)
+    assert run_dir.name == "20260101T000000Z-d10c1006"
+    vcds = sorted((run_dir / "artifacts").glob("*.vcd"))
+    assert len(vcds) == 3
+    assert len({p.stat().st_ino for p in vcds}) == 1
+    replay_dir = run_repeated_traces(
+        fixtures_dir, tmp_path, backend="replay",
+        transcript_path=str(run_dir / "transcript.json"))
+    assert replay_dir.name == run_dir.name
+
+    def files(d):
+        # the run context's config snapshot names the backend
+        return {p.relative_to(d).as_posix(): p.read_bytes()
+                for p in sorted(d.rglob("*"))
+                if p.is_file() and p.name != "run_context.json"}
+
+    assert files(replay_dir) == files(run_dir)

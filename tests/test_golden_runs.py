@@ -11,6 +11,7 @@ the digests and say why in the change log.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,8 +54,6 @@ GOLDEN = {
             "18ecd4aebfefc8d7c9135b4cfff1bd536848754327e8b8776d2da4c70062eb9e",
     }),
     "fifo_overconstrained": ("fifo_overconstrained_spec.md", "fifo.v", "rulebook.txt", "20260101T000000Z-91778cd3", {
-        "artifacts/PROP-003.vcd":
-            "5f24ae8e316abb96ceb2ae76d99f749421a51ef777efe81fb865315bb63c2e1b",
         "cex_cases.json":
             "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "coverage_metrics.json":
@@ -121,15 +120,32 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_directory_matches_golden(name, fixtures_dir, tmp_path, monkeypatch):
-    spec, rtl, rulebook, run_id, files = GOLDEN[name]
-    monkeypatch.chdir(fixtures_dir)
-    report = run_all(RunConfig(spec_path=spec, rtl_paths=[rtl],
-                               rulebook_path=rulebook, out_root=str(tmp_path),
-                               backend="scripted", created_at=CREATED_AT))
-    assert report.run_id == run_id
-    run_dir = tmp_path / run_id
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden_run(request, fixtures_dir, tmp_path_factory):
+    """(name, run id, run directory) of one golden run, made once."""
+    spec, rtl, rulebook, _run_id, _files = GOLDEN[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(fixtures_dir)
+        report = run_all(RunConfig(spec_path=spec, rtl_paths=[rtl],
+                                   rulebook_path=rulebook, out_root=str(root),
+                                   backend="scripted", created_at=CREATED_AT))
+    return request.param, report.run_id, root / report.run_id
+
+
+def test_run_directory_matches_golden(golden_run):
+    name, got_id, run_dir = golden_run
+    _spec, _rtl, _rulebook, run_id, files = GOLDEN[name]
+    assert got_id == run_id
     got = {p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(run_dir.rglob("*")) if p.is_file()}
     assert got == files
+
+
+def test_every_vcd_belongs_to_a_result(golden_run):
+    """A run keeps a VCD exactly for each result that names one: a CEX
+    superseded by a later check, or dropped with its property, leaves none."""
+    _name, _run_id, run_dir = golden_run
+    results = json.loads((run_dir / "formal_results.json").read_text(encoding="utf-8"))
+    vcds = {p.relative_to(run_dir).as_posix() for p in run_dir.glob("artifacts/*.vcd")}
+    assert vcds == {r["artifact_path"] for r in results if r.get("artifact_path")}

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -185,6 +186,54 @@ class TestSaveLoad:
         for kind in b.present_kinds():
             assert T.ARTIFACT_FILE_NAMES[kind] in files
         assert {"run_context.json", "nodes.csv", "edges.csv"} <= files
+
+
+class TestSharedAttachments:
+    """Equal attachment bytes are one file (hard links); without links every
+    attachment is its own file, with the same paths and bytes."""
+
+    ATTACHMENTS = {"artifacts/a.vcd": b"X" * 64, "artifacts/b.vcd": b"X" * 64,
+                   "c.txt": b"Y", "artifacts/d.vcd": b"X" * 64}
+
+    @staticmethod
+    def files(run_dir):
+        return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+                for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+    def save(self, root, **kw):
+        b = make_bundle(2, 1)
+        ctx = save_run(b, root, self.ATTACHMENTS, **kw)
+        run_dir = root / ctx.run_id
+        stats = {rel: os.stat(run_dir / rel) for rel in self.ATTACHMENTS}
+        return b, ctx, run_dir, stats
+
+    def test_equal_bytes_share_one_inode(self, tmp_path):
+        b, ctx, run_dir, st = self.save(tmp_path)
+        shared = {st[r].st_ino for r in ("artifacts/a.vcd", "artifacts/b.vcd",
+                                         "artifacts/d.vcd")}
+        assert len(shared) == 1
+        assert st["artifacts/a.vcd"].st_nlink == 3
+        assert st["c.txt"].st_ino not in shared and st["c.txt"].st_nlink == 1
+        loaded = load_run(tmp_path, ctx.run_id)
+        for kind in T.RunBundle.COLLECTION_KINDS:
+            assert getattr(loaded, kind) == getattr(b, kind), kind
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_without_links_the_directory_is_the_same(self, tmp_path, monkeypatch,
+                                                     validate):
+        _b, linked_ctx, linked, linked_st = self.save(tmp_path / "linked",
+                                                      validate=validate)
+        assert len({st.st_ino for st in linked_st.values()}) == 2
+
+        def no_link(src, dst):
+            raise OSError(f"no link from {src} to {dst}")
+
+        monkeypatch.setattr(os, "link", no_link)
+        _b, ctx, copied, st = self.save(tmp_path / "copied", validate=validate)
+        assert len({s.st_ino for s in st.values()}) == 4
+        assert all(s.st_nlink == 1 for s in st.values())
+        assert ctx.run_id == linked_ctx.run_id
+        assert self.files(copied) == self.files(linked)
 
 
 class TestExport:
